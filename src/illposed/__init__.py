@@ -25,13 +25,14 @@ from .oracle import (SearchBox, brute_force_minimize, refine_1d,
                      refine_coordinatewise)
 from .quasisolution import (QuasiCertificate, QuasiResult,
                             minimize_on_compactum, quasi_certificate)
+from .spg import SolveOptions
 from .stabilizers import (Compactum, Stabilizer, contains, penalty_matrix,
                           phi_batch, phi_value, project_onto)
 from .sweep import (SweepConfig, SweepReport, SweepRow, parse_config_file,
                     run_solve, run_sweep)
-from .variational import (SolveOptions, VariationalCertificate,
-                          VariationalResult, f_functional,
-                          minimize_variational, tikhonov_point,
+from .tikhonov import TikhonovPath, tikhonov_point
+from .variational import (VariationalCertificate, VariationalResult,
+                          f_functional, minimize_variational,
                           variational_certificate)
 
 __version__ = "0.1.0"

@@ -11,8 +11,8 @@ import sys
 from typing import List, Optional
 
 from .errors import IllposedError
-from .sweep import (EXIT_CONFIG, SweepConfig, parse_config_file, print_summary,
-                    run_solve, run_sweep)
+from .sweep import (EXIT_CONFIG, SweepConfig, parse_config_file, parse_deltas,
+                    print_summary, run_solve, run_sweep)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -64,7 +64,7 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
     if getattr(args, "delta", None) is not None:
         values["deltas"] = (args.delta,)
     if getattr(args, "deltas", None) is not None:
-        values["deltas"] = tuple(float(x) for x in args.deltas.split(",") if x.strip())
+        values["deltas"] = parse_deltas(args.deltas)
     if "problem" not in values:
         raise IllposedError("--problem is required (flag or config key)")
     return SweepConfig(**values)

@@ -3,9 +3,9 @@
 For linear operators ``min ||A u - f_d||  s.t.  phi(u) <= rho`` is a
 trust-region subproblem: if the unconstrained least-squares point is
 feasible it is the answer (multiplier zero); otherwise the constraint is
-active and the KKT point solves the regularized normal equations at the
-multiplier lam* > 0 with phi(u_lam*) = rho, located by bisection on log(lam)
-since phi along the path is strictly decreasing.
+active and the KKT point is the Tikhonov point at the multiplier lam* > 0
+with phi(u_lam*) = rho, the root of the decreasing log(phi(u_lam) / rho) on
+log(lam), approached from the feasible side (:mod:`illposed.tikhonov`).
 
 For nonlinear operators the residual is minimized best-effort by spectral
 projected gradient descent with multi-start, keeping the best feasible
@@ -14,22 +14,20 @@ iterate by residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as la
 
-from .errors import SingularSystemError, SolverFailureError
 from .grids import check_vec, l2_norm
 from .operators import (OperatorSpec, apply, domain_project,
                         jacobian_adjoint_apply)
+from .spg import SolveOptions, spg_multistart
 from .stabilizers import Compactum, penalty_matrix, phi_value, project_onto
-from .variational import SolveOptions, _seeded_starts, _spg_descend, _TikhonovPath
+from .tikhonov import solve_on_path
 
-BOUNDARY_RTOL = 1e-10
 ON_BOUNDARY_RTOL = 1e-8
-BISECTION_MAX_ITER = 200
 
 
 @dataclass
@@ -59,72 +57,8 @@ class QuasiCertificate:
         return self.bound_24_ok and self.bound_26_ok
 
 
-def _minimize_linear(op, f_delta, K: Compactum) -> QuasiResult:
-    grid = op.grid
-    path = _TikhonovPath(op, K.stab, f_delta)
-
-    def result(u, lam):
-        residual = l2_norm(grid, apply(op, u) - f_delta)
-        boundary = abs(phi_value(K.stab, grid, u) - K.rho) <= ON_BOUNDARY_RTOL * K.rho
-        return QuasiResult(u_delta=u, residual_noisy=residual, mu_hat=residual,
-                           on_boundary=boundary, lambda_star=float(lam))
-
-    # unconstrained least squares first; feasibility means the constraint is inactive
-    try:
-        u0 = path.point(0.0)
-        if phi_value(K.stab, grid, u0) <= K.rho:
-            return result(u0, 0.0)
-    except SingularSystemError:
-        pass  # rank-deficient unregularized system: the constraint must be active
-
-    def constraint_gap(lam: float) -> float:
-        return phi_value(K.stab, grid, path.point(lam)) - K.rho
-
-    lo, hi = 1e-14, 1e14
-    gap_lo, gap_hi = constraint_gap(lo), constraint_gap(hi)
-    expansions = 0
-    while gap_lo <= 0.0 and expansions < 20:
-        lo /= 100.0
-        gap_lo = constraint_gap(lo)
-        expansions += 1
-    if gap_lo <= 0.0:
-        # feasible all the way down to vanishing regularization even though
-        # the unregularized system would not factorize: the constraint is
-        # inactive and the tiny-lambda point stands in for the least-squares one
-        return result(path.point(lo), 0.0)
-    while gap_hi >= 0.0 and expansions < 40:
-        hi *= 100.0
-        gap_hi = constraint_gap(hi)
-        expansions += 1
-    if gap_hi >= 0.0:
-        raise SolverFailureError(
-            f"could not bracket the boundary multiplier: phi-rho is "
-            f"{gap_lo:+.3e} at lambda={lo:.3e} and {gap_hi:+.3e} at lambda={hi:.3e}")
-
-    closest_feasible = None
-    for _ in range(BISECTION_MAX_ITER):
-        lam = np.sqrt(lo * hi)
-        gap = constraint_gap(lam)
-        # accept only from the feasible side so the result never overshoots rho
-        if -BOUNDARY_RTOL * K.rho <= gap <= 0.0:
-            return result(path.point(lam), lam)
-        if gap > 0.0:
-            lo = lam
-        else:
-            if closest_feasible is None or gap > closest_feasible[1]:
-                closest_feasible = (lam, gap)
-            hi = lam
-    if closest_feasible is not None and hi <= lo * (1.0 + 1e-12):
-        # the bracket is resolved to float precision yet the gap tolerance was
-        # never met: the crossing is steeper than the arithmetic (numerically
-        # degenerate regularization), so take the nearest feasible point
-        return result(path.point(closest_feasible[0]), closest_feasible[0])
-    raise SolverFailureError(
-        f"bisection did not reach the boundary within {BISECTION_MAX_ITER} "
-        f"iterations; last bracket [{lo:.6e}, {hi:.6e}]")
-
-
-def _minimize_nonlinear(op, f_delta, K: Compactum, opts: SolveOptions) -> QuasiResult:
+def _minimize_nonlinear(op, f_delta, K: Compactum, opts: SolveOptions) -> np.ndarray:
+    import scipy.linalg as la  # here, so that linear solves never load it (~6 MB)
     grid = op.grid
     gram = grid.gram_diagonal
     # the radial projection onto K is exact in the stabilizer metric, so the
@@ -153,36 +87,31 @@ def _minimize_nonlinear(op, f_delta, K: Compactum, opts: SolveOptions) -> QuasiR
     def metric_norm_sq(s):
         return float(s @ (P @ s))
 
-    best_point, best_value, any_converged = None, np.inf, False
-    for u0 in _seeded_starts(grid, opts):
-        point, value, converged = _spg_descend(
-            project, surrogate, gradient, residual, u0, opts,
-            precondition=precondition, metric_norm_sq=metric_norm_sq)
-        any_converged = any_converged or converged
-        if value < best_value:
-            best_value, best_point = value, point
-    if not any_converged:
-        raise SolverFailureError(
-            f"no projected-gradient start converged in {opts.max_iter} iterations",
-            best_point=best_point, best_value=best_value)
-
-    boundary = abs(phi_value(K.stab, grid, best_point) - K.rho) <= ON_BOUNDARY_RTOL * K.rho
-    return QuasiResult(u_delta=best_point, residual_noisy=float(best_value),
-                       mu_hat=float(best_value), on_boundary=boundary,
-                       lambda_star=float("nan"))
+    return spg_multistart(grid, opts, project, surrogate, gradient, residual,
+                          precondition=precondition, metric_norm_sq=metric_norm_sq)
 
 
 def minimize_on_compactum(op: OperatorSpec, f_delta: np.ndarray, K: Compactum,
                           opts: Optional[SolveOptions] = None) -> QuasiResult:
     """Minimize the residual ||A(u) - f_delta|| over the compactum K.
 
-    The linear case is solved exactly up to factorization round-off; the
+    The linear case is solved exactly up to decomposition round-off; the
     nonlinear case is best-effort with every returned point feasible.
     """
     f_delta = check_vec(op.grid, f_delta, "data")
     if op.is_linear:
-        return _minimize_linear(op, f_delta, K)
-    return _minimize_nonlinear(op, f_delta, K, opts or SolveOptions())
+        def slack(t: float, u: np.ndarray) -> float:
+            # log(rho / phi(u_lam)) is nonnegative exactly on the feasible side, so
+            # lam = 0 (an inactive constraint) when the least-squares point is feasible
+            phi = phi_value(K.stab, op.grid, u)
+            return math.log(K.rho / phi) if phi > 0.0 else math.inf
+        lam, u = solve_on_path(op, K.stab, f_delta, slack)
+    else:
+        lam, u = float("nan"), _minimize_nonlinear(op, f_delta, K, opts or SolveOptions())
+    residual = l2_norm(op.grid, apply(op, u) - f_delta)
+    boundary = abs(phi_value(K.stab, op.grid, u) - K.rho) <= ON_BOUNDARY_RTOL * K.rho
+    return QuasiResult(u_delta=u, residual_noisy=residual, mu_hat=residual,
+                       on_boundary=boundary, lambda_star=lam)
 
 
 def quasi_certificate(res: QuasiResult, op: OperatorSpec, f: np.ndarray,

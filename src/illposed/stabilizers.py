@@ -30,8 +30,8 @@ class Stabilizer:
     alpha1: float = 1.0
 
     def __post_init__(self):
-        if self.alpha0 < 0.0 or self.alpha1 < 0.0:
-            raise InvalidParameterError("stabilizer weights must be nonnegative")
+        if not (0.0 <= self.alpha0 < np.inf and 0.0 <= self.alpha1 < np.inf):
+            raise InvalidParameterError("stabilizer weights must be finite and nonnegative")
         if self.alpha0 == 0.0 and self.alpha1 == 0.0:
             raise InvalidParameterError("stabilizer weights cannot both be zero")
 

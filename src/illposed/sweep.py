@@ -21,9 +21,9 @@ from .grids import l2_norm
 from .noise import EXACT_NORM, inject_noise
 from .operators import apply
 from .quasisolution import minimize_on_compactum, quasi_certificate
+from .spg import SolveOptions
 from .stabilizers import Compactum, Stabilizer, phi_value
-from .variational import (SolveOptions, minimize_variational,
-                          variational_certificate)
+from .variational import minimize_variational, variational_certificate
 
 CSV_COLUMNS = (
     "delta", "method", "error_l2", "residual_noisy", "residual_exact",
@@ -248,18 +248,10 @@ def print_summary(report: SweepReport, stream=None) -> None:
     stream = stream or sys.stdout
     total_ms = 0.0
     for row in report.rows:
-        certs = [
-            name for name, ok in (("18", row.cert_18), ("19", row.cert_19),
-                                  ("110", row.cert_110), ("24", row.cert_24),
-                                  ("26", row.cert_26))
-            if ok is not None and ok
-        ]
-        failures = [
-            name for name, ok in (("18", row.cert_18), ("19", row.cert_19),
-                                  ("110", row.cert_110), ("24", row.cert_24),
-                                  ("26", row.cert_26))
-            if ok is False
-        ]
+        verdicts = (("18", row.cert_18), ("19", row.cert_19), ("110", row.cert_110),
+                    ("24", row.cert_24), ("26", row.cert_26))
+        certs = [name for name, ok in verdicts if ok]
+        failures = [name for name, ok in verdicts if ok is False]
         status = "FAIL " + ",".join(failures) if failures else "pass " + ",".join(certs)
         if row.solver_error is not None:
             status = f"SOLVER FAILURE ({row.solver_error})"
@@ -277,13 +269,21 @@ def print_summary(report: SweepReport, stream=None) -> None:
 
 # --- flat key = value configuration files ----------------------------------
 
+def parse_deltas(text: str) -> Tuple[float, ...]:
+    """Comma-separated noise levels, for the config key and the CLI flag."""
+    try:
+        return tuple(float(x) for x in text.split(",") if x.strip())
+    except ValueError as exc:
+        raise ConfigurationError(f"bad noise levels {text!r}: {exc}") from exc
+
+
 _CONFIG_PARSERS = {
     "problem": str,
     "n": int,
     "sigma": float,
     "method": str,
     "delta": float,
-    "deltas": lambda s: tuple(float(x) for x in s.split(",") if x.strip()),
+    "deltas": parse_deltas,
     "seed": int,
     "noise_mode": str,
     "alpha0": float,

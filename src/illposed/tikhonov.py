@@ -1,0 +1,144 @@
+"""The Tikhonov path u_lam = argmin ||A u - f_d||^2 + lam*phi(u) of a linear A.
+
+u_lam solves (N + lam P) u = A^T W f_d with N = A^T W A and phi(u) = u^T P u.
+In the GSVD view of Hansen's *Regularization Tools* (1994) the pencil (N, B),
+B = N + P, is decomposed once: V^T B V = I, V^T N V = diag(theta) with theta
+in [0, 1], so u_lam = V (c / (theta + lam (1 - theta))) with c = V^T A^T W f_d
+costs one matrix-vector product.  B is positive definite exactly when
+N + lam P is for some lam > 0, so a semidefinite phi (alpha0 = 0) needs no
+other road.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, Optional, Tuple
+
+import numpy as np
+
+from .errors import InvalidParameterError, SingularSystemError, SolverFailureError
+from .grids import check_vec
+from .operators import LINEAR_DIAGONAL, OperatorSpec, as_matrix
+from .stabilizers import Stabilizer, penalty_matrix
+
+EPS = float(np.finfo(float).eps)
+ROOT_TOL = 1e-10      # accepted value of the scalar equation, from its nonnegative side
+ROOT_MAX_ITER = 100   # evaluations per root find, bracket search included
+
+
+class TikhonovPath:
+    """Every point u_lam of the path, from one decomposition of the pencil.
+
+    ``theta`` is clipped to [0, 1]; values below n * eps of the largest,
+    which the decomposition cannot tell from zero, are set to zero.
+    """
+
+    def __init__(self, op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray):
+        w = op.grid.gram_diagonal
+        # P first (its assembly needs the most scratch), then N, and B = P + N in place
+        pencil = penalty_matrix(stab, op.grid)
+        if op.kind == LINEAR_DIAGONAL:
+            normal = np.diag(op.diagonal ** 2 * w)
+            rhs = op.diagonal * w * f_delta
+        else:
+            M = as_matrix(op)
+            normal = M.T @ (w[:, None] * M)
+            rhs = M.T @ (w * f_delta)
+        pencil += normal
+        try:
+            # B = L L^T turns the pencil into the symmetric L^-1 N L^-T
+            inv_l = np.linalg.inv(np.linalg.cholesky(pencil))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError("N + lam P is singular at every lambda") from exc
+        del pencil
+        theta, vectors = np.linalg.eigh(inv_l @ normal @ inv_l.T)
+        self.vectors = inv_l.T @ vectors
+        theta = np.clip(theta, 0.0, 1.0)
+        theta[theta <= op.grid.n * EPS * theta.max()] = 0.0
+        self.theta = theta
+        self.coef = self.vectors.T @ rhs
+        # below this log(lam) every point equals u_0 bitwise (lam (1 - theta) is
+        # under half an ulp of each theta); a zero pencil value never flattens
+        smallest = theta.min()
+        self.t_floor = math.log(0.25 * EPS * smallest) if smallest > 0.0 else -math.inf
+
+    def point(self, lam: float) -> np.ndarray:
+        """u_lam; raises :class:`SingularSystemError` where N + lam P is singular."""
+        if lam < 0.0:
+            raise InvalidParameterError(f"lambda must be nonnegative, got {lam}")
+        values = self.theta + lam * (1.0 - self.theta)
+        if values.min() <= 0.0:
+            raise SingularSystemError(f"a pencil value is zero at lambda={lam}", lam=lam)
+        return self.vectors @ (self.coef / values)
+
+
+def tikhonov_point(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray,
+                   lam: float) -> np.ndarray:
+    """Unique minimizer of ||A u - f_delta||^2 + lam * phi(u) for linear A."""
+    f_delta = check_vec(op.grid, f_delta, "data")
+    try:
+        return TikhonovPath(op, stab, f_delta).point(lam)
+    except SingularSystemError as exc:
+        raise SingularSystemError(
+            f"normal-equations system is singular at lambda={lam}: {exc}", lam=lam) from exc
+
+
+def solve_on_path(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray,
+                  gap: Callable[[float, np.ndarray], float]) -> Tuple[float, np.ndarray]:
+    """(lam, u_lam) at the root of ``gap(log(lam), u_lam)``, nondecreasing in lam.
+
+    lam = 0 when the gap is nonnegative along the whole path.  A singular
+    pencil fails the solve like a root find that does not converge.
+    """
+    try:
+        path = TikhonovPath(op, stab, f_delta)
+        t = path_root(lambda t: gap(t, path.point(math.exp(t))), path.t_floor)
+        lam = 0.0 if t is None else math.exp(t)
+        return lam, path.point(lam)
+    except SingularSystemError as exc:
+        raise SolverFailureError(str(exc)) from exc
+
+
+def path_root(fn: Callable[[float], float], t_floor: float) -> Optional[float]:
+    """Root of a nondecreasing ``fn`` of t = log(lam), from its nonnegative side.
+
+    The bracket search starts at lam = 1, where every pencil value is 1, and
+    doubles its steps; Illinois regula falsi, safeguarded by bisection, closes
+    the bracket to 0 <= fn <= ROOT_TOL or to float resolution.  None when fn
+    is nonnegative down to ``t_floor``, below which the path is constant.
+    """
+    calls = 0
+
+    def value(t: float) -> float:
+        nonlocal calls
+        if calls == ROOT_MAX_ITER:
+            raise SolverFailureError(
+                f"path root find did not converge in {ROOT_MAX_ITER} iterations")
+        calls += 1
+        return fn(t)
+
+    t, f_t = 0.0, value(0.0)
+    step = -1.0 if f_t >= 0.0 else 1.0
+    while True:
+        s = max(t + step, t_floor)
+        f_s = value(s)
+        if (f_s >= 0.0) != (f_t >= 0.0):
+            break
+        if s == t_floor:
+            return None
+        t, f_t, step = s, f_s, 2.0 * step
+    (lo, g_lo), (hi, f_hi) = sorted([(t, f_t), (s, f_s)])
+
+    g_hi, kept = f_hi, 0   # Illinois weights: an end kept twice has its weight halved
+    while f_hi > ROOT_TOL and hi - lo > 4.0 * EPS * max(1.0, abs(hi)):
+        t = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        if not lo + 0.01 * (hi - lo) < t < hi - 0.01 * (hi - lo):  # also nan
+            t = 0.5 * (lo + hi)
+        f_t = value(t)
+        if f_t >= 0.0:
+            hi, f_hi, g_hi = t, f_t, f_t
+            g_lo, kept = (0.5 * g_lo if kept < 0 else g_lo), -1
+        else:
+            lo, g_lo = t, f_t
+            g_hi, kept = (0.5 * g_hi if kept > 0 else g_hi), 1
+    return hi

@@ -3,10 +3,10 @@
 For linear operators the minimizer of F lies on the classical regularization
 path u_lam = argmin ||A u - f_d||^2 + lam * phi(u): both terms of F are
 convex, every F-minimizer is Pareto optimal in (residual, phi), and the path
-traces that Pareto frontier because squaring the residual is monotone.  The
-solver therefore reduces the n-dimensional problem to a 1-d search over lam:
-a logarithmic grid scan followed by golden-section refinement of the
-bracketing interval.
+traces that Pareto frontier because squaring the residual is monotone.
+Along it dF/dlam has the sign of lam - 2*delta*r(lam), r the residual, so the
+minimizer is the root of lam = 2*delta*r(lam), or the zero-residual end
+lam = 0 when lam > 2*delta*r all the way down (:mod:`illposed.tikhonov`).
 
 For nonlinear operators F is minimized best-effort: spectral projected
 gradient descent on the smooth surrogate 0.5*||A(u) - f_d||^2 + delta*phi(u)
@@ -17,34 +17,19 @@ failures are reported, never hidden.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as la
 
-from .errors import (CertificateUnavailableError, InvalidParameterError,
-                     SingularSystemError, SolverFailureError)
-from .grids import Grid, check_vec, l2_norm
-from .operators import (OperatorSpec, apply, as_matrix, domain_project,
+from .errors import CertificateUnavailableError, InvalidParameterError
+from .grids import check_vec, l2_norm
+from .operators import (OperatorSpec, apply, domain_project,
                         jacobian_adjoint_apply)
+from .spg import SolveOptions, spg_multistart
 from .stabilizers import Stabilizer, penalty_matrix, phi_value
-
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass
-class SolveOptions:
-    """Tuning knobs for both the linear path search and the nonlinear descent."""
-
-    lambda_min: float = 1e-12
-    lambda_max: float = 1e12
-    lambda_points: int = 25
-    refine_tol: float = 1e-3      # relative width of the refined lambda bracket
-    max_iter: int = 10000         # projected-gradient iterations per start
-    n_starts: int = 5
-    seed: int = 0
-    step_tol: float = 1e-10
+from .tikhonov import solve_on_path
 
 
 @dataclass
@@ -94,174 +79,7 @@ def f_functional(op: OperatorSpec, f_delta: np.ndarray, delta: float,
     return l2_norm(op.grid, residual) + delta * phi_value(stab, op.grid, u)
 
 
-class _TikhonovPath:
-    """Normal-equations context reused across many lambda values.
-
-    Solves (A^T W A + lam P) u = A^T W f_delta, the stationarity system of
-    ||A u - f_delta||^2 + lam*phi(u) in the weighted inner product.
-    """
-
-    def __init__(self, op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray):
-        grid = op.grid
-        self.grid = grid
-        M = as_matrix(op)
-        MtW = M.T * grid.gram_diagonal[None, :]
-        self.normal = MtW @ M
-        self.rhs = MtW @ f_delta
-        self.penalty = penalty_matrix(stab, grid)
-
-    def point(self, lam: float) -> np.ndarray:
-        if lam < 0.0:
-            raise InvalidParameterError(f"lambda must be nonnegative, got {lam}")
-        system = self.normal if lam == 0.0 else self.normal + lam * self.penalty
-        try:
-            cho = la.cho_factor(system, lower=True)
-        except la.LinAlgError as exc:
-            raise SingularSystemError(
-                f"normal-equations system is singular at lambda={lam}", lam=lam
-            ) from exc
-        return la.cho_solve(cho, self.rhs)
-
-
-def tikhonov_point(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray,
-                   lam: float) -> np.ndarray:
-    """Unique minimizer of ||A u - f_delta||^2 + lam * phi(u) for linear A."""
-    f_delta = check_vec(op.grid, f_delta, "data")
-    return _TikhonovPath(op, stab, f_delta).point(lam)
-
-
-def _minimize_linear(op, f_delta, delta, stab, opts) -> VariationalResult:
-    path = _TikhonovPath(op, stab, f_delta)
-    grid = op.grid
-
-    best = {"F": np.inf, "lam": np.nan, "u": None}
-
-    def evaluate(lam: float) -> float:
-        try:
-            u = path.point(lam)
-        except SingularSystemError:
-            return np.inf
-        value = l2_norm(grid, apply(op, u) - f_delta) + delta * phi_value(stab, grid, u)
-        # strict comparison keeps the smaller lambda on ties
-        if value < best["F"]:
-            best.update(F=value, lam=lam, u=u)
-        return value
-
-    lams = np.logspace(np.log10(opts.lambda_min), np.log10(opts.lambda_max),
-                       opts.lambda_points)
-    values = np.array([evaluate(lam) for lam in lams])
-    if not np.any(np.isfinite(values)):
-        raise SolverFailureError("every point of the lambda grid was singular")
-
-    i = int(np.argmin(values))
-    lo = np.log(lams[max(i - 1, 0)])
-    hi = np.log(lams[min(i + 1, len(lams) - 1)])
-    # golden section on log(lambda) down to the requested relative width
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    gc, gd = evaluate(np.exp(c)), evaluate(np.exp(d))
-    while (b - a) > opts.refine_tol:
-        if gc <= gd:
-            b, d, gd = d, c, gc
-            c = b - GOLDEN * (b - a)
-            gc = evaluate(np.exp(c))
-        else:
-            a, c, gc = c, d, gd
-            d = a + GOLDEN * (b - a)
-            gd = evaluate(np.exp(d))
-    evaluate(np.exp(0.5 * (a + b)))
-
-    u = best["u"]
-    residual = l2_norm(grid, apply(op, u) - f_delta)
-    phi_u = phi_value(stab, grid, u)
-    return VariationalResult(
-        u_delta=u,
-        F_value=residual + delta * phi_u,
-        residual_noisy=residual,
-        phi_u=phi_u,
-        lambda_star=float(best["lam"]),
-        m_hat=float(best["F"]),
-    )
-
-
-def _spg_descend(project, surrogate, gradient, true_objective, u0, opts,
-                 precondition=None, metric_norm_sq=None):
-    """Spectral projected gradient with Armijo backtracking.
-
-    Minimizes the smooth ``surrogate`` over the set encoded by ``project``
-    while tracking the best iterate under ``true_objective``.  When the
-    projection is exact for a non-Euclidean metric, pass ``precondition``
-    (gradient to descent direction in that metric) and ``metric_norm_sq``
-    so steps and projection agree; mixing metrics can stall at
-    non-stationary points.  Returns (best_point, best_value, converged).
-    """
-    if precondition is None:
-        precondition = lambda g: g
-    if metric_norm_sq is None:
-        metric_norm_sq = lambda s: float(np.dot(s, s))
-
-    u = project(u0)
-    s_val = surrogate(u)
-    g = gradient(u)
-    direction = precondition(g)
-    step = 1.0 / max(np.sqrt(metric_norm_sq(direction)), 1e-12)
-    best_value = true_objective(u)
-    best_point = u.copy()
-    converged = False
-    window_val = s_val
-    for iteration in range(opts.max_iter):
-        while True:
-            candidate = project(u - step * direction)
-            s_new = surrogate(candidate)
-            decrease = float(np.dot(g, u - candidate))
-            if s_new <= s_val - 1e-4 * decrease or step < 1e-18:
-                break
-            step *= 0.5
-        displacement = candidate - u
-        g_new = gradient(candidate)
-        # Barzilai-Borwein step in the projection metric
-        sy = float(np.dot(displacement, g_new - g))
-        ss = metric_norm_sq(displacement)
-        step = min(max(ss / sy, 1e-16), 1e16) if sy > 1e-30 else step * 2.0
-        u, s_val, g = candidate, s_new, g_new
-        direction = precondition(g)
-        value = true_objective(u)
-        if value < best_value:
-            best_value = value
-            best_point = u.copy()
-        if np.sqrt(ss) <= opts.step_tol * (1.0 + np.sqrt(metric_norm_sq(u))):
-            converged = True
-            break
-        # iterates grazing an active constraint keep a finite step size while
-        # the (monotone) surrogate has stopped improving: also converged
-        if (iteration + 1) % 50 == 0:
-            if window_val - s_val <= 1e-4 * max(abs(s_val), 1e-30):
-                converged = True
-                break
-            window_val = s_val
-    return best_point, best_value, converged
-
-
-def _seeded_starts(grid: Grid, opts: SolveOptions):
-    """Positive, low-frequency random profiles.
-
-    Smoothness matters: white-noise profiles carry an enormous difference
-    seminorm, which a stabilizer constraint would immediately crush to near
-    zero; band-limited starts keep multi-start diversity without that.
-    """
-    rng = np.random.Generator(np.random.Philox(opts.seed))
-    t = (grid.nodes - grid.a) / (grid.b - grid.a)
-    for _ in range(opts.n_starts):
-        profile = np.ones(grid.n)
-        for k in range(1, 5):
-            amp_s, amp_c = 0.3 * rng.standard_normal(2)
-            profile += (amp_s * np.sin(np.pi * k * t)
-                        + amp_c * np.cos(np.pi * k * t)) / k
-        yield np.abs(profile)
-
-
-def _minimize_nonlinear(op, f_delta, delta, stab, opts) -> VariationalResult:
+def _minimize_nonlinear(op, f_delta, delta, stab, opts) -> np.ndarray:
     grid = op.grid
     P = penalty_matrix(stab, grid)
     gram = grid.gram_diagonal
@@ -280,28 +98,7 @@ def _minimize_nonlinear(op, f_delta, delta, stab, opts) -> VariationalResult:
     def project(u):
         return domain_project(op, u)
 
-    best_point, best_value, any_converged = None, np.inf, False
-    for u0 in _seeded_starts(grid, opts):
-        point, value, converged = _spg_descend(
-            project, surrogate, gradient, true_f, u0, opts)
-        any_converged = any_converged or converged
-        if value < best_value:
-            best_value, best_point = value, point
-    if not any_converged:
-        raise SolverFailureError(
-            f"no projected-gradient start converged in {opts.max_iter} iterations",
-            best_point=best_point, best_value=best_value)
-
-    residual = l2_norm(grid, apply(op, best_point) - f_delta)
-    phi_u = phi_value(stab, grid, best_point)
-    return VariationalResult(
-        u_delta=best_point,
-        F_value=residual + delta * phi_u,
-        residual_noisy=residual,
-        phi_u=phi_u,
-        lambda_star=float("nan"),
-        m_hat=float(best_value),
-    )
+    return spg_multistart(grid, opts, project, surrogate, gradient, true_f)
 
 
 def minimize_variational(op: OperatorSpec, f_delta: np.ndarray, delta: float,
@@ -309,17 +106,28 @@ def minimize_variational(op: OperatorSpec, f_delta: np.ndarray, delta: float,
                          opts: Optional[SolveOptions] = None) -> VariationalResult:
     """Return a near-minimizer u_delta of F with F(u_delta) <= m_hat + delta.
 
-    ``m_hat`` is the smallest F value encountered (the computable stand-in
-    for the true infimum); the returned point attains it, so the
-    near-minimizer contract holds with room to spare.
+    For linear A, u_delta is the minimizer of F on the Tikhonov path.
+    ``m_hat`` is the smallest F value found (the computable stand-in for the
+    true infimum); the returned point attains it, so the near-minimizer
+    contract holds with room to spare.
     """
     if delta <= 0.0:
         raise InvalidParameterError(f"delta must be positive, got {delta}")
     f_delta = check_vec(op.grid, f_delta, "data")
-    opts = opts or SolveOptions()
     if op.is_linear:
-        return _minimize_linear(op, f_delta, delta, stab, opts)
-    return _minimize_nonlinear(op, f_delta, delta, stab, opts)
+        def stationarity_gap(t: float, u: np.ndarray) -> float:
+            # log(lam / (2*delta*r)): F decreases along the path while negative
+            r = l2_norm(op.grid, apply(op, u) - f_delta)
+            return t - math.log(2.0 * delta * r) if r > 0.0 else math.inf
+        lam, u = solve_on_path(op, stab, f_delta, stationarity_gap)
+    else:
+        lam, u = float("nan"), _minimize_nonlinear(op, f_delta, delta, stab,
+                                                   opts or SolveOptions())
+    residual = l2_norm(op.grid, apply(op, u) - f_delta)
+    phi_u = phi_value(stab, op.grid, u)
+    F_value = residual + delta * phi_u
+    return VariationalResult(u_delta=u, F_value=F_value, residual_noisy=residual,
+                             phi_u=phi_u, lambda_star=lam, m_hat=F_value)
 
 
 def variational_certificate(res: VariationalResult, problem, delta: float,

@@ -19,7 +19,7 @@ from illposed import (Compactum, SearchBox, Stabilizer, SweepConfig, apply,
                       l2_norm, minimize_on_compactum, minimize_variational,
                       phi_value, project_onto, quasi_certificate,
                       refine_coordinatewise, run_sweep, variational_certificate)
-from illposed.variational import _TikhonovPath
+from illposed.tikhonov import TikhonovPath
 
 from helpers import constrained_residual_batch, f_objective_batch
 
@@ -197,7 +197,7 @@ def test_criterion_8_structural_invariants():
         delta = 10.0 ** rng.uniform(-4, -1)
         noisy = inject_noise(problem.grid, problem.f_exact, delta,
                              int(rng.integers(1 << 30)))
-        path = _TikhonovPath(problem.op, stab, noisy.f_delta)
+        path = TikhonovPath(problem.op, stab, noisy.f_delta)
         prev_r, prev_p = -np.inf, np.inf
         for lam in lams:
             u = path.point(lam)

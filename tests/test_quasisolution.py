@@ -5,7 +5,7 @@ from illposed import (Compactum, Grid, QuasiResult, SolveOptions,
                       SolverFailureError, Stabilizer, build_problem,
                       identity_operator, inject_noise, l2_norm,
                       minimize_on_compactum, phi_value, quasi_certificate)
-from illposed import quasisolution
+from illposed import tikhonov
 
 DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -100,14 +100,14 @@ def test_too_small_compactum_fails_certificate(default_stab):
     assert not cert.bound_24_ok  # reported, not hidden
 
 
-def test_bisection_iteration_cap_reported(default_stab, monkeypatch):
+def test_root_find_iteration_cap_reported(default_stab, monkeypatch):
     p = build_problem("volterra-int", 32)
     noisy = inject_noise(p.grid, p.f_exact, 1e-2, 1)
-    monkeypatch.setattr(quasisolution, "BISECTION_MAX_ITER", 1)
+    monkeypatch.setattr(tikhonov, "ROOT_MAX_ITER", 1)
     with pytest.raises(SolverFailureError) as err:
         minimize_on_compactum(p.op, noisy.f_delta,
                               default_compactum(p, default_stab))
-    assert "bracket" in str(err.value)
+    assert "1 iterations" in str(err.value)
 
 
 def test_deterministic_given_inputs(default_stab):

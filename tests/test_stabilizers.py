@@ -15,6 +15,10 @@ def test_weight_validation():
         Stabilizer(0.0, 0.0)
     with pytest.raises(InvalidParameterError):
         Stabilizer(-1.0, 1.0)
+    with pytest.raises(InvalidParameterError):
+        Stabilizer(1.0, float("nan"))
+    with pytest.raises(InvalidParameterError):
+        Stabilizer(float("nan"), 1.0)
     Stabilizer(0.0, 1.0)  # seminorm alone is allowed for the stabilizer itself
 
 

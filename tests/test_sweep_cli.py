@@ -1,13 +1,16 @@
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from illposed import (ConfigurationError, Stabilizer, SweepConfig,
                       build_problem, parse_config_file, phi_value, run_solve,
                       run_sweep)
 from illposed.cli import main
-from illposed.sweep import CSV_COLUMNS, delta_seed, rows_to_csv
+from illposed.sweep import CSV_COLUMNS, delta_seed, rows_to_csv, solve_one
 
 
 def test_config_validation():
@@ -150,7 +153,13 @@ def test_cli_rejects_bad_config(capsys):
     assert main(["solve", "--problem", "no-such-problem", "--delta", "1e-2"]) == 1
     assert main(["solve", "--problem", "diag-unbounded", "--delta", "-1"]) == 1
     assert main(["sweep", "--deltas", "1e-1"]) == 1  # problem missing
-    capsys.readouterr()
+    assert main(["sweep", "--problem", "volterra-int", "--deltas", "1e-1,abc"]) == 1
+    assert main(["solve", "--problem", "volterra-int", "--delta", "1e-2",
+                 "--alpha1", "nan"]) == 1
+    assert main(["solve", "--problem", "volterra-int", "--delta", "1e-2",
+                 "--alpha0", "nan"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 6
 
 
 def test_cli_unwritable_output_is_io_error(tmp_path, capsys):
@@ -193,3 +202,40 @@ def test_csv_cells_reflect_rows():
     assert cells["residual_noisy"] == ""  # nan is not a reportable number
     assert cells["cert_18"] == "true"
     assert cells["cert_24"] == ""
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(name=st.sampled_from(["diag-unbounded", "volterra-int", "fredholm-gauss"]),
+       n=st.integers(4, 48),
+       alpha0=st.one_of(st.just(0.0), log_uniform(1e-3, 10.0)),
+       alpha1=st.floats(0.0, 10.0),
+       delta=log_uniform(1e-5, 0.5),
+       rho_factor=st.floats(0.1, 10.0),
+       seed=st.integers(0, 2**31 - 1))
+def test_linear_cells_end_in_a_row_or_a_named_failure(name, n, alpha0, alpha1,
+                                                      delta, rho_factor, seed):
+    assume(alpha0 > 0.0 or alpha1 > 0.0)
+    config = SweepConfig(problem=name, n=n, alpha0=alpha0, alpha1=alpha1,
+                         deltas=(delta,), rho_factor=rho_factor, seed=seed)
+    problem = build_problem(name, n)
+    # the compactum of the quasisolution method needs alpha0 > 0
+    methods = ["variational", "quasi"] if alpha0 > 0.0 else ["variational"]
+    for method in methods:
+        row = solve_one(problem, method, delta, seed, config)
+        if row.solver_error is not None:
+            assert row.solver_error.strip()
+            continue
+        fields = ["error_l2", "residual_noisy", "residual_exact", "phi_u",
+                  "lambda_star"]
+        certs = ["cert_24", "cert_26"]
+        if method == "variational":
+            fields.append("F_value")
+            certs = ["cert_18", "cert_19", "cert_110"]
+        for field in fields:
+            assert math.isfinite(getattr(row, field)), field
+        for cert in certs:
+            assert isinstance(getattr(row, cert), bool), cert

@@ -9,7 +9,7 @@ from illposed import (CertificateUnavailableError, Grid,
                       identity_operator, inject_noise, jacobian_apply,
                       l2_norm, minimize_variational, phi_value,
                       tikhonov_point, variational_certificate)
-from illposed.variational import _TikhonovPath
+from illposed.tikhonov import TikhonovPath
 
 DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -100,7 +100,7 @@ def test_path_monotonicity(default_stab, linear_problems):
     lams = np.logspace(-12, 12, 25)
     for p in linear_problems.values():
         noisy = inject_noise(p.grid, p.f_exact, 1e-2, 3)
-        path = _TikhonovPath(p.op, default_stab, noisy.f_delta)
+        path = TikhonovPath(p.op, default_stab, noisy.f_delta)
         residuals, phis = [], []
         for lam in lams:
             u = path.point(lam)
@@ -118,6 +118,20 @@ def test_consistent_identity_recovers_truth(default_stab):
     y = np.sin(np.pi * g.nodes)
     res = minimize_variational(identity_operator(g), y, 1e-8, default_stab)
     assert l2_norm(g, res.u_delta - y) <= 1e-6
+
+
+def test_minimizer_not_clamped_at_small_lambda(default_stab):
+    # F keeps decreasing along the path below lambda = 1e-12, so a search
+    # confined to lambda >= 1e-12 stops short of the minimizer
+    p = build_problem("diag-unbounded", 64)
+    delta = 1e-4
+    noisy = inject_noise(p.grid, p.f_exact, delta, 42)
+    res = minimize_variational(p.op, noisy.f_delta, delta, default_stab)
+    at_floor = tikhonov_point(p.op, default_stab, noisy.f_delta, 1e-12)
+    f_floor = f_functional(p.op, noisy.f_delta, delta, default_stab, at_floor)
+    f_min = f_functional(p.op, noisy.f_delta, delta, default_stab, res.u_delta)
+    assert f_min < f_floor * (1 - 1e-9)
+    assert res.lambda_star < 1e-12
 
 
 def test_result_invariants(default_stab):

@@ -11,8 +11,8 @@ import argparse
 import os
 import sys
 
-from illposed import SweepConfig, run_sweep
-from illposed.sweep import print_summary
+from illposed import ConfigurationError, SweepConfig, run_sweep
+from illposed.sweep import EXIT_CONFIG, parse_deltas, print_summary
 
 LINEAR = ("diag-unbounded", "volterra-int", "fredholm-gauss")
 
@@ -26,17 +26,22 @@ def main() -> int:
     parser.add_argument("--with-autoconv", action="store_true")
     args = parser.parse_args()
 
-    deltas = tuple(float(x) for x in args.deltas.split(","))
     problems = LINEAR + (("autoconv",) if args.with_autoconv else ())
+    try:
+        deltas = parse_deltas(args.deltas)
+        configs = [SweepConfig(problem=name, n=args.n, method="both",
+                               deltas=deltas, seed=args.seed,
+                               out=os.path.join(args.outdir, f"{name}.csv"))
+                   for name in problems]
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     os.makedirs(args.outdir, exist_ok=True)
 
     worst = 0
     table = {}
-    for name in problems:
-        out = os.path.join(args.outdir, f"{name}.csv")
-        config = SweepConfig(problem=name, n=args.n, method="both",
-                             deltas=deltas, seed=args.seed, out=out)
-        print(f"== {name} (n={args.n}) -> {out}")
+    for name, config in zip(problems, configs):
+        print(f"== {name} (n={args.n}) -> {config.out}")
         report = run_sweep(config)
         print_summary(report)
         print()

@@ -1,7 +1,11 @@
 """Command-line interface: ``illposed solve`` and ``illposed sweep``.
 
+Both subcommands take ``--config`` plus one flag per key of
+``sweep.SETTINGS``; flags override config-file keys.
+
 Exit codes: 0 all certificates pass (and errors decrease, for sweeps);
-1 configuration or I/O error; 2 a certificate or convergence verdict failed.
+1 configuration, usage or I/O error; 2 a certificate or convergence verdict
+failed.
 """
 
 from __future__ import annotations
@@ -10,69 +14,47 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .errors import IllposedError
-from .sweep import (EXIT_CONFIG, SweepConfig, parse_config_file, parse_deltas,
-                    print_summary, run_solve, run_sweep)
+from .errors import ConfigurationError, IllposedError
+from .sweep import (EXIT_CONFIG, SETTINGS, SweepConfig, fold_delta,
+                    parse_config_file, print_summary, run_solve, run_sweep)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--problem", help="gallery problem name")
-    parser.add_argument("--n", type=int, help="number of grid nodes")
-    parser.add_argument("--sigma", type=float, help="kernel width for fredholm-gauss")
-    parser.add_argument("--method", choices=["variational", "quasi", "both"])
-    parser.add_argument("--seed", type=int, help="base seed for noise draws")
-    parser.add_argument("--alpha0", type=float, help="stabilizer weight on the value term")
-    parser.add_argument("--alpha1", type=float, help="stabilizer weight on the slope term")
-    parser.add_argument("--rho", type=float,
-                        help="explicit constraint-set radius (blind mode)")
-    parser.add_argument("--rho-factor", type=float, dest="rho_factor",
-                        help="radius as a multiple of the true solution's stabilizer value")
-    parser.add_argument("--noise-mode", choices=["exact-norm", "bounded"],
-                        dest="noise_mode")
-    parser.add_argument("--out", help="CSV output path")
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ``ConfigurationError``: argparse's own exit
+    code 2 is the code of a failed certificate."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="illposed",
         description="Regularized solvers for operator equations with noisy data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    solve = sub.add_parser("solve", help="single solve at one noise level")
-    _add_common_flags(solve)
-    solve.add_argument("--delta", type=float, help="noise level")
-
-    sweep = sub.add_parser("sweep", help="convergence study over noise levels")
-    _add_common_flags(sweep)
-    sweep.add_argument("--deltas", help="comma-separated noise levels")
+    for command, help_text in (("solve", "single solve at the first noise level"),
+                               ("sweep", "convergence study over noise levels")):
+        cmd = sub.add_parser(command, help=help_text)
+        cmd.add_argument("--config", help="flat key = value configuration file")
+        for key, (parse, key_help) in SETTINGS.items():
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key, type=parse,
+                             help=key_help)
     return parser
 
 
 def _build_config(args: argparse.Namespace) -> SweepConfig:
-    values = {}
-    if args.config:
-        values.update(parse_config_file(args.config))
-    overrides = {
-        key: getattr(args, key)
-        for key in ("problem", "n", "sigma", "method", "seed", "alpha0",
-                    "alpha1", "rho", "rho_factor", "noise_mode", "out")
-        if getattr(args, key, None) is not None
-    }
-    values.update(overrides)
-    if getattr(args, "delta", None) is not None:
-        values["deltas"] = (args.delta,)
-    if getattr(args, "deltas", None) is not None:
-        values["deltas"] = parse_deltas(args.deltas)
+    values = parse_config_file(args.config) if args.config else {}
+    values.update(fold_delta({key: value for key, value in vars(args).items()
+                              if key in SETTINGS and value is not None}))
     if "problem" not in values:
         raise IllposedError("--problem is required (flag or config key)")
     return SweepConfig(**values)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _build_config(args)
         report = run_solve(config) if args.command == "solve" else run_sweep(config)
     except (IllposedError, OSError, TypeError) as exc:

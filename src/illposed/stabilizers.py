@@ -88,13 +88,22 @@ def penalty_matrix(stab: Stabilizer, grid: Grid) -> np.ndarray:
 
     P is positive definite when alpha0 > 0.  In the weighted geometry the
     Gram operator of phi is W^{-1} P, self-adjoint for the grid inner
-    product.
+    product.  The slope term D^T C D (C the cell weights) is tridiagonal and
+    filled entry by entry, rounded exactly as the dense product rounds it.
     """
     n = grid.n
-    P = stab.alpha0 * np.diag(grid.gram_diagonal)
+    P = np.zeros((n, n))
+    diagonal = stab.alpha0 * grid.gram_diagonal
     if stab.alpha1 != 0.0:
-        D = (np.eye(n, k=1) - np.eye(n))[: n - 1, :] / grid.h
-        P = P + stab.alpha1 * (D.T @ np.diag(_cell_gram_diagonal(grid)) @ D)
+        inv_h = 1.0 / grid.h
+        c = (inv_h * _cell_gram_diagonal(grid)) * inv_h
+        d = np.zeros(n)
+        d[:-1] += c
+        d[1:] += c
+        diagonal = diagonal + stab.alpha1 * d
+        cells = np.arange(n - 1)
+        P[cells, cells + 1] = P[cells + 1, cells] = stab.alpha1 * -c
+    np.fill_diagonal(P, diagonal)
     return P
 
 

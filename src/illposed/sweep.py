@@ -9,26 +9,29 @@ console summary and to the in-memory report instead).
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import time
 from dataclasses import dataclass, field
 from math import isnan
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import ConfigurationError, SolverFailureError
 from .gallery import ProblemInstance, build_problem
 from .grids import l2_norm
-from .noise import EXACT_NORM, inject_noise
+from .noise import BOUNDED, EXACT_NORM, inject_noise
 from .operators import apply
 from .quasisolution import minimize_on_compactum, quasi_certificate
 from .spg import SolveOptions
 from .stabilizers import Compactum, Stabilizer, phi_value
 from .variational import minimize_variational, variational_certificate
 
+# verdicts of (1.8), (1.9), (1.10) for the variational method, (2.4), (2.6) for quasi
+CERT_COLUMNS = ("cert_18", "cert_19", "cert_110", "cert_24", "cert_26")
+
 CSV_COLUMNS = (
     "delta", "method", "error_l2", "residual_noisy", "residual_exact",
-    "phi_u", "F_value", "cert_18", "cert_19", "cert_110", "cert_24",
-    "cert_26", "lambda_star", "wall_ms",
+    "phi_u", "F_value", *CERT_COLUMNS, "lambda_star", "wall_ms",
 )
 
 METHOD_VARIATIONAL = "variational"
@@ -42,7 +45,7 @@ EXIT_VERDICT = 2
 
 @dataclass
 class SweepConfig:
-    """Configuration of a solve or sweep run; flags override config-file keys."""
+    """Configuration of a solve or sweep run; ``SETTINGS`` parses each field."""
 
     problem: str
     n: int = 64
@@ -60,6 +63,10 @@ class SweepConfig:
     def __post_init__(self):
         if self.method not in (METHOD_VARIATIONAL, METHOD_QUASI, METHOD_BOTH):
             raise ConfigurationError(f"unknown method {self.method!r}")
+        if self.noise_mode not in (EXACT_NORM, BOUNDED):
+            raise ConfigurationError(f"unknown noise mode {self.noise_mode!r}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if not self.deltas:
             raise ConfigurationError("at least one noise level is required")
         if any(d <= 0.0 for d in self.deltas):
@@ -94,11 +101,10 @@ class SweepRow:
 
     @property
     def certificates_ok(self) -> bool:
-        checks = [self.cert_18, self.cert_19, self.cert_110,
-                  self.cert_24, self.cert_26]
         if self.solver_error is not None:
             return False
-        return all(c for c in checks if c is not None)
+        verdicts = (getattr(self, name) for name in CERT_COLUMNS)
+        return all(ok for ok in verdicts if ok is not None)
 
 
 @dataclass
@@ -159,9 +165,6 @@ def delta_seed(config: SweepConfig, delta_index: int) -> int:
 def resolve_rho(config: SweepConfig, problem: ProblemInstance,
                 stab: Stabilizer) -> float:
     if config.rho is not None:
-        print("warning: explicit rho given; the convergence guarantee needs the "
-              "true solution inside the constraint set, which is not checked",
-              file=sys.stderr)
         return config.rho
     if problem.y_true is None:
         raise ConfigurationError(
@@ -185,28 +188,22 @@ def solve_one(problem: ProblemInstance, method: str, delta: float,
             res.residual_exact = l2_norm(grid, apply(problem.op, res.u_delta)
                                          - problem.f_exact)
             cert = variational_certificate(res, problem, delta, stab)
-            row.residual_noisy = res.residual_noisy
-            row.residual_exact = res.residual_exact
-            row.phi_u = res.phi_u
             row.F_value = res.F_value
-            row.lambda_star = res.lambda_star
             row.cert_18 = cert.bound_18_ok
             row.cert_19 = cert.bound_19_ok
             row.cert_110 = cert.bound_110_ok
-            u = res.u_delta
         else:
             K = Compactum(stab, resolve_rho(config, problem, stab))
             res = minimize_on_compactum(problem.op, noisy.f_delta, K, opts)
             cert = quasi_certificate(res, problem.op, problem.f_exact, delta)
-            row.residual_noisy = res.residual_noisy
-            row.residual_exact = res.residual_exact
-            row.phi_u = phi_value(stab, grid, res.u_delta)
-            row.lambda_star = res.lambda_star
             row.cert_24 = cert.bound_24_ok
             row.cert_26 = cert.bound_26_ok
-            u = res.u_delta
+        row.residual_noisy = res.residual_noisy
+        row.residual_exact = res.residual_exact
+        row.phi_u = phi_value(stab, grid, res.u_delta)
+        row.lambda_star = res.lambda_star
         if problem.y_true is not None:
-            row.error_l2 = l2_norm(grid, u - problem.y_true)
+            row.error_l2 = l2_norm(grid, res.u_delta - problem.y_true)
     except SolverFailureError as exc:
         row.solver_error = str(exc)
     row.wall_ms = 1000.0 * (time.perf_counter() - started)
@@ -215,18 +212,16 @@ def solve_one(problem: ProblemInstance, method: str, delta: float,
 
 def run_solve(config: SweepConfig) -> SweepReport:
     """Single-level run: one row per selected method at the first noise level."""
-    problem = build_problem(config.problem, config.n, sigma=config.sigma)
-    delta = config.deltas[0]
-    report = SweepReport(config=config)
-    for method in config.methods:
-        report.rows.append(
-            solve_one(problem, method, delta, delta_seed(config, 0), config))
-    return report
+    return run_sweep(dataclasses.replace(config, deltas=config.deltas[:1]))
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """One row per (delta, method); rows are reported by descending delta."""
     problem = build_problem(config.problem, config.n, sigma=config.sigma)
+    if config.rho is not None and METHOD_QUASI in config.methods:
+        print("warning: explicit rho given; the convergence guarantee needs the "
+              "true solution inside the constraint set, which is not checked",
+              file=sys.stderr)
     seeds = {delta: delta_seed(config, j) for j, delta in enumerate(config.deltas)}
     report = SweepReport(config=config)
     for delta in sorted(set(config.deltas), reverse=True):
@@ -248,8 +243,7 @@ def print_summary(report: SweepReport, stream=None) -> None:
     stream = stream or sys.stdout
     total_ms = 0.0
     for row in report.rows:
-        verdicts = (("18", row.cert_18), ("19", row.cert_19), ("110", row.cert_110),
-                    ("24", row.cert_24), ("26", row.cert_26))
+        verdicts = [(name[len("cert_"):], getattr(row, name)) for name in CERT_COLUMNS]
         certs = [name for name, ok in verdicts if ok]
         failures = [name for name, ok in verdicts if ok is False]
         status = "FAIL " + ",".join(failures) if failures else "pass " + ",".join(certs)
@@ -267,7 +261,7 @@ def print_summary(report: SweepReport, stream=None) -> None:
     print(f"total wall time: {total_ms:.1f} ms", file=stream)
 
 
-# --- flat key = value configuration files ----------------------------------
+# --- settings: config-file keys and CLI flags -------------------------------
 
 def parse_deltas(text: str) -> Tuple[float, ...]:
     """Comma-separated noise levels, for the config key and the CLI flag."""
@@ -277,21 +271,31 @@ def parse_deltas(text: str) -> Tuple[float, ...]:
         raise ConfigurationError(f"bad noise levels {text!r}: {exc}") from exc
 
 
-_CONFIG_PARSERS = {
-    "problem": str,
-    "n": int,
-    "sigma": float,
-    "method": str,
-    "delta": float,
-    "deltas": parse_deltas,
-    "seed": int,
-    "noise_mode": str,
-    "alpha0": float,
-    "alpha1": float,
-    "rho": float,
-    "rho_factor": float,
-    "out": str,
+# key -> (parser of its text value, help); ``delta`` is folded into ``deltas``
+SETTINGS: Dict[str, Tuple[Callable[[str], object], str]] = {
+    "problem": (str, "gallery problem name"),
+    "n": (int, "number of grid nodes"),
+    "sigma": (float, "kernel width for fredholm-gauss"),
+    "method": (str, "variational | quasi | both"),
+    "delta": (float, "one noise level (deltas wins if both are given)"),
+    "deltas": (parse_deltas, "comma-separated noise levels"),
+    "seed": (int, "base seed for noise draws"),
+    "noise_mode": (str, "exact-norm | bounded"),
+    "alpha0": (float, "stabilizer weight on the value term"),
+    "alpha1": (float, "stabilizer weight on the slope term"),
+    "rho": (float, "explicit constraint-set radius (blind mode)"),
+    "rho_factor": (float,
+                   "radius as a multiple of the true solution's stabilizer value"),
+    "out": (str, "CSV output path"),
 }
+
+
+def fold_delta(values: Dict[str, object]) -> Dict[str, object]:
+    """Replace a single ``delta`` by ``deltas``, unless ``deltas`` is also set."""
+    delta = values.pop("delta", None)
+    if delta is not None:
+        values.setdefault("deltas", (delta,))
+    return values
 
 
 def parse_config_file(path: str) -> Dict[str, object]:
@@ -307,17 +311,13 @@ def parse_config_file(path: str) -> Dict[str, object]:
                     f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CONFIG_PARSERS:
+            if key not in SETTINGS:
                 raise ConfigurationError(
                     f"{path}:{lineno}: unknown key {key!r}; valid keys: "
-                    f"{', '.join(sorted(_CONFIG_PARSERS))}")
+                    f"{', '.join(sorted(SETTINGS))}")
             try:
-                values[key] = _CONFIG_PARSERS[key](value.strip())
+                values[key] = SETTINGS[key][0](value.strip())
             except ValueError as exc:
                 raise ConfigurationError(
                     f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    if "delta" in values and "deltas" not in values:
-        values["deltas"] = (values.pop("delta"),)
-    else:
-        values.pop("delta", None)
-    return values
+    return fold_delta(values)

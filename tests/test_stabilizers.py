@@ -53,12 +53,13 @@ def test_phi_matches_direct_summation(default_stab):
 
 def test_phi_equals_quadratic_form(default_stab, rng):
     g = Grid(14, -1.0, 3.0)
-    P = penalty_matrix(default_stab, g)
-    assert np.allclose(P, P.T)
-    for _ in range(100):
-        u = rng.standard_normal(14)
-        assert phi_value(default_stab, g, u) == pytest.approx(float(u @ P @ u),
-                                                              rel=1e-12)
+    for stab in (default_stab, Stabilizer(0.0, 1.0), Stabilizer(2.0, 0.0)):
+        P = penalty_matrix(stab, g)
+        assert np.allclose(P, P.T)
+        for _ in range(100):
+            u = rng.standard_normal(14)
+            assert phi_value(stab, g, u) == pytest.approx(float(u @ P @ u),
+                                                          rel=1e-12)
 
 
 def test_phi_batch_matches_scalar(default_stab, rng):

@@ -1,6 +1,8 @@
 import math
+import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +12,8 @@ from illposed import (ConfigurationError, Stabilizer, SweepConfig,
                       build_problem, parse_config_file, phi_value, run_solve,
                       run_sweep)
 from illposed.cli import main
-from illposed.sweep import CSV_COLUMNS, delta_seed, rows_to_csv, solve_one
+from illposed.sweep import (CSV_COLUMNS, SETTINGS, delta_seed, rows_to_csv,
+                            solve_one)
 
 
 def test_config_validation():
@@ -22,6 +25,10 @@ def test_config_validation():
         SweepConfig(problem="diag-unbounded", method="bayes")
     with pytest.raises(ConfigurationError):
         SweepConfig(problem="diag-unbounded", n=3)
+    with pytest.raises(ConfigurationError):
+        SweepConfig(problem="diag-unbounded", seed=-1)
+    with pytest.raises(ConfigurationError):
+        SweepConfig(problem="diag-unbounded", noise_mode="loud")
 
 
 def test_config_file_parsing(tmp_path):
@@ -42,6 +49,8 @@ def test_config_file_parsing(tmp_path):
     assert config.method == "quasi"
     assert config.rho_factor == 2.0
     assert config.seed == 7
+    # every configuration field is a config key and a flag; delta folds into deltas
+    assert set(SETTINGS) == {f.name for f in fields(SweepConfig)} | {"delta"}
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
@@ -123,11 +132,13 @@ def test_negative_control_flags_certificate(capsys):
     p = build_problem("diag-unbounded", 64)
     rho_bad = 0.5 * phi_value(Stabilizer(), p.grid, p.y_true)
     config = SweepConfig(problem="diag-unbounded", n=64, method="quasi",
-                         deltas=(1e-2,), seed=42, rho=rho_bad)
+                         deltas=(1e-2, 1e-3), seed=42, rho=rho_bad)
     report = run_sweep(config)
     assert report.exit_code == 2
     assert report.rows[0].cert_24 is False
-    assert "not checked" in capsys.readouterr().err  # blind-mode warning
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if "not checked" in line]
+    assert len(warnings) == 1  # the blind-mode warning, once per run
 
 
 def test_single_solve_negative_control_exit_two(capsys):
@@ -149,6 +160,18 @@ def test_cli_solve_exit_zero(capsys):
     assert "all-certificates-pass: True" in out
 
 
+def test_cli_solve_writes_out(tmp_path, capsys):
+    out = tmp_path / "solve.csv"
+    code = main(["solve", "--problem", "diag-unbounded", "--n", "32",
+                 "--deltas", "1e-2,1e-3", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["0.01", "variational"], ["0.01", "quasi"]]
+    capsys.readouterr()
+
+
 def test_cli_rejects_bad_config(capsys):
     assert main(["solve", "--problem", "no-such-problem", "--delta", "1e-2"]) == 1
     assert main(["solve", "--problem", "diag-unbounded", "--delta", "-1"]) == 1
@@ -158,8 +181,13 @@ def test_cli_rejects_bad_config(capsys):
                  "--alpha1", "nan"]) == 1
     assert main(["solve", "--problem", "volterra-int", "--delta", "1e-2",
                  "--alpha0", "nan"]) == 1
+    # usage errors exit 1 as well; argparse's own code 2 means a failed verdict
+    assert main(["solve", "--problem", "volterra-int", "--n", "abc"]) == 1
+    assert main(["solve", "--problem", "volterra-int", "--method", "bayes"]) == 1
+    assert main(["sweep", "--problem", "volterra-int", "--seed", "-1"]) == 1
+    assert main(["sweep", "--problem", "volterra-int", "--no-such-flag", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.count("error:") == 6
+    assert err.count("error:") == 10
 
 
 def test_cli_unwritable_output_is_io_error(tmp_path, capsys):
@@ -189,6 +217,25 @@ def test_module_entrypoint_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "all-certificates-pass: True" in proc.stdout
+
+
+def test_convergence_study_script_runs(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
+    script = [sys.executable, os.path.join(root, "scripts", "convergence_study.py"),
+              "--n", "8", "--outdir", str(tmp_path)]
+    proc = subprocess.run(script + ["--deltas", "1e-1,1e-2"], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("diag-unbounded", "volterra-int", "fredholm-gauss"):
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+        assert lines[0] == ",".join(CSV_COLUMNS)
+        assert len(lines) == 1 + 2 * 2
+    proc = subprocess.run(script + ["--deltas", "1e-1,abc"], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
 
 
 def test_csv_cells_reflect_rows():

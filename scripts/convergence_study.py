@@ -3,31 +3,29 @@
 
 Runs both methods on every linear problem over a geometric range of noise
 levels, writes one CSV per problem into ``results/`` and prints a compact
-error table.  The autoconvolution problem is included behind a flag since
-its nonlinear solves take a few seconds each.
+error table.  ``--with-autoconv`` adds the nonlinear autoconvolution problem.
 """
 
-import argparse
 import os
 import sys
 
 from illposed import ConfigurationError, SweepConfig, run_sweep
+from illposed.cli import Parser
 from illposed.sweep import EXIT_CONFIG, parse_deltas, print_summary
 
 LINEAR = ("diag-unbounded", "volterra-int", "fredholm-gauss")
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = Parser(description=__doc__)
     parser.add_argument("--n", type=int, default=64)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--deltas", default="1e-1,1e-2,1e-3,1e-4")
     parser.add_argument("--outdir", default="results")
     parser.add_argument("--with-autoconv", action="store_true")
-    args = parser.parse_args()
-
-    problems = LINEAR + (("autoconv",) if args.with_autoconv else ())
     try:
+        args = parser.parse_args()
+        problems = LINEAR + (("autoconv",) if args.with_autoconv else ())
         deltas = parse_deltas(args.deltas)
         configs = [SweepConfig(problem=name, n=args.n, method="both",
                                deltas=deltas, seed=args.seed,

@@ -19,13 +19,11 @@ from .grids import Grid, inner_product, l2_norm, load_vector, save_vector
 from .noise import NoisyData, inject_noise
 from .operators import (OperatorSpec, adjoint_apply, apply, as_matrix,
                         dense_operator, diagonal_operator, domain_project,
-                        identity_operator, jacobian_apply,
-                        jacobian_adjoint_apply, nonlinear_operator)
+                        identity_operator, jacobian_apply, nonlinear_operator)
 from .oracle import (SearchBox, brute_force_minimize, refine_1d,
                      refine_coordinatewise)
 from .quasisolution import (QuasiCertificate, QuasiResult,
                             minimize_on_compactum, quasi_certificate)
-from .spg import SolveOptions
 from .stabilizers import (Compactum, Stabilizer, contains, penalty_matrix,
                           phi_batch, phi_value, project_onto)
 from .sweep import (SweepConfig, SweepReport, SweepRow, parse_config_file,

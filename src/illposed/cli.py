@@ -19,7 +19,7 @@ from .sweep import (EXIT_CONFIG, SETTINGS, SweepConfig, fold_delta,
                     parse_config_file, print_summary, run_solve, run_sweep)
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
     """Reports usage errors as ``ConfigurationError``: argparse's own exit
     code 2 is the code of a failed certificate."""
 
@@ -27,8 +27,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
+def _flag_type(parse):
+    """``parse`` for argparse, keeping the text of its ``ConfigurationError``
+    (argparse replaces a ``ValueError``'s text by ``invalid <name> value``)."""
+
+    def convert(text):
+        try:
+            return parse(text)
+        except ConfigurationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    convert.__name__ = parse.__name__  # argparse names the type in its own messages
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = Parser(
         prog="illposed",
         description="Regularized solvers for operator equations with noisy data",
     )
@@ -38,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(command, help=help_text)
         cmd.add_argument("--config", help="flat key = value configuration file")
         for key, (parse, key_help) in SETTINGS.items():
-            cmd.add_argument("--" + key.replace("_", "-"), dest=key, type=parse,
-                             help=key_help)
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key,
+                             type=_flag_type(parse), help=key_help)
     return parser
 
 

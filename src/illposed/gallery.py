@@ -91,13 +91,6 @@ def autoconvolve_jacobian(grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarra
     return grid.h * (2.0 * c - u[0] * v - v[0] * u)
 
 
-def autoconvolve_jacobian_adjoint(grid: Grid, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    corr = np.convolve(w, u[::-1])[grid.n - 1:]
-    out = grid.h * (2.0 * corr - u[0] * w)
-    out[0] -= grid.h * float(np.dot(u, w))
-    return out
-
-
 def build_problem(name: str, n: int, sigma: float = 0.1,
                   a: float = 0.0, b: float = 1.0) -> ProblemInstance:
     """Construct a gallery problem on an ``n``-node grid over ``[a, b]``."""
@@ -136,7 +129,6 @@ def build_problem(name: str, n: int, sigma: float = 0.1,
             grid,
             apply_fn=lambda u: autoconvolve(grid, u),
             jacobian_fn=lambda u, v: autoconvolve_jacobian(grid, u, v),
-            jacobian_adjoint_fn=lambda u, w: autoconvolve_jacobian_adjoint(grid, u, w),
             domain_project_fn=lambda u: np.maximum(u, 0.0),
             injective=True,
         )

@@ -26,9 +26,9 @@ class OperatorSpec:
 
     ``matrix`` / ``diagonal`` hold the payload for the linear kinds.  The
     nonlinear kind carries callables: ``apply_fn(u)``, the directional
-    derivative ``jacobian_fn(u, v)``, optionally its plain transpose
-    ``jacobian_adjoint_fn(u, w)`` and a projection ``domain_project_fn(u)``
-    onto the operator domain (for example a positivity clamp).
+    derivative ``jacobian_fn(u, v)`` and optionally a projection
+    ``domain_project_fn(u)`` onto the operator domain (for example a
+    positivity clamp).
     """
 
     kind: str
@@ -38,7 +38,6 @@ class OperatorSpec:
     diagonal: Optional[np.ndarray] = None
     apply_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jacobian_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    jacobian_adjoint_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     domain_project_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -78,11 +77,10 @@ def identity_operator(grid: Grid) -> OperatorSpec:
 
 
 def nonlinear_operator(grid, apply_fn, jacobian_fn, injective,
-                       jacobian_adjoint_fn=None, domain_project_fn=None) -> OperatorSpec:
+                       domain_project_fn=None) -> OperatorSpec:
     return OperatorSpec(
         NONLINEAR, grid, injective,
         apply_fn=apply_fn, jacobian_fn=jacobian_fn,
-        jacobian_adjoint_fn=jacobian_adjoint_fn,
         domain_project_fn=domain_project_fn,
     )
 
@@ -128,20 +126,6 @@ def jacobian_apply(op: OperatorSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray
     u = check_vec(op.grid, u, "base point")
     v = check_vec(op.grid, v, "direction")
     return _check_output(op, np.asarray(op.jacobian_fn(u, v), dtype=float))
-
-
-def jacobian_adjoint_apply(op: OperatorSpec, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Plain transpose A'(u)^T w, built column by column when no closed form is set."""
-    if op.kind != NONLINEAR:
-        raise UnsupportedOperatorError("jacobian_adjoint_apply is for nonlinear operators")
-    if op.jacobian_adjoint_fn is not None:
-        return np.asarray(op.jacobian_adjoint_fn(u, w), dtype=float)
-    n = op.grid.n
-    jac = np.empty((n, n))
-    eye = np.eye(n)
-    for j in range(n):
-        jac[:, j] = op.jacobian_fn(u, eye[j])
-    return jac.T @ w
 
 
 def domain_project(op: OperatorSpec, u: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from .grids import l2_norm
 from .noise import BOUNDED, EXACT_NORM, inject_noise
 from .operators import apply
 from .quasisolution import minimize_on_compactum, quasi_certificate
-from .spg import SolveOptions
 from .stabilizers import Compactum, Stabilizer, phi_value
 from .variational import minimize_variational, variational_certificate
 
@@ -179,12 +178,11 @@ def solve_one(problem: ProblemInstance, method: str, delta: float,
     grid = problem.grid
     noisy = inject_noise(grid, problem.f_exact, delta, noise_seed,
                          mode=config.noise_mode)
-    opts = SolveOptions(seed=config.seed)
     row = SweepRow(delta=delta, method=method)
     started = time.perf_counter()
     try:
         if method == METHOD_VARIATIONAL:
-            res = minimize_variational(problem.op, noisy.f_delta, delta, stab, opts)
+            res = minimize_variational(problem.op, noisy.f_delta, delta, stab)
             res.residual_exact = l2_norm(grid, apply(problem.op, res.u_delta)
                                          - problem.f_exact)
             cert = variational_certificate(res, problem, delta, stab)
@@ -194,7 +192,7 @@ def solve_one(problem: ProblemInstance, method: str, delta: float,
             row.cert_110 = cert.bound_110_ok
         else:
             K = Compactum(stab, resolve_rho(config, problem, stab))
-            res = minimize_on_compactum(problem.op, noisy.f_delta, K, opts)
+            res = minimize_on_compactum(problem.op, noisy.f_delta, K)
             cert = quasi_certificate(res, problem.op, problem.f_exact, delta)
             row.cert_24 = cert.bound_24_ok
             row.cert_26 = cert.bound_26_ok

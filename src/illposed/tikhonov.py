@@ -7,6 +7,10 @@ in [0, 1], so u_lam = V (c / (theta + lam (1 - theta))) with c = V^T A^T W f_d
 costs one matrix-vector product.  B is positive definite exactly when
 N + lam P is for some lam > 0, so a semidefinite phi (alpha0 = 0) needs no
 other road.
+
+A nonlinear A is solved by damped Gauss-Newton whose steps are these linear
+problems for the Jacobian (Kaltenbacher, Neubauer & Scherzer, *Iterative
+Regularization Methods for Nonlinear Ill-Posed Problems*, 2008).
 """
 
 from __future__ import annotations
@@ -18,12 +22,18 @@ import numpy as np
 
 from .errors import InvalidParameterError, SingularSystemError, SolverFailureError
 from .grids import check_vec
-from .operators import LINEAR_DIAGONAL, OperatorSpec, as_matrix
+from .operators import (LINEAR_DIAGONAL, OperatorSpec, apply, as_matrix,
+                        dense_operator, jacobian_apply)
 from .stabilizers import Stabilizer, penalty_matrix
 
 EPS = float(np.finfo(float).eps)
 ROOT_TOL = 1e-10      # accepted value of the scalar equation, from its nonnegative side
 ROOT_MAX_ITER = 100   # evaluations per root find, bracket search included
+GN_MAX_ITER = 100     # Gauss-Newton steps per nonlinear solve
+GN_RTOL = 1e-3        # stop once a step lowers the objective by less than this fraction
+GN_MIN_STEP = 2.0 ** -30  # a step damped below this length fraction ends the solve
+
+Gap = Callable[[float, np.ndarray], float]  # of log(lam) and u_lam
 
 
 class TikhonovPath:
@@ -58,9 +68,8 @@ class TikhonovPath:
         self.theta = theta
         self.coef = self.vectors.T @ rhs
         # below this log(lam) every point equals u_0 bitwise (lam (1 - theta) is
-        # under half an ulp of each theta); a zero pencil value never flattens
-        smallest = theta.min()
-        self.t_floor = math.log(0.25 * EPS * smallest) if smallest > 0.0 else -math.inf
+        # under half an ulp of each theta), but for the zero pencil values
+        self.t_floor = math.log(0.25 * EPS * theta[theta > 0.0].min(initial=1.0))
 
     def point(self, lam: float) -> np.ndarray:
         """u_lam; raises :class:`SingularSystemError` where N + lam P is singular."""
@@ -84,16 +93,20 @@ def tikhonov_point(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray,
 
 
 def solve_on_path(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray,
-                  gap: Callable[[float, np.ndarray], float]) -> Tuple[float, np.ndarray]:
+                  gap: Gap) -> Tuple[float, np.ndarray]:
     """(lam, u_lam) at the root of ``gap(log(lam), u_lam)``, nondecreasing in lam.
 
-    lam = 0 when the gap is nonnegative along the whole path.  A singular
-    pencil fails the solve like a root find that does not converge.
+    lam = 0 when the gap is nonnegative along the whole path, or the floor
+    ``exp(t_floor)`` when a zero pencil value leaves no point at lam = 0.  A
+    singular pencil fails the solve like a root find that does not converge.
     """
     try:
         path = TikhonovPath(op, stab, f_delta)
         t = path_root(lambda t: gap(t, path.point(math.exp(t))), path.t_floor)
-        lam = 0.0 if t is None else math.exp(t)
+        if t is not None:
+            lam = math.exp(t)
+        else:
+            lam = 0.0 if path.theta.min() > 0.0 else math.exp(path.t_floor)
         return lam, path.point(lam)
     except SingularSystemError as exc:
         raise SolverFailureError(str(exc)) from exc
@@ -142,3 +155,41 @@ def path_root(fn: Callable[[float], float], t_floor: float) -> Optional[float]:
             lo, g_lo = t, f_t
             g_hi, kept = (0.5 * g_hi if kept > 0 else g_hi), 1
     return hi
+
+
+def gauss_newton(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray,
+                 gap: Callable[[OperatorSpec, np.ndarray], Gap],
+                 objective: Callable[[np.ndarray], float],
+                 project: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Damped Gauss-Newton for a nonlinear A, from the constant profile 1.
+
+    At the iterate u, J = A'(u) is built column by column and the method's own
+    linear problem for J with data f_d - A(u) + J u is solved on its path with
+    ``gap(J, data)``.  The iterate moves toward that point, halving the step
+    until ``objective`` drops, then ``project``s.  It stops when a step lowers
+    the objective by less than GN_RTOL of its value or no step lowers it;
+    after GN_MAX_ITER steps it raises :class:`SolverFailureError` carrying the
+    iterate.
+    """
+    columns = np.eye(op.grid.n)
+    u = project(np.ones(op.grid.n))
+    value = objective(u)
+    for _ in range(GN_MAX_ITER):
+        jac = np.column_stack([jacobian_apply(op, u, e) for e in columns])
+        lin = dense_operator(op.grid, jac, injective=False)
+        data = f_delta - apply(op, u) + jac @ u
+        _, target = solve_on_path(lin, stab, data, gap(lin, data))
+        step = 1.0
+        while True:
+            trial = project(u + step * (target - u))
+            trial_value = objective(trial)
+            if trial_value < value:
+                break
+            step *= 0.5
+            if step < GN_MIN_STEP:
+                return u
+        decrease, u, value = value - trial_value, trial, trial_value
+        if decrease <= GN_RTOL * value:
+            return u
+    raise SolverFailureError(f"Gauss-Newton did not converge in {GN_MAX_ITER} steps",
+                             best_point=u, best_value=value)

@@ -8,11 +8,11 @@ Along it dF/dlam has the sign of lam - 2*delta*r(lam), r the residual, so the
 minimizer is the root of lam = 2*delta*r(lam), or the zero-residual end
 lam = 0 when lam > 2*delta*r all the way down (:mod:`illposed.tikhonov`).
 
-For nonlinear operators F is minimized best-effort: spectral projected
-gradient descent on the smooth surrogate 0.5*||A(u) - f_d||^2 + delta*phi(u)
-with backtracking line search and several seeded starts, re-ranking every
-iterate by the true nonsmooth F.  Certificates are checked a posteriori and
-failures are reported, never hidden.
+For nonlinear operators F is minimized by damped Gauss-Newton: each step
+minimizes F of the linearized operator on its path and backtracks on the
+true F (:func:`illposed.tikhonov.gauss_newton`).  The problem is nonconvex,
+so certificates are checked a posteriori and failures are reported, never
+hidden.
 """
 
 from __future__ import annotations
@@ -25,11 +25,9 @@ import numpy as np
 
 from .errors import CertificateUnavailableError, InvalidParameterError
 from .grids import check_vec, l2_norm
-from .operators import (OperatorSpec, apply, domain_project,
-                        jacobian_adjoint_apply)
-from .spg import SolveOptions, spg_multistart
-from .stabilizers import Stabilizer, penalty_matrix, phi_value
-from .tikhonov import solve_on_path
+from .operators import OperatorSpec, apply, domain_project
+from .stabilizers import Stabilizer, phi_value
+from .tikhonov import gauss_newton, solve_on_path
 
 
 @dataclass
@@ -79,31 +77,8 @@ def f_functional(op: OperatorSpec, f_delta: np.ndarray, delta: float,
     return l2_norm(op.grid, residual) + delta * phi_value(stab, op.grid, u)
 
 
-def _minimize_nonlinear(op, f_delta, delta, stab, opts) -> np.ndarray:
-    grid = op.grid
-    P = penalty_matrix(stab, grid)
-    gram = grid.gram_diagonal
-
-    def surrogate(u):
-        r = apply(op, u) - f_delta
-        return 0.5 * float(np.sum(gram * r * r)) + delta * float(u @ (P @ u))
-
-    def gradient(u):
-        r = apply(op, u) - f_delta
-        return jacobian_adjoint_apply(op, u, gram * r) + 2.0 * delta * (P @ u)
-
-    def true_f(u):
-        return f_functional(op, f_delta, delta, stab, u)
-
-    def project(u):
-        return domain_project(op, u)
-
-    return spg_multistart(grid, opts, project, surrogate, gradient, true_f)
-
-
 def minimize_variational(op: OperatorSpec, f_delta: np.ndarray, delta: float,
-                         stab: Stabilizer,
-                         opts: Optional[SolveOptions] = None) -> VariationalResult:
+                         stab: Stabilizer) -> VariationalResult:
     """Return a near-minimizer u_delta of F with F(u_delta) <= m_hat + delta.
 
     For linear A, u_delta is the minimizer of F on the Tikhonov path.
@@ -114,15 +89,21 @@ def minimize_variational(op: OperatorSpec, f_delta: np.ndarray, delta: float,
     if delta <= 0.0:
         raise InvalidParameterError(f"delta must be positive, got {delta}")
     f_delta = check_vec(op.grid, f_delta, "data")
-    if op.is_linear:
-        def stationarity_gap(t: float, u: np.ndarray) -> float:
+
+    def stationarity_gap(lin: OperatorSpec, data: np.ndarray):
+        def gap(t: float, u: np.ndarray) -> float:
             # log(lam / (2*delta*r)): F decreases along the path while negative
-            r = l2_norm(op.grid, apply(op, u) - f_delta)
+            r = l2_norm(lin.grid, apply(lin, u) - data)
             return t - math.log(2.0 * delta * r) if r > 0.0 else math.inf
-        lam, u = solve_on_path(op, stab, f_delta, stationarity_gap)
+        return gap
+
+    if op.is_linear:
+        lam, u = solve_on_path(op, stab, f_delta, stationarity_gap(op, f_delta))
     else:
-        lam, u = float("nan"), _minimize_nonlinear(op, f_delta, delta, stab,
-                                                   opts or SolveOptions())
+        lam, u = float("nan"), gauss_newton(
+            op, stab, f_delta, stationarity_gap,
+            lambda v: f_functional(op, f_delta, delta, stab, v),
+            lambda v: domain_project(op, v))
     residual = l2_norm(op.grid, apply(op, u) - f_delta)
     phi_u = phi_value(stab, op.grid, u)
     F_value = residual + delta * phi_u

@@ -4,8 +4,7 @@ import pytest
 from illposed import (Grid, NonFiniteError, UnsupportedOperatorError,
                       adjoint_apply, apply, as_matrix, dense_operator,
                       diagonal_operator, identity_operator, inner_product,
-                      jacobian_adjoint_apply, jacobian_apply, l2_norm,
-                      nonlinear_operator)
+                      jacobian_apply, l2_norm, nonlinear_operator)
 
 
 def test_identity_returns_input(rng):
@@ -72,15 +71,6 @@ def test_adjoint_rejected_for_nonlinear():
         adjoint_apply(op, np.ones(6))
     with pytest.raises(UnsupportedOperatorError):
         as_matrix(op)
-
-
-def test_jacobian_adjoint_fallback_matches_dense(rng):
-    g = Grid(6)
-    op = nonlinear_operator(g, lambda u: u**2, lambda u, v: 2 * u * v,
-                            injective=False)
-    u, w = rng.standard_normal(6), rng.standard_normal(6)
-    jac = np.column_stack([jacobian_apply(op, u, e) for e in np.eye(6)])
-    assert np.allclose(jacobian_adjoint_apply(op, u, w), jac.T @ w, atol=1e-14)
 
 
 def test_jacobian_rejected_for_linear():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from illposed import (Compactum, Grid, QuasiResult, SolveOptions,
-                      SolverFailureError, Stabilizer, build_problem,
+from illposed import (Compactum, Grid, QuasiResult, SolverFailureError,
+                      Stabilizer, SweepConfig, build_problem, dense_operator,
                       identity_operator, inject_noise, l2_norm,
-                      minimize_on_compactum, phi_value, quasi_certificate)
+                      minimize_on_compactum, phi_value, quasi_certificate,
+                      run_sweep)
 from illposed import tikhonov
 
 DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -124,11 +125,34 @@ def test_nonlinear_solver_feasible_and_within_bound(default_stab):
     delta = 1e-2
     noisy = inject_noise(p.grid, p.f_exact, delta, 43)
     K = default_compactum(p, default_stab)
-    opts = SolveOptions(seed=7)
-    res = minimize_on_compactum(p.op, noisy.f_delta, K, opts)
+    res = minimize_on_compactum(p.op, noisy.f_delta, K)
     assert phi_value(default_stab, p.grid, res.u_delta) <= K.rho * (1 + 1e-12)
     assert np.all(res.u_delta >= 0.0)
     cert = quasi_certificate(res, p.op, p.f_exact, delta)
     assert cert.bound_24_ok and cert.bound_26_ok
-    again = minimize_on_compactum(p.op, noisy.f_delta, K, opts)
+    again = minimize_on_compactum(p.op, noisy.f_delta, K)
     assert np.array_equal(res.u_delta, again.u_delta)
+
+
+def test_nonlinear_singular_linearized_step_keeps_certificates():
+    # the autoconvolution Jacobian has a zero first row, so every linearized
+    # pencil is singular; the first step of the delta=1e-3 cell ends at the
+    # floor of its path
+    report = run_sweep(SweepConfig(problem="autoconv", n=16, method="quasi",
+                                   deltas=(1e-1, 1e-2, 1e-3, 1e-4), seed=368489497))
+    assert len(report.rows) == 4
+    for row in report.rows:
+        assert row.certificates_ok, row
+
+
+def test_inactive_constraint_with_singular_pencil():
+    # A has a zero row, so N + lam P is singular at lam = 0: the path stops at
+    # its floor instead of at a point that does not exist
+    g = Grid(8)
+    matrix = np.diag([0.0] + [1.0] * 7)
+    f = matrix @ np.linspace(1.0, 2.0, 8)
+    K = Compactum(Stabilizer(), 100.0)
+    res = minimize_on_compactum(dense_operator(g, matrix, injective=False), f, K)
+    assert res.residual_noisy <= 1e-12
+    assert phi_value(K.stab, g, res.u_delta) <= K.rho
+    assert 0.0 < res.lambda_star < 1e-15

@@ -15,6 +15,11 @@ from illposed.cli import main
 from illposed.sweep import (CSV_COLUMNS, SETTINGS, delta_seed, rows_to_csv,
                             solve_one)
 
+# subprocesses import the package from this checkout
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
@@ -188,6 +193,7 @@ def test_cli_rejects_bad_config(capsys):
     assert main(["sweep", "--problem", "volterra-int", "--no-such-flag", "1"]) == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 10
+    assert "could not convert string to float: 'abc'" in err
 
 
 def test_cli_unwritable_output_is_io_error(tmp_path, capsys):
@@ -220,22 +226,29 @@ def test_module_entrypoint_runs():
 
 
 def test_convergence_study_script_runs(tmp_path):
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
-    script = [sys.executable, os.path.join(root, "scripts", "convergence_study.py"),
+    script = [sys.executable, os.path.join(ROOT, "scripts", "convergence_study.py"),
               "--n", "8", "--outdir", str(tmp_path)]
-    proc = subprocess.run(script + ["--deltas", "1e-1,1e-2"], env=env,
+    proc = subprocess.run(script + ["--deltas", "1e-1,1e-2"], env=SRC_ENV,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     for name in ("diag-unbounded", "volterra-int", "fredholm-gauss"):
         lines = (tmp_path / f"{name}.csv").read_text().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 1 + 2 * 2
-    proc = subprocess.run(script + ["--deltas", "1e-1,abc"], env=env,
+    for bad in (["--deltas", "1e-1,abc"], ["--n", "abc"]):
+        proc = subprocess.run(script + bad, env=SRC_ENV, capture_output=True, text=True)
+        assert proc.returncode == 1, bad
+        assert proc.stderr.startswith("error:"), bad
+
+
+def test_nonlinear_sweep_does_not_load_scipy():
+    code = ("import sys\n"
+            "from illposed import SweepConfig, run_sweep\n"
+            "run_sweep(SweepConfig(problem='autoconv', n=8, deltas=(1e-1, 1e-2)))\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=SRC_ENV,
                           capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_csv_cells_reflect_rows():

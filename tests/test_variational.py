@@ -3,12 +3,12 @@ import pytest
 
 from illposed import (CertificateUnavailableError, Grid,
                       InvalidParameterError, ProblemInstance,
-                      SingularSystemError, SolveOptions, SolverFailureError,
-                      Stabilizer, VariationalResult, apply, build_problem,
+                      SingularSystemError, SolverFailureError, Stabilizer,
+                      SweepConfig, VariationalResult, apply, build_problem,
                       dense_operator, diagonal_operator, f_functional,
                       identity_operator, inject_noise, jacobian_apply,
-                      l2_norm, minimize_variational, phi_value,
-                      tikhonov_point, variational_certificate)
+                      l2_norm, minimize_variational, phi_value, run_sweep,
+                      tikhonov, tikhonov_point, variational_certificate)
 from illposed.tikhonov import TikhonovPath
 
 DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -239,12 +239,12 @@ def test_gradient_matches_central_differences(default_stab, rng):
         assert numeric == pytest.approx(analytic, rel=1e-6)
 
 
-def test_nonlinear_non_convergence_carries_best_iterate(default_stab):
+def test_nonlinear_non_convergence_carries_best_iterate(default_stab, monkeypatch):
     p = build_problem("autoconv", 32)
     noisy = inject_noise(p.grid, p.f_exact, 1e-2, 2)
-    opts = SolveOptions(seed=3, max_iter=1)
+    monkeypatch.setattr(tikhonov, "GN_MAX_ITER", 1)
     with pytest.raises(SolverFailureError) as err:
-        minimize_variational(p.op, noisy.f_delta, 1e-2, default_stab, opts)
+        minimize_variational(p.op, noisy.f_delta, 1e-2, default_stab)
     assert err.value.best_point is not None
     assert np.isfinite(err.value.best_value)
 
@@ -253,9 +253,8 @@ def test_nonlinear_solve_is_deterministic_and_reported_honestly(default_stab):
     p = build_problem("autoconv", 64)
     delta = 1e-1
     noisy = inject_noise(p.grid, p.f_exact, delta, 42)
-    opts = SolveOptions(seed=7)
-    res = minimize_variational(p.op, noisy.f_delta, delta, default_stab, opts)
-    again = minimize_variational(p.op, noisy.f_delta, delta, default_stab, opts)
+    res = minimize_variational(p.op, noisy.f_delta, delta, default_stab)
+    again = minimize_variational(p.op, noisy.f_delta, delta, default_stab)
     assert np.array_equal(res.u_delta, again.u_delta)
     assert np.isnan(res.lambda_star)
     assert res.F_value == pytest.approx(res.residual_noisy + delta * res.phi_u,
@@ -265,3 +264,12 @@ def test_nonlinear_solve_is_deterministic_and_reported_honestly(default_stab):
     expected = res.F_value <= cert.c * delta + cert.tol
     assert cert.bound_19_ok == expected
     assert l2_norm(p.grid, res.u_delta - p.y_true) < 0.5
+
+
+def test_nonlinear_certificates_hold_at_small_noise():
+    # (1.8) and (1.9) need F(u_delta) within a few delta of zero at every level
+    report = run_sweep(SweepConfig(problem="autoconv", n=64, method="variational",
+                                   seed=42))
+    rows = {row.delta: row for row in report.rows}
+    for delta in (1e-2, 1e-3):
+        assert rows[delta].certificates_ok, rows[delta]

@@ -24,7 +24,7 @@ import numpy as np
 from .grids import check_vec, l2_norm
 from .operators import OperatorSpec, apply, domain_project
 from .stabilizers import Compactum, phi_value, project_onto
-from .tikhonov import gauss_newton, solve_on_path
+from .tikhonov import TikhonovPath, gauss_newton, solve_on_path
 
 ON_BOUNDARY_RTOL = 1e-8
 
@@ -56,12 +56,14 @@ class QuasiCertificate:
         return self.bound_24_ok and self.bound_26_ok
 
 
-def minimize_on_compactum(op: OperatorSpec, f_delta: np.ndarray,
-                          K: Compactum) -> QuasiResult:
+def minimize_on_compactum(op: OperatorSpec, f_delta: np.ndarray, K: Compactum,
+                          path: Optional[TikhonovPath] = None) -> QuasiResult:
     """Minimize the residual ||A(u) - f_delta|| over the compactum K.
 
-    The linear case is solved exactly up to decomposition round-off; the
-    nonlinear case is best-effort with every returned point feasible.
+    The linear case is solved exactly up to decomposition round-off, on
+    ``path``, the path of (op, K.stab) that a caller shares across data, or a
+    new one; the nonlinear case is best-effort with every returned point
+    feasible.
     """
     f_delta = check_vec(op.grid, f_delta, "data")
 
@@ -72,7 +74,7 @@ def minimize_on_compactum(op: OperatorSpec, f_delta: np.ndarray,
         return math.log(K.rho / phi) if phi > 0.0 else math.inf
 
     if op.is_linear:
-        lam, u = solve_on_path(op, K.stab, f_delta, slack)
+        lam, u = solve_on_path(path or TikhonovPath(op, K.stab), f_delta, slack)
     else:
         lam, u = float("nan"), gauss_newton(
             op, K.stab, f_delta, lambda lin, data: slack,

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from math import isnan
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .errors import ConfigurationError, SolverFailureError
 from .gallery import ProblemInstance, build_problem
 from .grids import l2_norm
@@ -23,6 +25,7 @@ from .noise import BOUNDED, EXACT_NORM, inject_noise
 from .operators import apply
 from .quasisolution import minimize_on_compactum, quasi_certificate
 from .stabilizers import Compactum, Stabilizer, phi_value
+from .tikhonov import TikhonovPath
 from .variational import minimize_variational, variational_certificate
 
 # verdicts of (1.8), (1.9), (1.10) for the variational method, (2.4), (2.6) for quasi
@@ -172,17 +175,20 @@ def resolve_rho(config: SweepConfig, problem: ProblemInstance,
 
 
 def solve_one(problem: ProblemInstance, method: str, delta: float,
-              noise_seed: int, config: SweepConfig) -> SweepRow:
-    """Run one (method, delta) cell and evaluate its certificates."""
-    stab = Stabilizer(config.alpha0, config.alpha1)
+              f_delta: np.ndarray, stab: Stabilizer, K: Optional[Compactum],
+              path: Optional[TikhonovPath]) -> SweepRow:
+    """Run one (method, delta) cell on the noisy data and evaluate its certificates.
+
+    ``stab``, the compactum ``K`` of the quasi cells and the Tikhonov ``path``
+    of a linear problem (None for a nonlinear one) are shared by every cell of
+    a sweep.
+    """
     grid = problem.grid
-    noisy = inject_noise(grid, problem.f_exact, delta, noise_seed,
-                         mode=config.noise_mode)
     row = SweepRow(delta=delta, method=method)
     started = time.perf_counter()
     try:
         if method == METHOD_VARIATIONAL:
-            res = minimize_variational(problem.op, noisy.f_delta, delta, stab)
+            res = minimize_variational(problem.op, f_delta, delta, stab, path)
             res.residual_exact = l2_norm(grid, apply(problem.op, res.u_delta)
                                          - problem.f_exact)
             cert = variational_certificate(res, problem, delta, stab)
@@ -191,8 +197,7 @@ def solve_one(problem: ProblemInstance, method: str, delta: float,
             row.cert_19 = cert.bound_19_ok
             row.cert_110 = cert.bound_110_ok
         else:
-            K = Compactum(stab, resolve_rho(config, problem, stab))
-            res = minimize_on_compactum(problem.op, noisy.f_delta, K)
+            res = minimize_on_compactum(problem.op, f_delta, K, path)
             cert = quasi_certificate(res, problem.op, problem.f_exact, delta)
             row.cert_24 = cert.bound_24_ok
             row.cert_26 = cert.bound_26_ok
@@ -214,18 +219,31 @@ def run_solve(config: SweepConfig) -> SweepReport:
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
-    """One row per (delta, method); rows are reported by descending delta."""
+    """One row per (delta, method); rows are reported by descending delta.
+
+    The stabilizer and the compactum are built, and so checked, before any
+    cell runs.  A linear problem has one Tikhonov path for the whole sweep:
+    the first cell decomposes its pencil and pays for it in its ``wall_ms``,
+    and every later cell reuses the decomposition.
+    """
     problem = build_problem(config.problem, config.n, sigma=config.sigma)
-    if config.rho is not None and METHOD_QUASI in config.methods:
-        print("warning: explicit rho given; the convergence guarantee needs the "
-              "true solution inside the constraint set, which is not checked",
-              file=sys.stderr)
+    stab = Stabilizer(config.alpha0, config.alpha1)
+    K = None
+    if METHOD_QUASI in config.methods:
+        K = Compactum(stab, resolve_rho(config, problem, stab))
+        if config.rho is not None:
+            print("warning: explicit rho given; the convergence guarantee needs the "
+                  "true solution inside the constraint set, which is not checked",
+                  file=sys.stderr)
+    path = TikhonovPath(problem.op, stab) if problem.op.is_linear else None
     seeds = {delta: delta_seed(config, j) for j, delta in enumerate(config.deltas)}
     report = SweepReport(config=config)
     for delta in sorted(set(config.deltas), reverse=True):
+        noisy = inject_noise(problem.grid, problem.f_exact, delta, seeds[delta],
+                             mode=config.noise_mode)
         for method in config.methods:
             report.rows.append(
-                solve_one(problem, method, delta, seeds[delta], config))
+                solve_one(problem, method, delta, noisy.f_delta, stab, K, path))
     if config.out is not None:
         write_report_csv(report, config.out)
     return report

@@ -6,7 +6,9 @@ B = N + P, is decomposed once: V^T B V = I, V^T N V = diag(theta) with theta
 in [0, 1], so u_lam = V (c / (theta + lam (1 - theta))) with c = V^T A^T W f_d
 costs one matrix-vector product.  B is positive definite exactly when
 N + lam P is for some lam > 0, so a semidefinite phi (alpha0 = 0) needs no
-other road.
+other road.  The decomposition depends on A and phi only and the data enter
+through c alone, so one :class:`TikhonovPath` serves every noise level and
+both methods of a sweep.
 
 A nonlinear A is solved by damped Gauss-Newton whose steps are these linear
 problems for the Jacobian (Kaltenbacher, Neubauer & Scherzer, *Iterative
@@ -15,6 +17,7 @@ Regularization Methods for Nonlinear Ill-Posed Problems*, 2008).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Optional, Tuple
 
@@ -37,23 +40,30 @@ Gap = Callable[[float, np.ndarray], float]  # of log(lam) and u_lam
 
 
 class TikhonovPath:
-    """Every point u_lam of the path, from one decomposition of the pencil.
+    """Every point u_lam of the path of one linear A and stabilizer, for any data.
 
-    ``theta`` is clipped to [0, 1]; values below n * eps of the largest,
-    which the decomposition cannot tell from zero, are set to zero.
+    The pencil is decomposed on first use, and once; a failed decomposition
+    is not kept, so the next use tries again and fails the same way.  Each
+    data vector then costs its coefficients c, and each point one
+    matrix-vector product.  ``theta`` is clipped to [0, 1]; values below
+    n * eps of the largest, which the decomposition cannot tell from zero,
+    are set to zero.
     """
 
-    def __init__(self, op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray):
-        w = op.grid.gram_diagonal
+    def __init__(self, op: OperatorSpec, stab: Stabilizer):
+        self.op, self.stab = op, stab
+
+    @functools.cached_property
+    def spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(theta, V); raises :class:`SingularSystemError` where B is singular."""
+        op, w = self.op, self.op.grid.gram_diagonal
         # P first (its assembly needs the most scratch), then N, and B = P + N in place
-        pencil = penalty_matrix(stab, op.grid)
+        pencil = penalty_matrix(self.stab, op.grid)
         if op.kind == LINEAR_DIAGONAL:
             normal = np.diag(op.diagonal ** 2 * w)
-            rhs = op.diagonal * w * f_delta
         else:
             M = as_matrix(op)
             normal = M.T @ (w[:, None] * M)
-            rhs = M.T @ (w * f_delta)
         pencil += normal
         try:
             # B = L L^T turns the pencil into the symmetric L^-1 N L^-T
@@ -62,37 +72,56 @@ class TikhonovPath:
             raise SingularSystemError("N + lam P is singular at every lambda") from exc
         del pencil
         theta, vectors = np.linalg.eigh(inv_l @ normal @ inv_l.T)
-        self.vectors = inv_l.T @ vectors
         theta = np.clip(theta, 0.0, 1.0)
         theta[theta <= op.grid.n * EPS * theta.max()] = 0.0
-        self.theta = theta
-        self.coef = self.vectors.T @ rhs
-        # below this log(lam) every point equals u_0 bitwise (lam (1 - theta) is
-        # under half an ulp of each theta), but for the zero pencil values
-        self.t_floor = math.log(0.25 * EPS * theta[theta > 0.0].min(initial=1.0))
+        return theta, inv_l.T @ vectors
 
-    def point(self, lam: float) -> np.ndarray:
-        """u_lam; raises :class:`SingularSystemError` where N + lam P is singular."""
+    @property
+    def t_floor(self) -> float:
+        """Below this log(lam) every point equals u_0 bitwise.
+
+        lam (1 - theta) is under half an ulp of each theta there, but for the
+        zero pencil values.
+        """
+        theta = self.spectrum[0]
+        return math.log(0.25 * EPS * theta[theta > 0.0].min(initial=1.0))
+
+    def coefficients(self, f_delta: np.ndarray) -> np.ndarray:
+        """c = V^T A^T W f_d, the only part of the path that depends on the data."""
+        op, w = self.op, self.op.grid.gram_diagonal
+        if op.kind == LINEAR_DIAGONAL:
+            rhs = op.diagonal * w * f_delta
+        else:
+            rhs = as_matrix(op).T @ (w * f_delta)
+        return self.spectrum[1].T @ rhs
+
+    def point(self, lam: float, coef: np.ndarray) -> np.ndarray:
+        """u_lam of the data with coefficients ``coef``.
+
+        Raises :class:`SingularSystemError` where N + lam P is singular.
+        """
         if lam < 0.0:
             raise InvalidParameterError(f"lambda must be nonnegative, got {lam}")
-        values = self.theta + lam * (1.0 - self.theta)
+        theta, vectors = self.spectrum
+        values = theta + lam * (1.0 - theta)
         if values.min() <= 0.0:
             raise SingularSystemError(f"a pencil value is zero at lambda={lam}", lam=lam)
-        return self.vectors @ (self.coef / values)
+        return vectors @ (coef / values)
 
 
 def tikhonov_point(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray,
                    lam: float) -> np.ndarray:
     """Unique minimizer of ||A u - f_delta||^2 + lam * phi(u) for linear A."""
     f_delta = check_vec(op.grid, f_delta, "data")
+    path = TikhonovPath(op, stab)
     try:
-        return TikhonovPath(op, stab, f_delta).point(lam)
+        return path.point(lam, path.coefficients(f_delta))
     except SingularSystemError as exc:
         raise SingularSystemError(
             f"normal-equations system is singular at lambda={lam}: {exc}", lam=lam) from exc
 
 
-def solve_on_path(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray,
+def solve_on_path(path: TikhonovPath, f_delta: np.ndarray,
                   gap: Gap) -> Tuple[float, np.ndarray]:
     """(lam, u_lam) at the root of ``gap(log(lam), u_lam)``, nondecreasing in lam.
 
@@ -101,13 +130,13 @@ def solve_on_path(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray,
     singular pencil fails the solve like a root find that does not converge.
     """
     try:
-        path = TikhonovPath(op, stab, f_delta)
-        t = path_root(lambda t: gap(t, path.point(math.exp(t))), path.t_floor)
+        coef = path.coefficients(f_delta)
+        t = path_root(lambda t: gap(t, path.point(math.exp(t), coef)), path.t_floor)
         if t is not None:
             lam = math.exp(t)
         else:
-            lam = 0.0 if path.theta.min() > 0.0 else math.exp(path.t_floor)
-        return lam, path.point(lam)
+            lam = 0.0 if path.spectrum[0].min() > 0.0 else math.exp(path.t_floor)
+        return lam, path.point(lam, coef)
     except SingularSystemError as exc:
         raise SolverFailureError(str(exc)) from exc
 
@@ -178,7 +207,7 @@ def gauss_newton(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray,
         jac = np.column_stack([jacobian_apply(op, u, e) for e in columns])
         lin = dense_operator(op.grid, jac, injective=False)
         data = f_delta - apply(op, u) + jac @ u
-        _, target = solve_on_path(lin, stab, data, gap(lin, data))
+        _, target = solve_on_path(TikhonovPath(lin, stab), data, gap(lin, data))
         step = 1.0
         while True:
             trial = project(u + step * (target - u))

@@ -27,7 +27,7 @@ from .errors import CertificateUnavailableError, InvalidParameterError
 from .grids import check_vec, l2_norm
 from .operators import OperatorSpec, apply, domain_project
 from .stabilizers import Stabilizer, phi_value
-from .tikhonov import gauss_newton, solve_on_path
+from .tikhonov import TikhonovPath, gauss_newton, solve_on_path
 
 
 @dataclass
@@ -78,10 +78,12 @@ def f_functional(op: OperatorSpec, f_delta: np.ndarray, delta: float,
 
 
 def minimize_variational(op: OperatorSpec, f_delta: np.ndarray, delta: float,
-                         stab: Stabilizer) -> VariationalResult:
+                         stab: Stabilizer,
+                         path: Optional[TikhonovPath] = None) -> VariationalResult:
     """Return a near-minimizer u_delta of F with F(u_delta) <= m_hat + delta.
 
-    For linear A, u_delta is the minimizer of F on the Tikhonov path.
+    For linear A, u_delta is the minimizer of F on the Tikhonov path: ``path``,
+    the path of (op, stab) that a caller shares across data, or a new one.
     ``m_hat`` is the smallest F value found (the computable stand-in for the
     true infimum); the returned point attains it, so the near-minimizer
     contract holds with room to spare.
@@ -98,7 +100,8 @@ def minimize_variational(op: OperatorSpec, f_delta: np.ndarray, delta: float,
         return gap
 
     if op.is_linear:
-        lam, u = solve_on_path(op, stab, f_delta, stationarity_gap(op, f_delta))
+        lam, u = solve_on_path(path or TikhonovPath(op, stab), f_delta,
+                               stationarity_gap(op, f_delta))
     else:
         lam, u = float("nan"), gauss_newton(
             op, stab, f_delta, stationarity_gap,

@@ -197,10 +197,11 @@ def test_criterion_8_structural_invariants():
         delta = 10.0 ** rng.uniform(-4, -1)
         noisy = inject_noise(problem.grid, problem.f_exact, delta,
                              int(rng.integers(1 << 30)))
-        path = TikhonovPath(problem.op, stab, noisy.f_delta)
+        path = TikhonovPath(problem.op, stab)
+        coef = path.coefficients(noisy.f_delta)
         prev_r, prev_p = -np.inf, np.inf
         for lam in lams:
-            u = path.point(lam)
+            u = path.point(lam, coef)
             r = l2_norm(problem.grid, apply(problem.op, u) - noisy.f_delta)
             p = phi_value(stab, problem.grid, u)
             assert r >= prev_r * (1 - 1e-9)

@@ -4,16 +4,18 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from illposed import (ConfigurationError, Stabilizer, SweepConfig,
-                      build_problem, parse_config_file, phi_value, run_solve,
-                      run_sweep)
+from illposed import (Compactum, ConfigurationError, Stabilizer, SweepConfig,
+                      build_problem, inject_noise, parse_config_file, phi_value,
+                      run_solve, run_sweep, sweep, tikhonov)
 from illposed.cli import main
-from illposed.sweep import (CSV_COLUMNS, SETTINGS, delta_seed, rows_to_csv,
-                            solve_one)
+from illposed.sweep import (CSV_COLUMNS, SETTINGS, delta_seed, resolve_rho,
+                            rows_to_csv, solve_one)
+from illposed.tikhonov import TikhonovPath
 
 # subprocesses import the package from this checkout
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -268,34 +270,123 @@ def log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
 
 
+LINEAR = ("diag-unbounded", "volterra-int", "fredholm-gauss")
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(name=st.sampled_from(["diag-unbounded", "volterra-int", "fredholm-gauss"]),
+@given(name=st.sampled_from(LINEAR),
        n=st.integers(4, 48),
        alpha0=st.one_of(st.just(0.0), log_uniform(1e-3, 10.0)),
        alpha1=st.floats(0.0, 10.0),
-       delta=log_uniform(1e-5, 0.5),
+       deltas=st.lists(log_uniform(1e-5, 0.5), min_size=2, max_size=2, unique=True),
        rho_factor=st.floats(0.1, 10.0),
        seed=st.integers(0, 2**31 - 1))
 def test_linear_cells_end_in_a_row_or_a_named_failure(name, n, alpha0, alpha1,
-                                                      delta, rho_factor, seed):
+                                                      deltas, rho_factor, seed):
     assume(alpha0 > 0.0 or alpha1 > 0.0)
-    config = SweepConfig(problem=name, n=n, alpha0=alpha0, alpha1=alpha1,
-                         deltas=(delta,), rho_factor=rho_factor, seed=seed)
-    problem = build_problem(name, n)
     # the compactum of the quasisolution method needs alpha0 > 0
-    methods = ["variational", "quasi"] if alpha0 > 0.0 else ["variational"]
-    for method in methods:
-        row = solve_one(problem, method, delta, seed, config)
+    config = SweepConfig(problem=name, n=n, alpha0=alpha0, alpha1=alpha1,
+                         method="both" if alpha0 > 0.0 else "variational",
+                         deltas=tuple(deltas), rho_factor=rho_factor, seed=seed)
+    report = run_sweep(config)
+    assert [(row.delta, row.method) for row in report.rows] == [
+        (delta, method) for delta in sorted(deltas, reverse=True)
+        for method in config.methods]
+    for row in report.rows:
         if row.solver_error is not None:
             assert row.solver_error.strip()
             continue
         fields = ["error_l2", "residual_noisy", "residual_exact", "phi_u",
                   "lambda_star"]
         certs = ["cert_24", "cert_26"]
-        if method == "variational":
+        if row.method == "variational":
             fields.append("F_value")
             certs = ["cert_18", "cert_19", "cert_110"]
         for field in fields:
             assert math.isfinite(getattr(row, field)), field
         for cert in certs:
             assert isinstance(getattr(row, cert), bool), cert
+
+
+def test_failed_decomposition_fails_every_linear_cell_by_name(monkeypatch):
+    def singular(matrix):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", singular)
+    for name in LINEAR:
+        report = run_sweep(SweepConfig(problem=name, n=16, deltas=(1e-1, 1e-2)))
+        assert len(report.rows) == 4
+        for row in report.rows:
+            assert row.solver_error == "N + lam P is singular at every lambda"
+        assert report.exit_code == 2
+
+
+def count_decompositions(monkeypatch):
+    """Count eigendecompositions: each Tikhonov path makes exactly one."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", LINEAR)
+def test_one_decomposition_per_sweep(name, monkeypatch):
+    calls = count_decompositions(monkeypatch)
+    report = run_sweep(SweepConfig(problem=name, n=32, method="both",
+                                   deltas=(1e-1, 1e-2, 1e-3, 1e-4)))
+    assert len(report.rows) == 8
+    assert all(row.solver_error is None for row in report.rows)
+    assert len(calls) == 1
+    run_solve(SweepConfig(problem=name, n=32, method="both"))
+    assert len(calls) == 2
+
+
+def test_gauss_newton_decomposes_once_per_step(monkeypatch):
+    calls = count_decompositions(monkeypatch)
+    steps = []
+    dense_operator = tikhonov.dense_operator
+
+    def counted(*args, **kwargs):  # one linearized operator per step
+        steps.append(1)
+        return dense_operator(*args, **kwargs)
+
+    monkeypatch.setattr(tikhonov, "dense_operator", counted)
+    report = run_sweep(SweepConfig(problem="autoconv", n=16, deltas=(1e-1, 1e-2)))
+    assert all(row.solver_error is None for row in report.rows)
+    assert len(steps) > len(report.rows)
+    assert len(calls) == len(steps)
+
+
+@pytest.mark.parametrize("alpha0", [0.0, 1.0])
+@pytest.mark.parametrize("name", LINEAR)
+def test_shared_decomposition_changes_no_bit(name, alpha0):
+    config = SweepConfig(problem=name, n=64, alpha0=alpha0,
+                         method="both" if alpha0 > 0.0 else "variational")
+    shared = run_sweep(config)
+    problem = build_problem(name, 64)
+    stab = Stabilizer(config.alpha0, config.alpha1)
+    K = Compactum(stab, resolve_rho(config, problem, stab)) if alpha0 > 0.0 else None
+    fresh = []
+    for j, delta in enumerate(config.deltas):  # the default levels descend
+        noisy = inject_noise(problem.grid, problem.f_exact, delta,
+                             delta_seed(config, j))
+        for method in config.methods:
+            fresh.append(solve_one(problem, method, delta, noisy.f_delta, stab, K,
+                                   TikhonovPath(problem.op, stab)))
+    assert rows_to_csv(shared.rows) == rows_to_csv(fresh)
+
+
+@pytest.mark.parametrize("flags", [["--alpha0", "0"], ["--rho", "-1"]])
+def test_settings_are_checked_before_any_cell(flags, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a solver ran before the settings were checked")
+
+    monkeypatch.setattr(sweep, "minimize_variational", never)
+    monkeypatch.setattr(sweep, "minimize_on_compactum", never)
+    assert main(["sweep", "--problem", "volterra-int", *flags]) == 1
+    assert capsys.readouterr().err.startswith("error:")

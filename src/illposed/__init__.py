@@ -14,12 +14,12 @@ from .errors import (BudgetExceededError, CertificateUnavailableError,
                      SingularSystemError, SolverFailureError,
                      UnsupportedOperatorError)
 from .gallery import (ConditionReport, ProblemInstance, build_problem,
-                      condition_report, export_problem)
-from .grids import Grid, inner_product, l2_norm, load_vector, save_vector
+                      condition_report)
+from .grids import Grid, inner_product, l2_norm
 from .noise import NoisyData, inject_noise
 from .operators import (OperatorSpec, adjoint_apply, apply, as_matrix,
                         dense_operator, diagonal_operator, domain_project,
-                        identity_operator, jacobian_apply, nonlinear_operator)
+                        identity_operator, jacobian, nonlinear_operator)
 from .oracle import (SearchBox, brute_force_minimize, refine_1d,
                      refine_coordinatewise)
 from .quasisolution import (QuasiCertificate, QuasiResult,

@@ -13,14 +13,13 @@ norms that diverge together as the grid is refined.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedOperatorError
-from .grids import Grid, save_vector
+from .grids import Grid
 from .operators import (OperatorSpec, apply, as_matrix, dense_operator,
                         diagonal_operator, nonlinear_operator)
 
@@ -86,9 +85,14 @@ def autoconvolve(grid: Grid, u: np.ndarray) -> np.ndarray:
     return grid.h * (c - u[0] * u)
 
 
-def autoconvolve_jacobian(grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    c = np.convolve(u, v)[: grid.n]
-    return grid.h * (2.0 * c - u[0] * v - v[0] * u)
+def autoconvolve_jacobian(grid: Grid, u: np.ndarray) -> np.ndarray:
+    """A'(u) = h (2 T(u) - u_0 I - u e_0^T), T(u)[i, j] = u[i - j] for j <= i."""
+    i = np.arange(grid.n)
+    # the negative indices above the diagonal wrap around; tril zeroes them
+    jac = 2.0 * np.tril(u[i[:, None] - i])
+    jac[i, i] -= u[0]
+    jac[:, 0] -= u
+    return grid.h * jac
 
 
 def build_problem(name: str, n: int, sigma: float = 0.1,
@@ -106,20 +110,20 @@ def build_problem(name: str, n: int, sigma: float = 0.1,
     x = grid.nodes
 
     if name == "diag-unbounded":
-        op = diagonal_operator(grid, _alternating_diagonal(n), injective=True)
+        op = diagonal_operator(grid, _alternating_diagonal(n))
         y = np.sin(np.pi * x)
         notes = ("diagonal entries alternate between k+1 and 1/(k+1): norms and "
                  "inverse norms both diverge under refinement, modeling an "
                  "unbounded operator with discontinuous inverse; injective "
                  "because every entry is nonzero")
     elif name == "volterra-int":
-        op = dense_operator(grid, _volterra_matrix(grid), injective=True)
+        op = dense_operator(grid, _volterra_matrix(grid))
         y = np.sin(np.pi * x)
         notes = ("cumulative trapezoid integration (half-cell first row); "
                  "solving A u = f is numerical differentiation; injective by "
                  "lower triangularity with positive diagonal")
     elif name == "fredholm-gauss":
-        op = dense_operator(grid, _fredholm_gauss_matrix(grid, sigma), injective=True)
+        op = dense_operator(grid, _fredholm_gauss_matrix(grid, sigma))
         y = np.sin(np.pi * x)
         notes = (f"first-kind integral operator with Gaussian kernel, sigma={sigma}; "
                  "severely ill-conditioned; injective because the Gaussian kernel "
@@ -128,9 +132,8 @@ def build_problem(name: str, n: int, sigma: float = 0.1,
         op = nonlinear_operator(
             grid,
             apply_fn=lambda u: autoconvolve(grid, u),
-            jacobian_fn=lambda u, v: autoconvolve_jacobian(grid, u, v),
+            jacobian_fn=lambda u: autoconvolve_jacobian(grid, u),
             domain_project_fn=lambda u: np.maximum(u, 0.0),
-            injective=True,
         )
         y = 1.0 + x * (1.0 - x)
         notes = ("nonlinear autoconvolution restricted to the positive cone, "
@@ -155,26 +158,3 @@ def condition_report(p: ProblemInstance) -> ConditionReport:
     return ConditionReport(sigma_max=smax, sigma_min=smin, ratio=float(ratio),
                            ill_posed=ratio > ILL_POSED_RATIO)
 
-
-def export_problem(p: ProblemInstance, directory) -> list:
-    """Write y, f and the operator payload as CSV files; returns the paths."""
-    os.makedirs(directory, exist_ok=True)
-    written = []
-    if p.y_true is not None:
-        path = os.path.join(directory, f"{p.name}-y.csv")
-        save_vector(path, p.y_true)
-        written.append(path)
-    path = os.path.join(directory, f"{p.name}-f.csv")
-    save_vector(path, p.f_exact)
-    written.append(path)
-    if p.op.kind == "linear-diagonal":
-        path = os.path.join(directory, f"{p.name}-diagonal.csv")
-        save_vector(path, p.op.diagonal)
-        written.append(path)
-    elif p.op.kind == "linear-dense":
-        path = os.path.join(directory, f"{p.name}-matrix.csv")
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            for row in p.op.matrix:
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
-        written.append(path)
-    return written

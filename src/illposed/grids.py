@@ -82,17 +82,3 @@ def inner_product(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
     v = check_vec(grid, v, "v")
     return float(np.sum(grid.gram_diagonal * u * v))
 
-
-def save_vector(path, v: np.ndarray) -> None:
-    """Write a vector as CSV, one full-precision decimal value per line."""
-    v = np.asarray(v, dtype=float)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for x in v:
-            fh.write(repr(float(x)) + "\n")
-
-
-def load_vector(path) -> np.ndarray:
-    """Read a vector written by :func:`save_vector`."""
-    with open(path, "r", encoding="ascii") as fh:
-        values = [float(line) for line in fh if line.strip()]
-    return np.asarray(values, dtype=float)

@@ -25,19 +25,18 @@ class OperatorSpec:
     """A forward map A from grid vectors to grid vectors.
 
     ``matrix`` / ``diagonal`` hold the payload for the linear kinds.  The
-    nonlinear kind carries callables: ``apply_fn(u)``, the directional
-    derivative ``jacobian_fn(u, v)`` and optionally a projection
+    nonlinear kind carries callables: ``apply_fn(u)``, the Jacobian
+    ``jacobian_fn(u)``, the n x n matrix A'(u), and optionally a projection
     ``domain_project_fn(u)`` onto the operator domain (for example a
     positivity clamp).
     """
 
     kind: str
     grid: Grid
-    injective: bool
     matrix: Optional[np.ndarray] = None
     diagonal: Optional[np.ndarray] = None
     apply_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    jacobian_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    jacobian_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     domain_project_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -59,27 +58,22 @@ class OperatorSpec:
         return self.kind in (LINEAR_DENSE, LINEAR_DIAGONAL)
 
 
-def dense_operator(grid: Grid, matrix: np.ndarray, injective: bool) -> OperatorSpec:
-    matrix = np.asarray(matrix, dtype=float)
-    return OperatorSpec(LINEAR_DENSE, grid, injective, matrix=matrix)
+def dense_operator(grid: Grid, matrix: np.ndarray) -> OperatorSpec:
+    return OperatorSpec(LINEAR_DENSE, grid, matrix=np.asarray(matrix, dtype=float))
 
 
-def diagonal_operator(grid: Grid, diagonal: np.ndarray,
-                      injective: Optional[bool] = None) -> OperatorSpec:
-    diagonal = np.asarray(diagonal, dtype=float)
-    if injective is None:
-        injective = bool(np.all(diagonal != 0.0))
-    return OperatorSpec(LINEAR_DIAGONAL, grid, injective, diagonal=diagonal)
+def diagonal_operator(grid: Grid, diagonal: np.ndarray) -> OperatorSpec:
+    return OperatorSpec(LINEAR_DIAGONAL, grid, diagonal=np.asarray(diagonal, dtype=float))
 
 
 def identity_operator(grid: Grid) -> OperatorSpec:
-    return diagonal_operator(grid, np.ones(grid.n), injective=True)
+    return diagonal_operator(grid, np.ones(grid.n))
 
 
-def nonlinear_operator(grid, apply_fn, jacobian_fn, injective,
+def nonlinear_operator(grid, apply_fn, jacobian_fn,
                        domain_project_fn=None) -> OperatorSpec:
     return OperatorSpec(
-        NONLINEAR, grid, injective,
+        NONLINEAR, grid,
         apply_fn=apply_fn, jacobian_fn=jacobian_fn,
         domain_project_fn=domain_project_fn,
     )
@@ -119,13 +113,12 @@ def adjoint_apply(op: OperatorSpec, v: np.ndarray) -> np.ndarray:
     return _check_output(op, out)
 
 
-def jacobian_apply(op: OperatorSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Directional derivative A'(u) v of a nonlinear operator."""
+def jacobian(op: OperatorSpec, u: np.ndarray) -> np.ndarray:
+    """The n x n Jacobian matrix A'(u) of a nonlinear operator."""
     if op.kind != NONLINEAR:
-        raise UnsupportedOperatorError("jacobian_apply is for nonlinear operators")
+        raise UnsupportedOperatorError("jacobian is for nonlinear operators")
     u = check_vec(op.grid, u, "base point")
-    v = check_vec(op.grid, v, "direction")
-    return _check_output(op, np.asarray(op.jacobian_fn(u, v), dtype=float))
+    return _check_output(op, np.asarray(op.jacobian_fn(u), dtype=float))
 
 
 def domain_project(op: OperatorSpec, u: np.ndarray) -> np.ndarray:

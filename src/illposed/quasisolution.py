@@ -35,7 +35,7 @@ class QuasiResult:
 
     u_delta: np.ndarray
     residual_noisy: float
-    mu_hat: float
+    phi_u: float
     on_boundary: bool
     lambda_star: float
     residual_exact: Optional[float] = None
@@ -81,19 +81,25 @@ def minimize_on_compactum(op: OperatorSpec, f_delta: np.ndarray, K: Compactum,
             lambda v: l2_norm(op.grid, apply(op, v) - f_delta),
             lambda v: project_onto(K, op.grid, domain_project(op, v)))
     residual = l2_norm(op.grid, apply(op, u) - f_delta)
-    boundary = abs(phi_value(K.stab, op.grid, u) - K.rho) <= ON_BOUNDARY_RTOL * K.rho
-    return QuasiResult(u_delta=u, residual_noisy=residual, mu_hat=residual,
-                       on_boundary=boundary, lambda_star=lam)
+    phi_u = phi_value(K.stab, op.grid, u)
+    return QuasiResult(u_delta=u, residual_noisy=residual, phi_u=phi_u,
+                       on_boundary=abs(phi_u - K.rho) <= ON_BOUNDARY_RTOL * K.rho,
+                       lambda_star=lam)
 
 
 def quasi_certificate(res: QuasiResult, op: OperatorSpec, f: np.ndarray,
                       delta: float) -> QuasiCertificate:
-    """Check the discrepancy bounds against the exact data ``f`` (test mode)."""
-    if res.residual_exact is None:
-        res.residual_exact = l2_norm(op.grid, apply(op, res.u_delta) - f)
+    """Check the discrepancy bounds against the exact data ``f`` (test mode).
+
+    Reads ``res.residual_exact`` when it is set and computes it otherwise;
+    ``res`` is left unchanged.
+    """
+    residual_exact = res.residual_exact
+    if residual_exact is None:
+        residual_exact = l2_norm(op.grid, apply(op, res.u_delta) - f)
     tol = 1e-9 * max(1.0, delta)
     slack_24 = 2.0 * delta + tol - res.residual_noisy
-    slack_26 = 3.0 * delta + tol - res.residual_exact
+    slack_26 = 3.0 * delta + tol - residual_exact
     return QuasiCertificate(
         tol=tol,
         bound_24_ok=slack_24 >= 0.0,

@@ -189,21 +189,23 @@ def solve_one(problem: ProblemInstance, method: str, delta: float,
     try:
         if method == METHOD_VARIATIONAL:
             res = minimize_variational(problem.op, f_delta, delta, stab, path)
-            res.residual_exact = l2_norm(grid, apply(problem.op, res.u_delta)
-                                         - problem.f_exact)
+        else:
+            res = minimize_on_compactum(problem.op, f_delta, K, path)
+        res.residual_exact = l2_norm(grid, apply(problem.op, res.u_delta)
+                                     - problem.f_exact)
+        if method == METHOD_VARIATIONAL:
             cert = variational_certificate(res, problem, delta, stab)
             row.F_value = res.F_value
             row.cert_18 = cert.bound_18_ok
             row.cert_19 = cert.bound_19_ok
             row.cert_110 = cert.bound_110_ok
         else:
-            res = minimize_on_compactum(problem.op, f_delta, K, path)
             cert = quasi_certificate(res, problem.op, problem.f_exact, delta)
             row.cert_24 = cert.bound_24_ok
             row.cert_26 = cert.bound_26_ok
         row.residual_noisy = res.residual_noisy
         row.residual_exact = res.residual_exact
-        row.phi_u = phi_value(stab, grid, res.u_delta)
+        row.phi_u = res.phi_u
         row.lambda_star = res.lambda_star
         if problem.y_true is not None:
             row.error_l2 = l2_norm(grid, res.u_delta - problem.y_true)

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InvalidParameterError, SingularSystemError, SolverFailureError
 from .grids import check_vec
 from .operators import (LINEAR_DIAGONAL, OperatorSpec, apply, as_matrix,
-                        dense_operator, jacobian_apply)
+                        dense_operator, jacobian)
 from .stabilizers import Stabilizer, penalty_matrix
 
 EPS = float(np.finfo(float).eps)
@@ -192,20 +192,19 @@ def gauss_newton(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray,
                  project: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Damped Gauss-Newton for a nonlinear A, from the constant profile 1.
 
-    At the iterate u, J = A'(u) is built column by column and the method's own
-    linear problem for J with data f_d - A(u) + J u is solved on its path with
-    ``gap(J, data)``.  The iterate moves toward that point, halving the step
-    until ``objective`` drops, then ``project``s.  It stops when a step lowers
-    the objective by less than GN_RTOL of its value or no step lowers it;
-    after GN_MAX_ITER steps it raises :class:`SolverFailureError` carrying the
-    iterate.
+    At the iterate u the operator builds its Jacobian matrix J = A'(u) once,
+    and the method's own linear problem for J with data f_d - A(u) + J u is
+    solved on its path with ``gap(J, data)``.  The iterate moves toward that
+    point, halving the step until ``objective`` drops, then ``project``s.  It
+    stops when a step lowers the objective by less than GN_RTOL of its value or
+    no step lowers it; after GN_MAX_ITER steps it raises
+    :class:`SolverFailureError` carrying the iterate.
     """
-    columns = np.eye(op.grid.n)
     u = project(np.ones(op.grid.n))
     value = objective(u)
     for _ in range(GN_MAX_ITER):
-        jac = np.column_stack([jacobian_apply(op, u, e) for e in columns])
-        lin = dense_operator(op.grid, jac, injective=False)
+        jac = jacobian(op, u)
+        lin = dense_operator(op.grid, jac)
         data = f_delta - apply(op, u) + jac @ u
         _, target = solve_on_path(TikhonovPath(lin, stab), data, gap(lin, data))
         step = 1.0

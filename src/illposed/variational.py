@@ -39,7 +39,6 @@ class VariationalResult:
     residual_noisy: float
     phi_u: float
     lambda_star: float
-    m_hat: float
     residual_exact: Optional[float] = None
 
 
@@ -48,9 +47,10 @@ class VariationalCertificate:
     """Verdicts for the three a priori inequalities the theory guarantees.
 
     With c1 = 1 + phi(y) and c = c1 + 1 the checks are
-    m_hat <= c1*delta, F(u_delta) <= c*delta and phi(u_delta) <= c,
-    each padded by ``tol``.  Slacks are threshold minus value, so a passing
-    bound has nonnegative slack.
+    F(u_delta) <= c1*delta, F(u_delta) <= c*delta and phi(u_delta) <= c,
+    each padded by ``tol``; the first stands in for inf F <= c1*delta, as
+    u_delta attains the smallest F value found.  Slacks are threshold minus
+    value, so a passing bound has nonnegative slack.
     """
 
     c1: float
@@ -80,13 +80,12 @@ def f_functional(op: OperatorSpec, f_delta: np.ndarray, delta: float,
 def minimize_variational(op: OperatorSpec, f_delta: np.ndarray, delta: float,
                          stab: Stabilizer,
                          path: Optional[TikhonovPath] = None) -> VariationalResult:
-    """Return a near-minimizer u_delta of F with F(u_delta) <= m_hat + delta.
+    """Return a near-minimizer u_delta of F, with ``F_value`` = F(u_delta).
 
     For linear A, u_delta is the minimizer of F on the Tikhonov path: ``path``,
     the path of (op, stab) that a caller shares across data, or a new one.
-    ``m_hat`` is the smallest F value found (the computable stand-in for the
-    true infimum); the returned point attains it, so the near-minimizer
-    contract holds with room to spare.
+    ``F_value`` is the smallest F value found, the computable stand-in for the
+    true infimum, so the near-minimizer contract holds with room to spare.
     """
     if delta <= 0.0:
         raise InvalidParameterError(f"delta must be positive, got {delta}")
@@ -109,9 +108,8 @@ def minimize_variational(op: OperatorSpec, f_delta: np.ndarray, delta: float,
             lambda v: domain_project(op, v))
     residual = l2_norm(op.grid, apply(op, u) - f_delta)
     phi_u = phi_value(stab, op.grid, u)
-    F_value = residual + delta * phi_u
-    return VariationalResult(u_delta=u, F_value=F_value, residual_noisy=residual,
-                             phi_u=phi_u, lambda_star=lam, m_hat=F_value)
+    return VariationalResult(u_delta=u, F_value=residual + delta * phi_u,
+                             residual_noisy=residual, phi_u=phi_u, lambda_star=lam)
 
 
 def variational_certificate(res: VariationalResult, problem, delta: float,
@@ -129,7 +127,7 @@ def variational_certificate(res: VariationalResult, problem, delta: float,
     c1 = 1.0 + phi_y
     c = c1 + 1.0
     tol = 1e-9 * max(1.0, c * delta)
-    slack_18 = c1 * delta + tol - res.m_hat
+    slack_18 = c1 * delta + tol - res.F_value
     slack_19 = c * delta + tol - res.F_value
     slack_110 = c + tol - res.phi_u
     return VariationalCertificate(

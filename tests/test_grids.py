@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from illposed import (Grid, GridMismatchError, NonFiniteError, inner_product,
-                      l2_norm, load_vector, save_vector)
+from illposed import Grid, GridMismatchError, NonFiniteError, inner_product, l2_norm
 
 
 def test_grid_validation():
@@ -71,10 +70,3 @@ def test_non_finite_vector_rejected():
         l2_norm(Grid(5), v)
     assert err.value.index == 3
 
-
-def test_vector_csv_roundtrip(tmp_path, rng):
-    v = rng.standard_normal(20) * 10.0 ** rng.integers(-8, 8, size=20)
-    path = tmp_path / "v.csv"
-    save_vector(path, v)
-    assert np.array_equal(load_vector(path), v)
-    assert len(path.read_text().splitlines()) == 20

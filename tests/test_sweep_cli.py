@@ -119,13 +119,14 @@ def test_sweep_row_and_column_contract(tmp_path):
 
 
 def test_sweep_is_deterministic(tmp_path):
-    config = dict(problem="volterra-int", n=32, method="both",
-                  deltas=(1e-1, 1e-3), seed=42)
-    first = run_sweep(SweepConfig(**config, out=str(tmp_path / "a.csv")))
-    run_sweep(SweepConfig(**config, out=str(tmp_path / "b.csv")))
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    assert first.error_decreasing("variational") is True
-    assert first.error_decreasing("quasi") is True
+    for problem, n in (("volterra-int", 32), ("autoconv", 16)):
+        config = dict(problem=problem, n=n, method="both", deltas=(1e-1, 1e-3), seed=42)
+        first = run_sweep(SweepConfig(**config, out=str(tmp_path / "a.csv")))
+        run_sweep(SweepConfig(**config, out=str(tmp_path / "b.csv")))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert all(row.solver_error is None for row in first.rows), problem
+        assert first.error_decreasing("variational") is True, problem
+        assert first.error_decreasing("quasi") is True, problem
 
 
 def test_rows_sorted_descending_regardless_of_config_order():
@@ -348,18 +349,24 @@ def test_one_decomposition_per_sweep(name, monkeypatch):
 
 def test_gauss_newton_decomposes_once_per_step(monkeypatch):
     calls = count_decompositions(monkeypatch)
-    steps = []
-    dense_operator = tikhonov.dense_operator
+    steps, jacobians = [], []
+    dense_operator, jacobian = tikhonov.dense_operator, tikhonov.jacobian
 
     def counted(*args, **kwargs):  # one linearized operator per step
         steps.append(1)
         return dense_operator(*args, **kwargs)
 
+    def counted_jacobian(*args, **kwargs):
+        jacobians.append(1)
+        return jacobian(*args, **kwargs)
+
     monkeypatch.setattr(tikhonov, "dense_operator", counted)
+    monkeypatch.setattr(tikhonov, "jacobian", counted_jacobian)
     report = run_sweep(SweepConfig(problem="autoconv", n=16, deltas=(1e-1, 1e-2)))
     assert all(row.solver_error is None for row in report.rows)
     assert len(steps) > len(report.rows)
     assert len(calls) == len(steps)
+    assert len(jacobians) == len(steps)
 
 
 @pytest.mark.parametrize("alpha0", [0.0, 1.0])

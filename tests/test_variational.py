@@ -6,7 +6,7 @@ from illposed import (CertificateUnavailableError, Grid,
                       SingularSystemError, SolverFailureError, Stabilizer,
                       SweepConfig, VariationalResult, apply, build_problem,
                       dense_operator, diagonal_operator, f_functional,
-                      identity_operator, inject_noise, jacobian_apply,
+                      identity_operator, inject_noise, jacobian,
                       l2_norm, minimize_variational, phi_value, run_sweep,
                       tikhonov, tikhonov_point, variational_certificate)
 from illposed.tikhonov import TikhonovPath
@@ -83,7 +83,7 @@ def test_tikhonov_matches_diagonal_closed_form(lam, rng):
 def test_singular_system_names_lambda(default_stab):
     g = Grid(4)
     row = np.array([1.0, 2.0, 3.0, 4.0])
-    op = dense_operator(g, np.outer(np.ones(4), row), injective=False)
+    op = dense_operator(g, np.outer(np.ones(4), row))
     with pytest.raises(SingularSystemError) as err:
         tikhonov_point(op, default_stab, np.ones(4), 0.0)
     assert err.value.lam == 0.0
@@ -142,7 +142,6 @@ def test_result_invariants(default_stab):
     res = minimize_variational(p.op, noisy.f_delta, delta, default_stab)
     assert res.F_value == pytest.approx(res.residual_noisy + delta * res.phi_u,
                                         rel=1e-10)
-    assert res.m_hat <= res.F_value * (1 + 1e-15)
     assert res.lambda_star > 0.0
 
 
@@ -156,7 +155,7 @@ def test_certificate_chain_diag(default_stab, delta):
     assert res.phi_u <= 2.0 + phi_y + 1e-9
     # the infimum estimate sits below the value at the truth
     f_at_truth = f_functional(p.op, noisy.f_delta, delta, default_stab, p.y_true)
-    assert res.m_hat <= f_at_truth + 1e-9
+    assert res.F_value <= f_at_truth + 1e-9
     assert f_at_truth <= (1.0 + phi_y) * delta + 1e-9
 
 
@@ -171,18 +170,22 @@ def test_certificate_thresholds_forced_by_arithmetic(default_stab):
     assert phi_value(stab, g, y) == pytest.approx(4.0, rel=1e-14)
     delta = 0.01
 
-    def cert_for(m_hat, F_value, phi_u):
+    def cert_for(F_value, phi_u):
         res = VariationalResult(u_delta=y, F_value=F_value, residual_noisy=0.0,
-                                phi_u=phi_u, lambda_star=1.0, m_hat=m_hat)
+                                phi_u=phi_u, lambda_star=1.0)
         return variational_certificate(res, problem, delta, stab)
 
-    passing = cert_for(m_hat=0.05, F_value=0.06, phi_u=6.0)
+    passing = cert_for(F_value=0.05, phi_u=6.0)
     assert passing.c1 == pytest.approx(5.0) and passing.c == pytest.approx(6.0)
     assert passing.all_ok
     assert min(passing.slack_18, passing.slack_19, passing.slack_110) >= 0.0
-    assert not cert_for(m_hat=0.0500001, F_value=0.06, phi_u=6.0).bound_18_ok
-    assert not cert_for(m_hat=0.05, F_value=0.0600001, phi_u=6.0).bound_19_ok
-    assert not cert_for(m_hat=0.05, F_value=0.06, phi_u=6.0001).bound_110_ok
+    # each bound flips on its own input: F over 5*delta fails (1.8) only,
+    # F over 6*delta fails (1.9) as well, phi over 6 fails (1.10) only
+    only_18 = cert_for(F_value=0.0500001, phi_u=6.0)
+    assert not only_18.bound_18_ok and only_18.bound_19_ok and only_18.bound_110_ok
+    assert not cert_for(F_value=0.0600001, phi_u=6.0).bound_19_ok
+    only_110 = cert_for(F_value=0.05, phi_u=6.0001)
+    assert only_110.bound_18_ok and only_110.bound_19_ok and not only_110.bound_110_ok
 
 
 def test_corrupted_solution_fails_certificates(default_stab):
@@ -196,7 +199,7 @@ def test_corrupted_solution_fails_certificates(default_stab):
         u_delta=bad, F_value=bad_F,
         residual_noisy=l2_norm(p.grid, apply(p.op, bad) - noisy.f_delta),
         phi_u=phi_value(default_stab, p.grid, bad),
-        lambda_star=res.lambda_star, m_hat=bad_F)
+        lambda_star=res.lambda_star)
     cert = variational_certificate(corrupted, p, delta, default_stab)
     assert not cert.all_ok
 
@@ -234,7 +237,7 @@ def test_gradient_matches_central_differences(default_stab, rng):
         u = np.abs(1.0 + 0.3 * rng.standard_normal(p.grid.n))
         v = rng.standard_normal(p.grid.n)
         r = apply(p.op, u) - noisy.f_delta
-        analytic = float(np.sum(gram * r * jacobian_apply(p.op, u, v)))
+        analytic = float(np.sum(gram * r * (jacobian(p.op, u) @ v)))
         eps = 1e-5
         numeric = (half_residual_sq(u + eps * v) - half_residual_sq(u - eps * v)) / (2 * eps)
         assert numeric == pytest.approx(analytic, rel=1e-6)

@@ -17,9 +17,10 @@ from .gallery import (ConditionReport, ProblemInstance, build_problem,
                       condition_report)
 from .grids import Grid, inner_product, l2_norm
 from .noise import NoisyData, inject_noise
-from .operators import (OperatorSpec, adjoint_apply, apply, as_matrix,
-                        dense_operator, diagonal_operator, domain_project,
-                        identity_operator, jacobian, nonlinear_operator)
+from .operators import (OperatorSpec, apply, as_matrix, dense_operator,
+                        diagonal_operator, domain_project, identity_operator,
+                        jacobian, nonlinear_operator, normal_matrix,
+                        weighted_transpose)
 from .oracle import (SearchBox, brute_force_minimize, refine_1d,
                      refine_coordinatewise)
 from .quasisolution import (QuasiCertificate, QuasiResult,
@@ -28,7 +29,7 @@ from .stabilizers import (Compactum, Stabilizer, contains, penalty_matrix,
                           phi_batch, phi_value, project_onto)
 from .sweep import (SweepConfig, SweepReport, SweepRow, parse_config_file,
                     run_solve, run_sweep)
-from .tikhonov import TikhonovPath, tikhonov_point
+from .tikhonov import TikhonovPath
 from .variational import (VariationalCertificate, VariationalResult,
                           f_functional, minimize_variational,
                           variational_certificate)

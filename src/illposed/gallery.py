@@ -13,12 +13,13 @@ norms that diverge together as the grid is refined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, UnsupportedOperatorError
+from .errors import ConfigurationError
 from .grids import Grid
 from .operators import (OperatorSpec, apply, as_matrix, dense_operator,
                         diagonal_operator, nonlinear_operator)
@@ -106,6 +107,10 @@ def build_problem(name: str, n: int, sigma: float = 0.1,
     # driver, which requires n >= 4
     if n < 3:
         raise ConfigurationError(f"gallery problems need n >= 3, got n={n}")
+    if not (sigma > 0.0 and np.finfo(float).tiny <= sigma * sigma < math.inf):
+        raise ConfigurationError(
+            f"kernel width sigma must be positive with a normal, finite square, "
+            f"got {sigma}")
     grid = Grid(n, a, b)
     x = grid.nodes
 
@@ -146,10 +151,7 @@ def build_problem(name: str, n: int, sigma: float = 0.1,
 
 
 def condition_report(p: ProblemInstance) -> ConditionReport:
-    """Extreme singular values of the operator as a map of the weighted space."""
-    if not p.op.is_linear:
-        raise UnsupportedOperatorError(
-            f"condition report needs a linear operator; {p.name!r} is nonlinear")
+    """Extreme singular values of a linear operator as a map of the weighted space."""
     M = as_matrix(p.op)
     s = np.sqrt(p.grid.weights)
     sv = np.linalg.svd((s[:, None] * M) / s[None, :], compute_uv=False)

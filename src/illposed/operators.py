@@ -1,8 +1,10 @@
 """Forward operators: dense or diagonal linear maps, and nonlinear maps.
 
-Adjoints are taken with respect to the trapezoid-weighted inner product of
-the grid, so ``inner(A u, v) == inner(u, adjoint_apply(A, v))`` holds for the
-weighted geometry, not the plain matrix transpose.
+This module alone tells the kinds apart.  The weighted normal equations of a
+linear A are built here: ``normal_matrix`` gives N = A^T W A and
+``weighted_transpose`` gives A^T W v, W the Gram diagonal of the grid, so
+``u @ weighted_transpose(A, v) == inner(A u, v)`` in the trapezoid-weighted
+geometry.
 """
 
 from __future__ import annotations
@@ -100,16 +102,23 @@ def apply(op: OperatorSpec, u: np.ndarray) -> np.ndarray:
     return _check_output(op, out)
 
 
-def adjoint_apply(op: OperatorSpec, v: np.ndarray) -> np.ndarray:
-    """Evaluate the adjoint of a linear A in the weighted inner product."""
-    if not op.is_linear:
-        raise UnsupportedOperatorError("adjoint is only defined for linear operators")
-    v = check_vec(op.grid, v, "adjoint input")
+def normal_matrix(op: OperatorSpec) -> np.ndarray:
+    """N = A^T W A of a linear A, W the Gram diagonal of the grid."""
+    w = op.grid.gram_diagonal
     if op.kind == LINEAR_DIAGONAL:
-        out = op.diagonal * v
+        return np.diag(op.diagonal ** 2 * w)
+    M = as_matrix(op)
+    return M.T @ (w[:, None] * M)
+
+
+def weighted_transpose(op: OperatorSpec, v: np.ndarray) -> np.ndarray:
+    """A^T W v of a linear A, W the Gram diagonal of the grid."""
+    v = check_vec(op.grid, v, "transpose input")
+    w = op.grid.gram_diagonal
+    if op.kind == LINEAR_DIAGONAL:
+        out = op.diagonal * w * v
     else:
-        w = op.grid.weights
-        out = (op.matrix.T @ (w * v)) / w
+        out = as_matrix(op).T @ (w * v)
     return _check_output(op, out)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .grids import check_vec, l2_norm
 from .operators import OperatorSpec, apply, domain_project
 from .stabilizers import Compactum, phi_value, project_onto
-from .tikhonov import TikhonovPath, gauss_newton, solve_on_path
+from .tikhonov import TikhonovPath, solve
 
 ON_BOUNDARY_RTOL = 1e-8
 
@@ -38,7 +38,6 @@ class QuasiResult:
     phi_u: float
     on_boundary: bool
     lambda_star: float
-    residual_exact: Optional[float] = None
 
 
 @dataclass
@@ -67,19 +66,15 @@ def minimize_on_compactum(op: OperatorSpec, f_delta: np.ndarray, K: Compactum,
     """
     f_delta = check_vec(op.grid, f_delta, "data")
 
-    def slack(t: float, u: np.ndarray) -> float:
+    def slack(lin: OperatorSpec, data: np.ndarray, t: float, u: np.ndarray) -> float:
         # log(rho / phi(u_lam)) is nonnegative exactly on the feasible side, so
         # lam = 0 (an inactive constraint) when the least-squares point is feasible
         phi = phi_value(K.stab, op.grid, u)
         return math.log(K.rho / phi) if phi > 0.0 else math.inf
 
-    if op.is_linear:
-        lam, u = solve_on_path(path or TikhonovPath(op, K.stab), f_delta, slack)
-    else:
-        lam, u = float("nan"), gauss_newton(
-            op, K.stab, f_delta, lambda lin, data: slack,
-            lambda v: l2_norm(op.grid, apply(op, v) - f_delta),
-            lambda v: project_onto(K, op.grid, domain_project(op, v)))
+    lam, u = solve(op, K.stab, f_delta, slack,
+                   lambda v: l2_norm(op.grid, apply(op, v) - f_delta),
+                   lambda v: project_onto(K, op.grid, domain_project(op, v)), path)
     residual = l2_norm(op.grid, apply(op, u) - f_delta)
     phi_u = phi_value(K.stab, op.grid, u)
     return QuasiResult(u_delta=u, residual_noisy=residual, phi_u=phi_u,
@@ -87,16 +82,12 @@ def minimize_on_compactum(op: OperatorSpec, f_delta: np.ndarray, K: Compactum,
                        lambda_star=lam)
 
 
-def quasi_certificate(res: QuasiResult, op: OperatorSpec, f: np.ndarray,
+def quasi_certificate(res: QuasiResult, residual_exact: float,
                       delta: float) -> QuasiCertificate:
-    """Check the discrepancy bounds against the exact data ``f`` (test mode).
+    """Check the discrepancy bounds, given ``residual_exact`` = ||A(u_delta) - f||.
 
-    Reads ``res.residual_exact`` when it is set and computes it otherwise;
-    ``res`` is left unchanged.
+    The exact data f are known in test mode only; ``res`` is left unchanged.
     """
-    residual_exact = res.residual_exact
-    if residual_exact is None:
-        residual_exact = l2_norm(op.grid, apply(op, res.u_delta) - f)
     tol = 1e-9 * max(1.0, delta)
     slack_24 = 2.0 * delta + tol - res.residual_noisy
     slack_26 = 3.0 * delta + tol - residual_exact

@@ -10,6 +10,7 @@ console summary and to the in-memory report instead).
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -73,6 +74,12 @@ class SweepConfig:
             raise ConfigurationError("at least one noise level is required")
         if any(d <= 0.0 for d in self.deltas):
             raise ConfigurationError("noise levels must be strictly positive")
+        if not all(math.isfinite(d * d) for d in self.deltas):
+            raise ConfigurationError(
+                "noise levels must have a finite square, below 1.34e154")
+        if len(set(self.deltas)) != len(self.deltas):
+            # each level's seed is its position, so a repeat would reseed a row
+            raise ConfigurationError("noise levels must not repeat")
         if self.n < 4:
             raise ConfigurationError(f"n must be at least 4, got {self.n}")
 
@@ -191,8 +198,7 @@ def solve_one(problem: ProblemInstance, method: str, delta: float,
             res = minimize_variational(problem.op, f_delta, delta, stab, path)
         else:
             res = minimize_on_compactum(problem.op, f_delta, K, path)
-        res.residual_exact = l2_norm(grid, apply(problem.op, res.u_delta)
-                                     - problem.f_exact)
+        residual_exact = l2_norm(grid, apply(problem.op, res.u_delta) - problem.f_exact)
         if method == METHOD_VARIATIONAL:
             cert = variational_certificate(res, problem, delta, stab)
             row.F_value = res.F_value
@@ -200,11 +206,11 @@ def solve_one(problem: ProblemInstance, method: str, delta: float,
             row.cert_19 = cert.bound_19_ok
             row.cert_110 = cert.bound_110_ok
         else:
-            cert = quasi_certificate(res, problem.op, problem.f_exact, delta)
+            cert = quasi_certificate(res, residual_exact, delta)
             row.cert_24 = cert.bound_24_ok
             row.cert_26 = cert.bound_26_ok
         row.residual_noisy = res.residual_noisy
-        row.residual_exact = res.residual_exact
+        row.residual_exact = residual_exact
         row.phi_u = res.phi_u
         row.lambda_star = res.lambda_star
         if problem.y_true is not None:
@@ -240,7 +246,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     path = TikhonovPath(problem.op, stab) if problem.op.is_linear else None
     seeds = {delta: delta_seed(config, j) for j, delta in enumerate(config.deltas)}
     report = SweepReport(config=config)
-    for delta in sorted(set(config.deltas), reverse=True):
+    for delta in sorted(config.deltas, reverse=True):
         noisy = inject_noise(problem.grid, problem.f_exact, delta, seeds[delta],
                              mode=config.noise_mode)
         for method in config.methods:

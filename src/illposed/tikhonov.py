@@ -12,7 +12,10 @@ both methods of a sweep.
 
 A nonlinear A is solved by damped Gauss-Newton whose steps are these linear
 problems for the Jacobian (Kaltenbacher, Neubauer & Scherzer, *Iterative
-Regularization Methods for Nonlinear Ill-Posed Problems*, 2008).
+Regularization Methods for Nonlinear Ill-Posed Problems*, 2008).  :func:`solve`
+is the one place that chooses between the two.  Each method states its scalar
+equation as a :data:`Gap` ``gap(lin, data, t, u)``: the linear operator ``lin``
+and data of the problem on whose path ``u`` = u_lam lies, t = log(lam).
 """
 
 from __future__ import annotations
@@ -24,19 +27,19 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidParameterError, SingularSystemError, SolverFailureError
-from .grids import check_vec
-from .operators import (LINEAR_DIAGONAL, OperatorSpec, apply, as_matrix,
-                        dense_operator, jacobian)
+from .operators import (OperatorSpec, apply, dense_operator, jacobian,
+                        normal_matrix, weighted_transpose)
 from .stabilizers import Stabilizer, penalty_matrix
 
 EPS = float(np.finfo(float).eps)
+T_CEIL = math.log(np.finfo(float).max)  # the largest log(lam) whose lam is a float
 ROOT_TOL = 1e-10      # accepted value of the scalar equation, from its nonnegative side
 ROOT_MAX_ITER = 100   # evaluations per root find, bracket search included
 GN_MAX_ITER = 100     # Gauss-Newton steps per nonlinear solve
 GN_RTOL = 1e-3        # stop once a step lowers the objective by less than this fraction
 GN_MIN_STEP = 2.0 ** -30  # a step damped below this length fraction ends the solve
 
-Gap = Callable[[float, np.ndarray], float]  # of log(lam) and u_lam
+Gap = Callable[[OperatorSpec, np.ndarray, float, np.ndarray], float]
 
 
 class TikhonovPath:
@@ -56,14 +59,9 @@ class TikhonovPath:
     @functools.cached_property
     def spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
         """(theta, V); raises :class:`SingularSystemError` where B is singular."""
-        op, w = self.op, self.op.grid.gram_diagonal
         # P first (its assembly needs the most scratch), then N, and B = P + N in place
-        pencil = penalty_matrix(self.stab, op.grid)
-        if op.kind == LINEAR_DIAGONAL:
-            normal = np.diag(op.diagonal ** 2 * w)
-        else:
-            M = as_matrix(op)
-            normal = M.T @ (w[:, None] * M)
+        pencil = penalty_matrix(self.stab, self.op.grid)
+        normal = normal_matrix(self.op)
         pencil += normal
         try:
             # B = L L^T turns the pencil into the symmetric L^-1 N L^-T
@@ -73,7 +71,7 @@ class TikhonovPath:
         del pencil
         theta, vectors = np.linalg.eigh(inv_l @ normal @ inv_l.T)
         theta = np.clip(theta, 0.0, 1.0)
-        theta[theta <= op.grid.n * EPS * theta.max()] = 0.0
+        theta[theta <= self.op.grid.n * EPS * theta.max()] = 0.0
         return theta, inv_l.T @ vectors
 
     @property
@@ -88,12 +86,7 @@ class TikhonovPath:
 
     def coefficients(self, f_delta: np.ndarray) -> np.ndarray:
         """c = V^T A^T W f_d, the only part of the path that depends on the data."""
-        op, w = self.op, self.op.grid.gram_diagonal
-        if op.kind == LINEAR_DIAGONAL:
-            rhs = op.diagonal * w * f_delta
-        else:
-            rhs = as_matrix(op).T @ (w * f_delta)
-        return self.spectrum[1].T @ rhs
+        return self.spectrum[1].T @ weighted_transpose(self.op, f_delta)
 
     def point(self, lam: float, coef: np.ndarray) -> np.ndarray:
         """u_lam of the data with coefficients ``coef``.
@@ -109,29 +102,26 @@ class TikhonovPath:
         return vectors @ (coef / values)
 
 
-def tikhonov_point(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray,
-                   lam: float) -> np.ndarray:
-    """Unique minimizer of ||A u - f_delta||^2 + lam * phi(u) for linear A."""
-    f_delta = check_vec(op.grid, f_delta, "data")
-    path = TikhonovPath(op, stab)
-    try:
-        return path.point(lam, path.coefficients(f_delta))
-    except SingularSystemError as exc:
-        raise SingularSystemError(
-            f"normal-equations system is singular at lambda={lam}: {exc}", lam=lam) from exc
+def solve(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: Gap,
+          objective: Callable[[np.ndarray], float],
+          project: Callable[[np.ndarray], np.ndarray],
+          path: Optional[TikhonovPath] = None) -> Tuple[float, np.ndarray]:
+    """(lam, u) at the root of ``gap``, which is nondecreasing in lam.
 
-
-def solve_on_path(path: TikhonovPath, f_delta: np.ndarray,
-                  gap: Gap) -> Tuple[float, np.ndarray]:
-    """(lam, u_lam) at the root of ``gap(log(lam), u_lam)``, nondecreasing in lam.
-
-    lam = 0 when the gap is nonnegative along the whole path, or the floor
-    ``exp(t_floor)`` when a zero pencil value leaves no point at lam = 0.  A
-    singular pencil fails the solve like a root find that does not converge.
+    A linear A is solved on ``path``, the path of (op, stab) that a caller
+    shares across data, or a new one.  lam = 0 when the gap is nonnegative
+    along the whole path, or the floor ``exp(t_floor)`` when a zero pencil
+    value leaves no point at lam = 0; a singular pencil fails the solve like a
+    root find that does not converge.  A nonlinear A is solved by
+    :func:`gauss_newton` with ``objective`` and ``project``, and lam is nan.
     """
+    if not op.is_linear:
+        return math.nan, gauss_newton(op, stab, f_delta, gap, objective, project)
+    path = path or TikhonovPath(op, stab)
     try:
         coef = path.coefficients(f_delta)
-        t = path_root(lambda t: gap(t, path.point(math.exp(t), coef)), path.t_floor)
+        t = path_root(lambda t: gap(op, f_delta, t, path.point(math.exp(t), coef)),
+                      path.t_floor)
         if t is not None:
             lam = math.exp(t)
         else:
@@ -145,9 +135,11 @@ def path_root(fn: Callable[[float], float], t_floor: float) -> Optional[float]:
     """Root of a nondecreasing ``fn`` of t = log(lam), from its nonnegative side.
 
     The bracket search starts at lam = 1, where every pencil value is 1, and
-    doubles its steps; Illinois regula falsi, safeguarded by bisection, closes
-    the bracket to 0 <= fn <= ROOT_TOL or to float resolution.  None when fn
-    is nonnegative down to ``t_floor``, below which the path is constant.
+    doubles its steps up to T_CEIL; Illinois regula falsi, safeguarded by
+    bisection, closes the bracket to 0 <= fn <= ROOT_TOL or to float
+    resolution.  None when fn is nonnegative down to ``t_floor``, below which
+    the path is constant; :class:`SolverFailureError` when fn is negative up
+    to T_CEIL.
     """
     calls = 0
 
@@ -162,12 +154,15 @@ def path_root(fn: Callable[[float], float], t_floor: float) -> Optional[float]:
     t, f_t = 0.0, value(0.0)
     step = -1.0 if f_t >= 0.0 else 1.0
     while True:
-        s = max(t + step, t_floor)
+        s = min(max(t + step, t_floor), T_CEIL)
         f_s = value(s)
         if (f_s >= 0.0) != (f_t >= 0.0):
             break
         if s == t_floor:
             return None
+        if s == T_CEIL:
+            raise SolverFailureError(
+                f"path root lies beyond the largest float lambda {math.exp(T_CEIL):g}")
         t, f_t, step = s, f_s, 2.0 * step
     (lo, g_lo), (hi, f_hi) = sorted([(t, f_t), (s, f_s)])
 
@@ -186,16 +181,15 @@ def path_root(fn: Callable[[float], float], t_floor: float) -> Optional[float]:
     return hi
 
 
-def gauss_newton(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray,
-                 gap: Callable[[OperatorSpec, np.ndarray], Gap],
+def gauss_newton(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: Gap,
                  objective: Callable[[np.ndarray], float],
                  project: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Damped Gauss-Newton for a nonlinear A, from the constant profile 1.
 
     At the iterate u the operator builds its Jacobian matrix J = A'(u) once,
     and the method's own linear problem for J with data f_d - A(u) + J u is
-    solved on its path with ``gap(J, data)``.  The iterate moves toward that
-    point, halving the step until ``objective`` drops, then ``project``s.  It
+    solved on its path with ``gap``.  The iterate moves toward that point,
+    halving the step until ``objective`` drops, then ``project``s.  It
     stops when a step lowers the objective by less than GN_RTOL of its value or
     no step lowers it; after GN_MAX_ITER steps it raises
     :class:`SolverFailureError` carrying the iterate.
@@ -206,7 +200,7 @@ def gauss_newton(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray,
         jac = jacobian(op, u)
         lin = dense_operator(op.grid, jac)
         data = f_delta - apply(op, u) + jac @ u
-        _, target = solve_on_path(TikhonovPath(lin, stab), data, gap(lin, data))
+        _, target = solve(lin, stab, data, gap, objective, project)
         step = 1.0
         while True:
             trial = project(u + step * (target - u))

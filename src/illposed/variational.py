@@ -27,7 +27,7 @@ from .errors import CertificateUnavailableError, InvalidParameterError
 from .grids import check_vec, l2_norm
 from .operators import OperatorSpec, apply, domain_project
 from .stabilizers import Stabilizer, phi_value
-from .tikhonov import TikhonovPath, gauss_newton, solve_on_path
+from .tikhonov import TikhonovPath, solve
 
 
 @dataclass
@@ -39,7 +39,6 @@ class VariationalResult:
     residual_noisy: float
     phi_u: float
     lambda_star: float
-    residual_exact: Optional[float] = None
 
 
 @dataclass
@@ -91,21 +90,14 @@ def minimize_variational(op: OperatorSpec, f_delta: np.ndarray, delta: float,
         raise InvalidParameterError(f"delta must be positive, got {delta}")
     f_delta = check_vec(op.grid, f_delta, "data")
 
-    def stationarity_gap(lin: OperatorSpec, data: np.ndarray):
-        def gap(t: float, u: np.ndarray) -> float:
-            # log(lam / (2*delta*r)): F decreases along the path while negative
-            r = l2_norm(lin.grid, apply(lin, u) - data)
-            return t - math.log(2.0 * delta * r) if r > 0.0 else math.inf
-        return gap
+    def gap(lin: OperatorSpec, data: np.ndarray, t: float, u: np.ndarray) -> float:
+        # log(lam / (2*delta*r)): F decreases along the path while negative
+        r = l2_norm(lin.grid, apply(lin, u) - data)
+        return t - math.log(2.0 * delta * r) if r > 0.0 else math.inf
 
-    if op.is_linear:
-        lam, u = solve_on_path(path or TikhonovPath(op, stab), f_delta,
-                               stationarity_gap(op, f_delta))
-    else:
-        lam, u = float("nan"), gauss_newton(
-            op, stab, f_delta, stationarity_gap,
-            lambda v: f_functional(op, f_delta, delta, stab, v),
-            lambda v: domain_project(op, v))
+    lam, u = solve(op, stab, f_delta, gap,
+                   lambda v: f_functional(op, f_delta, delta, stab, v),
+                   lambda v: domain_project(op, v), path)
     residual = l2_norm(op.grid, apply(op, u) - f_delta)
     phi_u = phi_value(stab, op.grid, u)
     return VariationalResult(u_delta=u, F_value=residual + delta * phi_u,

@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from illposed import (Compactum, ConfigurationError, Stabilizer, SweepConfig,
@@ -36,6 +36,8 @@ def test_config_validation():
         SweepConfig(problem="diag-unbounded", seed=-1)
     with pytest.raises(ConfigurationError):
         SweepConfig(problem="diag-unbounded", noise_mode="loud")
+    with pytest.raises(ConfigurationError):  # the repeat would take a new seed
+        SweepConfig(problem="diag-unbounded", deltas=(1e-1, 1e-2, 1e-2))
 
 
 def test_config_file_parsing(tmp_path):
@@ -166,6 +168,10 @@ def test_cli_solve_exit_zero(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "all-certificates-pass: True" in out
+    # the variational lambda is about 2e240 here, far beyond the doubling bracket
+    for name in LINEAR:
+        assert main(["solve", "--problem", name, "--n", "16", "--delta", "1e120"]) == 0
+        assert "all-certificates-pass: True" in capsys.readouterr().out
 
 
 def test_cli_solve_writes_out(tmp_path, capsys):
@@ -194,8 +200,14 @@ def test_cli_rejects_bad_config(capsys):
     assert main(["solve", "--problem", "volterra-int", "--method", "bayes"]) == 1
     assert main(["sweep", "--problem", "volterra-int", "--seed", "-1"]) == 1
     assert main(["sweep", "--problem", "volterra-int", "--no-such-flag", "1"]) == 1
+    assert main(["sweep", "--problem", "volterra-int", "--deltas", "1e-1,1e200"]) == 1
+    # a bad kernel width fails before the kernel is built, so before any
+    # RuntimeWarning of numpy
+    for sigma in ("-1", "0", "1e-200", "nan", "inf"):
+        assert main(["solve", "--problem", "fredholm-gauss", "--n", "16",
+                     "--sigma=" + sigma]) == 1, sigma
     err = capsys.readouterr().err
-    assert err.count("error:") == 10
+    assert err.count("error:") == 16
     assert "could not convert string to float: 'abc'" in err
 
 
@@ -275,6 +287,9 @@ LINEAR = ("diag-unbounded", "volterra-int", "fredholm-gauss")
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
+# a root beyond the largest float lambda is a named failure, not an overflow
+@example(name="volterra-int", n=16, alpha0=1.0, alpha1=1.0, deltas=[1e120, 1.3e154],
+         rho_factor=1.5, seed=0)
 @given(name=st.sampled_from(LINEAR),
        n=st.integers(4, 48),
        alpha0=st.one_of(st.just(0.0), log_uniform(1e-3, 10.0)),

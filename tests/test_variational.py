@@ -8,10 +8,16 @@ from illposed import (CertificateUnavailableError, Grid,
                       dense_operator, diagonal_operator, f_functional,
                       identity_operator, inject_noise, jacobian,
                       l2_norm, minimize_variational, phi_value, run_sweep,
-                      tikhonov, tikhonov_point, variational_certificate)
+                      tikhonov, variational_certificate)
 from illposed.tikhonov import TikhonovPath
 
 DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)
+
+
+def path_point(op, stab, f_delta, lam):
+    """The minimizer of ||A u - f_delta||^2 + lam * phi(u) on a fresh path."""
+    path = TikhonovPath(op, stab)
+    return path.point(lam, path.coefficients(f_delta))
 
 
 # --- the functional ----------------------------------------------------------
@@ -56,13 +62,13 @@ def test_nonpositive_delta_rejected(default_stab):
 def test_tikhonov_identity_at_zero_returns_data(default_stab, rng):
     g = Grid(10)
     f_delta = rng.standard_normal(10)
-    u = tikhonov_point(identity_operator(g), default_stab, f_delta, 0.0)
+    u = path_point(identity_operator(g), default_stab, f_delta, 0.0)
     assert np.allclose(u, f_delta, rtol=1e-10, atol=1e-14)
 
 
 def test_tikhonov_huge_penalty_crushes_solution(default_stab):
     p = build_problem("diag-unbounded", 16)
-    u = tikhonov_point(p.op, default_stab, p.f_exact, 1e12)
+    u = path_point(p.op, default_stab, p.f_exact, 1e12)
     assert l2_norm(p.grid, u) <= 1e-6 * l2_norm(p.grid, p.f_exact)
 
 
@@ -76,7 +82,7 @@ def test_tikhonov_matches_diagonal_closed_form(lam, rng):
     stab = Stabilizer(1.0, 0.0)
     f_delta = rng.standard_normal(4)
     expected = a * f_delta / (a * a + lam)
-    u = tikhonov_point(op, stab, f_delta, lam)
+    u = path_point(op, stab, f_delta, lam)
     assert np.allclose(u, expected, rtol=1e-12)
 
 
@@ -85,14 +91,14 @@ def test_singular_system_names_lambda(default_stab):
     row = np.array([1.0, 2.0, 3.0, 4.0])
     op = dense_operator(g, np.outer(np.ones(4), row))
     with pytest.raises(SingularSystemError) as err:
-        tikhonov_point(op, default_stab, np.ones(4), 0.0)
+        path_point(op, default_stab, np.ones(4), 0.0)
     assert err.value.lam == 0.0
     assert "lambda=0" in str(err.value)
 
 
 def test_negative_lambda_rejected(default_stab):
     with pytest.raises(InvalidParameterError):
-        tikhonov_point(identity_operator(Grid(4)), default_stab, np.ones(4), -1.0)
+        path_point(identity_operator(Grid(4)), default_stab, np.ones(4), -1.0)
 
 
 def test_path_monotonicity(default_stab, linear_problems):
@@ -128,7 +134,7 @@ def test_minimizer_not_clamped_at_small_lambda(default_stab):
     delta = 1e-4
     noisy = inject_noise(p.grid, p.f_exact, delta, 42)
     res = minimize_variational(p.op, noisy.f_delta, delta, default_stab)
-    at_floor = tikhonov_point(p.op, default_stab, noisy.f_delta, 1e-12)
+    at_floor = path_point(p.op, default_stab, noisy.f_delta, 1e-12)
     f_floor = f_functional(p.op, noisy.f_delta, delta, default_stab, at_floor)
     f_min = f_functional(p.op, noisy.f_delta, delta, default_stab, res.u_delta)
     assert f_min < f_floor * (1 - 1e-9)

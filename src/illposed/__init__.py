@@ -20,7 +20,7 @@ from .noise import NoisyData, inject_noise
 from .operators import (OperatorSpec, apply, as_matrix, dense_operator,
                         diagonal_operator, domain_project, identity_operator,
                         jacobian, nonlinear_operator, normal_matrix,
-                        weighted_transpose)
+                        weighted_product, weighted_transpose)
 from .oracle import (SearchBox, brute_force_minimize, refine_1d,
                      refine_coordinatewise)
 from .quasisolution import (QuasiCertificate, QuasiResult,

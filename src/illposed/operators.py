@@ -1,8 +1,9 @@
 """Forward operators: dense or diagonal linear maps, and nonlinear maps.
 
 This module alone tells the kinds apart.  The weighted normal equations of a
-linear A are built here: ``normal_matrix`` gives N = A^T W A and
-``weighted_transpose`` gives A^T W v, W the Gram diagonal of the grid, so
+linear A are built here: ``normal_matrix`` gives N = A^T W A = R^T R,
+``weighted_product`` gives R X with R = W^1/2 A, and ``weighted_transpose``
+gives A^T W v, W the Gram diagonal of the grid, so
 ``u @ weighted_transpose(A, v) == inner(A u, v)`` in the trapezoid-weighted
 geometry.
 """
@@ -102,13 +103,21 @@ def apply(op: OperatorSpec, u: np.ndarray) -> np.ndarray:
     return _check_output(op, out)
 
 
-def normal_matrix(op: OperatorSpec) -> np.ndarray:
-    """N = A^T W A of a linear A, W the Gram diagonal of the grid."""
-    w = op.grid.gram_diagonal
+def weighted_product(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
+    """R X with R = W^1/2 A of a linear A; for a diagonal A a row scaling of X."""
+    root_w = np.sqrt(op.grid.gram_diagonal)
     if op.kind == LINEAR_DIAGONAL:
-        return np.diag(op.diagonal ** 2 * w)
-    M = as_matrix(op)
-    return M.T @ (w[:, None] * M)
+        return (root_w * op.diagonal)[:, None] * x
+    return (root_w[:, None] * as_matrix(op)) @ x
+
+
+def normal_matrix(op: OperatorSpec) -> np.ndarray:
+    """N = A^T W A = R^T R of a linear A, R = W^1/2 A, as one symmetric product."""
+    root_w = np.sqrt(op.grid.gram_diagonal)
+    if op.kind == LINEAR_DIAGONAL:
+        return np.diag((root_w * op.diagonal) ** 2)
+    r = root_w[:, None] * as_matrix(op)
+    return r.T @ r
 
 
 def weighted_transpose(op: OperatorSpec, v: np.ndarray) -> np.ndarray:

@@ -4,7 +4,11 @@ u_lam solves (N + lam P) u = A^T W f_d with N = A^T W A and phi(u) = u^T P u.
 In the GSVD view of Hansen's *Regularization Tools* (1994) the pencil (N, B),
 B = N + P, is decomposed once: V^T B V = I, V^T N V = diag(theta) with theta
 in [0, 1], so u_lam = V (c / (theta + lam (1 - theta))) with c = V^T A^T W f_d
-costs one matrix-vector product.  B is positive definite exactly when
+costs one matrix-vector product.  The decomposition is the Cholesky reduction
+of a symmetric-definite pencil (Golub & Van Loan, *Matrix Computations*,
+section 8.7): B = L L^T, L^-1 by :func:`lower_inverse`, G = W^1/2 A L^-T,
+the symmetric product C = G^T G = L^-1 N L^-T, C = Q diag(theta) Q^T by
+``eigh`` and V = L^-T Q.  B is positive definite exactly when
 N + lam P is for some lam > 0, so a semidefinite phi (alpha0 = 0) needs no
 other road.  The decomposition depends on A and phi only and the data enter
 through c alone, so one :class:`TikhonovPath` serves every noise level and
@@ -28,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, SingularSystemError, SolverFailureError
 from .operators import (OperatorSpec, apply, dense_operator, jacobian,
-                        normal_matrix, weighted_transpose)
+                        normal_matrix, weighted_product, weighted_transpose)
 from .stabilizers import Stabilizer, penalty_matrix
 
 EPS = float(np.finfo(float).eps)
@@ -38,6 +42,7 @@ ROOT_MAX_ITER = 100   # evaluations per root find, bracket search included
 GN_MAX_ITER = 100     # Gauss-Newton steps per nonlinear solve
 GN_RTOL = 1e-3        # stop once a step lowers the objective by less than this fraction
 GN_MIN_STEP = 2.0 ** -30  # a step damped below this length fraction ends the solve
+INVERSE_LEAF = 64     # blocks of lower_inverse this small go to np.linalg.inv
 
 Gap = Callable[[OperatorSpec, np.ndarray, float, np.ndarray], float]
 
@@ -59,17 +64,22 @@ class TikhonovPath:
     @functools.cached_property
     def spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
         """(theta, V); raises :class:`SingularSystemError` where B is singular."""
-        # P first (its assembly needs the most scratch), then N, and B = P + N in place
+        # P first (its assembly needs the most scratch), then B = P + N in place
         pencil = penalty_matrix(self.stab, self.op.grid)
-        normal = normal_matrix(self.op)
-        pencil += normal
+        pencil += normal_matrix(self.op)
         try:
-            # B = L L^T turns the pencil into the symmetric L^-1 N L^-T
-            inv_l = np.linalg.inv(np.linalg.cholesky(pencil))
+            # B = L L^T turns the pencil into the symmetric L^-1 N L^-T = G^T G
+            factor = np.linalg.cholesky(pencil)
+            del pencil
+            inv_l = lower_inverse(factor)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError("N + lam P is singular at every lambda") from exc
-        del pencil
-        theta, vectors = np.linalg.eigh(inv_l @ normal @ inv_l.T)
+        del factor
+        g = weighted_product(self.op, inv_l.T)   # G = W^1/2 A L^-T
+        gram = g.T @ g                           # one symmetric product (syrk)
+        del g
+        theta, vectors = np.linalg.eigh(gram)
+        del gram
         theta = np.clip(theta, 0.0, 1.0)
         theta[theta <= self.op.grid.n * EPS * theta.max()] = 0.0
         return theta, inv_l.T @ vectors
@@ -100,6 +110,24 @@ class TikhonovPath:
         if values.min() <= 0.0:
             raise SingularSystemError(f"a pencil value is zero at lambda={lam}", lam=lam)
         return vectors @ (coef / values)
+
+
+def lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix, by 2 x 2 blocks.
+
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]], so the work is
+    matrix products; blocks of at most INVERSE_LEAF rows are inverted by
+    ``np.linalg.inv``.  The strict upper triangle of the result is zero.
+    """
+    n = low.shape[0]
+    if n <= INVERSE_LEAF:
+        return np.tril(np.linalg.inv(low))
+    h = n // 2
+    inv = np.zeros_like(low)
+    inv[:h, :h] = lower_inverse(low[:h, :h])
+    inv[h:, h:] = lower_inverse(low[h:, h:])
+    inv[h:, :h] = -(inv[h:, h:] @ (low[h:, :h] @ inv[:h, :h]))
+    return inv
 
 
 def solve(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: Gap,

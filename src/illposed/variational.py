@@ -91,9 +91,10 @@ def minimize_variational(op: OperatorSpec, f_delta: np.ndarray, delta: float,
     f_delta = check_vec(op.grid, f_delta, "data")
 
     def gap(lin: OperatorSpec, data: np.ndarray, t: float, u: np.ndarray) -> float:
-        # log(lam / (2*delta*r)): F decreases along the path while negative
+        # log(lam / (2*delta*r)): F decreases along the path while negative;
+        # two logs, as 2*delta*r underflows to 0 for a subnormal delta
         r = l2_norm(lin.grid, apply(lin, u) - data)
-        return t - math.log(2.0 * delta * r) if r > 0.0 else math.inf
+        return t - math.log(2.0 * delta) - math.log(r) if r > 0.0 else math.inf
 
     lam, u = solve(op, stab, f_delta, gap,
                    lambda v: f_functional(op, f_delta, delta, stab, v),

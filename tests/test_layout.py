@@ -42,3 +42,28 @@ def test_only_operators_tells_operator_kinds_apart():
         reads += [f"{path.name} imports {name}" for _, name in package_imports(tree)
                   if name in KIND_NAMES]
     assert not reads, f"operator kinds read outside operators.py: {reads}"
+
+
+
+def inverse_uses(nodes):
+    """Reads of ``.inv`` and imports of ``inv`` from numpy.linalg under ``nodes``."""
+    return [node for top in nodes for node in ast.walk(top)
+            if (isinstance(node, ast.Attribute) and node.attr == "inv")
+            or (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+                and any(alias.name == "inv" for alias in node.names))]
+
+
+def test_general_inverse_only_in_the_triangular_leaf():
+    """np.linalg.inv is used once: on the small blocks of tikhonov.lower_inverse."""
+    in_leaf, outside = [], []
+    for path in MODULES:
+        tree = parse(path)
+        leaf = {node for func in ast.walk(tree)
+                if isinstance(func, ast.FunctionDef) and func.name == "lower_inverse"
+                for branch in ast.walk(func)
+                if isinstance(branch, ast.If) and "INVERSE_LEAF" in ast.unparse(branch.test)
+                for node in inverse_uses(branch.body)}
+        for node in inverse_uses([tree]):
+            (in_leaf if node in leaf else outside).append(f"{path.name}:{node.lineno}")
+    assert len(in_leaf) == 1 and not outside, (
+        f"np.linalg.inv outside the leaf of lower_inverse: {outside}, in it: {in_leaf}")

@@ -4,7 +4,8 @@ import pytest
 from illposed import (Grid, NonFiniteError, UnsupportedOperatorError,
                       apply, as_matrix, dense_operator, diagonal_operator,
                       identity_operator, inner_product, jacobian, l2_norm,
-                      nonlinear_operator, normal_matrix, weighted_transpose)
+                      nonlinear_operator, normal_matrix, weighted_product,
+                      weighted_transpose)
 
 
 def test_identity_returns_input(rng):
@@ -52,6 +53,21 @@ def test_adjoint_consistency_random_dense(rng):
         assert abs(lhs - rhs) <= 1e-10 * l2_norm(g, apply(op, u)) * l2_norm(g, v)
 
 
+def test_normal_matrix_is_gram_of_weighted_product(linear_problems):
+    for problem in linear_problems.values():
+        r = weighted_product(problem.op, np.eye(problem.grid.n))  # R = W^1/2 A
+        np.testing.assert_allclose(normal_matrix(problem.op), r.T @ r, rtol=1e-14, atol=0)
+
+
+def test_weighted_product_row_scaling_matches_dense(rng):
+    g = Grid(9, 0.0, 2.0)
+    d = rng.uniform(0.5, 2.0, size=9)
+    x = rng.standard_normal((9, 4))
+    expected = np.sqrt(g.gram_diagonal)[:, None] * (np.diag(d) @ x)
+    for op in (diagonal_operator(g, d), dense_operator(g, np.diag(d))):
+        np.testing.assert_allclose(weighted_product(op, x), expected, rtol=1e-15)
+
+
 def test_non_finite_output_names_index():
     g = Grid(4)
     op = diagonal_operator(g, np.array([1e308, 1.0, 1.0, 1.0]))
@@ -69,6 +85,8 @@ def test_adjoint_rejected_for_nonlinear():
         weighted_transpose(op, np.ones(6))
     with pytest.raises(UnsupportedOperatorError):
         normal_matrix(op)
+    with pytest.raises(UnsupportedOperatorError):
+        weighted_product(op, np.eye(6))
     with pytest.raises(UnsupportedOperatorError):
         as_matrix(op)
 

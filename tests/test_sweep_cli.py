@@ -172,6 +172,14 @@ def test_cli_solve_exit_zero(capsys):
     for name in LINEAR:
         assert main(["solve", "--problem", name, "--n", "16", "--delta", "1e120"]) == 0
         assert "all-certificates-pass: True" in capsys.readouterr().out
+    # subnormal noise levels, where 2*delta*r underflows to 0; autoconv ends in
+    # rows whose verdicts fail, not in a traceback
+    for delta in ("1e-320", "5e-324"):
+        for name in LINEAR:
+            assert main(["solve", "--problem", name, "--n", "16", "--delta", delta]) == 0
+            assert "all-certificates-pass: True" in capsys.readouterr().out
+        assert main(["solve", "--problem", "autoconv", "--n", "16", "--delta", delta]) == 2
+        assert "all-certificates-pass: False" in capsys.readouterr().out
 
 
 def test_cli_solve_writes_out(tmp_path, capsys):
@@ -289,6 +297,9 @@ LINEAR = ("diag-unbounded", "volterra-int", "fredholm-gauss")
 @settings(derandomize=True, deadline=None, max_examples=40)
 # a root beyond the largest float lambda is a named failure, not an overflow
 @example(name="volterra-int", n=16, alpha0=1.0, alpha1=1.0, deltas=[1e120, 1.3e154],
+         rho_factor=1.5, seed=0)
+# a subnormal noise level, where 2*delta*r underflows to 0
+@example(name="volterra-int", n=16, alpha0=1.0, alpha1=1.0, deltas=[1e-320, 5e-324],
          rho_factor=1.5, seed=0)
 @given(name=st.sampled_from(LINEAR),
        n=st.integers(4, 48),

@@ -16,10 +16,14 @@ both methods of a sweep.
 
 A nonlinear A is solved by damped Gauss-Newton whose steps are these linear
 problems for the Jacobian (Kaltenbacher, Neubauer & Scherzer, *Iterative
-Regularization Methods for Nonlinear Ill-Posed Problems*, 2008).  :func:`solve`
-is the one place that chooses between the two.  Each method states its scalar
-equation as a :data:`Gap` ``gap(lin, data, t, u)``: the linear operator ``lin``
-and data of the problem on whose path ``u`` = u_lam lies, t = log(lam).
+Regularization Methods for Nonlinear Ill-Posed Problems*, 2008).  Each step's
+linear problem is solved only to GN_RTOL, the relative accuracy at which the
+outer loop stops, and its root find starts from the previous step's lambda
+(an inexact Newton method: Dembo, Eisenstat & Steihaug, 1982); a linear A is
+solved to ROOT_TOL from lam = 1.  :func:`solve` is the one place that chooses
+between the two.  Each method states its scalar equation as a :data:`Gap`
+``gap(lin, data, t, u)``: the linear operator ``lin`` and data of the problem
+on whose path ``u`` = u_lam lies, t = log(lam).
 """
 
 from __future__ import annotations
@@ -37,10 +41,11 @@ from .stabilizers import Stabilizer, penalty_matrix
 
 EPS = float(np.finfo(float).eps)
 T_CEIL = math.log(np.finfo(float).max)  # the largest log(lam) whose lam is a float
-ROOT_TOL = 1e-10      # accepted value of the scalar equation, from its nonnegative side
+ROOT_TOL = 1e-10      # accepted value of a linear solve's scalar equation, from above
 ROOT_MAX_ITER = 100   # evaluations per root find, bracket search included
 GN_MAX_ITER = 100     # Gauss-Newton steps per nonlinear solve
-GN_RTOL = 1e-3        # stop once a step lowers the objective by less than this fraction
+GN_RTOL = 1e-3        # stop once a step lowers the objective by less than this
+                      # fraction; also the accepted gap of each step's linear solve
 GN_MIN_STEP = 2.0 ** -30  # a step damped below this length fraction ends the solve
 INVERSE_LEAF = 64     # blocks of lower_inverse this small go to np.linalg.inv
 
@@ -89,10 +94,11 @@ class TikhonovPath:
         """Below this log(lam) every point equals u_0 bitwise.
 
         lam (1 - theta) is under half an ulp of each theta there, but for the
-        zero pencil values.
+        zero pencil values.  Two logs, as 0.25 * eps * theta underflows to 0
+        for theta near the smallest float.
         """
         theta = self.spectrum[0]
-        return math.log(0.25 * EPS * theta[theta > 0.0].min(initial=1.0))
+        return math.log(0.25 * EPS) + math.log(theta[theta > 0.0].min(initial=1.0))
 
     def coefficients(self, f_delta: np.ndarray) -> np.ndarray:
         """c = V^T A^T W f_d, the only part of the path that depends on the data."""
@@ -133,15 +139,17 @@ def lower_inverse(low: np.ndarray) -> np.ndarray:
 def solve(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: Gap,
           objective: Callable[[np.ndarray], float],
           project: Callable[[np.ndarray], np.ndarray],
-          path: Optional[TikhonovPath] = None) -> Tuple[float, np.ndarray]:
+          path: Optional[TikhonovPath] = None, *, tol: float = ROOT_TOL,
+          start: float = 0.0) -> Tuple[float, np.ndarray]:
     """(lam, u) at the root of ``gap``, which is nondecreasing in lam.
 
     A linear A is solved on ``path``, the path of (op, stab) that a caller
-    shares across data, or a new one.  lam = 0 when the gap is nonnegative
-    along the whole path, or the floor ``exp(t_floor)`` when a zero pencil
-    value leaves no point at lam = 0; a singular pencil fails the solve like a
-    root find that does not converge.  A nonlinear A is solved by
-    :func:`gauss_newton` with ``objective`` and ``project``, and lam is nan.
+    shares across data, or a new one, by :func:`path_root` to ``tol`` from
+    t = ``start``.  lam = 0 when the gap is nonnegative along the whole path,
+    or the floor ``exp(t_floor)`` when a zero pencil value leaves no point at
+    lam = 0; a singular pencil fails the solve like a root find that does not
+    converge.  A nonlinear A is solved by :func:`gauss_newton` with
+    ``objective`` and ``project``, and lam is nan.
     """
     if not op.is_linear:
         return math.nan, gauss_newton(op, stab, f_delta, gap, objective, project)
@@ -149,7 +157,7 @@ def solve(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: Gap,
     try:
         coef = path.coefficients(f_delta)
         t = path_root(lambda t: gap(op, f_delta, t, path.point(math.exp(t), coef)),
-                      path.t_floor)
+                      path.t_floor, tol=tol, start=start)
         if t is not None:
             lam = math.exp(t)
         else:
@@ -159,15 +167,17 @@ def solve(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: Gap,
         raise SolverFailureError(str(exc)) from exc
 
 
-def path_root(fn: Callable[[float], float], t_floor: float) -> Optional[float]:
+def path_root(fn: Callable[[float], float], t_floor: float, *, tol: float = ROOT_TOL,
+              start: float = 0.0) -> Optional[float]:
     """Root of a nondecreasing ``fn`` of t = log(lam), from its nonnegative side.
 
-    The bracket search starts at lam = 1, where every pencil value is 1, and
-    doubles its steps up to T_CEIL; Illinois regula falsi, safeguarded by
-    bisection, closes the bracket to 0 <= fn <= ROOT_TOL or to float
-    resolution.  None when fn is nonnegative down to ``t_floor``, below which
-    the path is constant; :class:`SolverFailureError` when fn is negative up
-    to T_CEIL.
+    The bracket search starts at t = ``start`` clamped into [t_floor, T_CEIL]
+    (by default lam = 1, where every pencil value is 1), and doubles its
+    steps from 1 up to T_CEIL or down to t_floor; Illinois regula falsi,
+    safeguarded by bisection, closes the bracket to 0 <= fn <= ``tol`` or to
+    float resolution.  None when fn is nonnegative down to ``t_floor``, below
+    which the path is constant; :class:`SolverFailureError` when fn is
+    negative up to T_CEIL.
     """
     calls = 0
 
@@ -179,7 +189,8 @@ def path_root(fn: Callable[[float], float], t_floor: float) -> Optional[float]:
         calls += 1
         return fn(t)
 
-    t, f_t = 0.0, value(0.0)
+    t = min(max(start, t_floor), T_CEIL)
+    f_t = value(t)
     step = -1.0 if f_t >= 0.0 else 1.0
     while True:
         s = min(max(t + step, t_floor), T_CEIL)
@@ -195,7 +206,7 @@ def path_root(fn: Callable[[float], float], t_floor: float) -> Optional[float]:
     (lo, g_lo), (hi, f_hi) = sorted([(t, f_t), (s, f_s)])
 
     g_hi, kept = f_hi, 0   # Illinois weights: an end kept twice has its weight halved
-    while f_hi > ROOT_TOL and hi - lo > 4.0 * EPS * max(1.0, abs(hi)):
+    while f_hi > tol and hi - lo > 4.0 * EPS * max(1.0, abs(hi)):
         t = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
         if not lo + 0.01 * (hi - lo) < t < hi - 0.01 * (hi - lo):  # also nan
             t = 0.5 * (lo + hi)
@@ -216,19 +227,21 @@ def gauss_newton(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: G
 
     At the iterate u the operator builds its Jacobian matrix J = A'(u) once,
     and the method's own linear problem for J with data f_d - A(u) + J u is
-    solved on its path with ``gap``.  The iterate moves toward that point,
-    halving the step until ``objective`` drops, then ``project``s.  It
-    stops when a step lowers the objective by less than GN_RTOL of its value or
-    no step lowers it; after GN_MAX_ITER steps it raises
+    solved on its path with ``gap``, to GN_RTOL and from the lambda of the
+    previous step when that is positive.  The iterate moves toward that
+    point, halving the step until ``objective`` drops, then ``project``s.  It
+    stops when a step lowers the objective by less than GN_RTOL of its value
+    or no step lowers it; after GN_MAX_ITER steps it raises
     :class:`SolverFailureError` carrying the iterate.
     """
     u = project(np.ones(op.grid.n))
-    value = objective(u)
+    value, lam = objective(u), 0.0
     for _ in range(GN_MAX_ITER):
         jac = jacobian(op, u)
         lin = dense_operator(op.grid, jac)
         data = f_delta - apply(op, u) + jac @ u
-        _, target = solve(lin, stab, data, gap, objective, project)
+        lam, target = solve(lin, stab, data, gap, objective, project, tol=GN_RTOL,
+                            start=math.log(lam) if lam > 0.0 else 0.0)
         step = 1.0
         while True:
             trial = project(u + step * (target - u))

@@ -67,3 +67,36 @@ def test_general_inverse_only_in_the_triangular_leaf():
             (in_leaf if node in leaf else outside).append(f"{path.name}:{node.lineno}")
     assert len(in_leaf) == 1 and not outside, (
         f"np.linalg.inv outside the leaf of lower_inverse: {outside}, in it: {in_leaf}")
+
+
+def calls_by_function(tree):
+    """(name of the innermost enclosing function, call) of every call."""
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                yield name, child
+            inner = child.name if isinstance(child, ast.FunctionDef) else name
+            yield from visit(child, inner)
+
+    return visit(tree, "<module>")
+
+
+def test_only_gauss_newton_loosens_a_root_find():
+    """Linear solves find their root to ROOT_TOL from lam = 1.
+
+    Only tikhonov.gauss_newton passes ``tol`` or ``start`` to ``solve``, and
+    ``solve`` hands its own two on to ``path_root``.
+    """
+    passes = []
+    for path in MODULES:
+        for where, call in calls_by_function(parse(path)):
+            callee = getattr(call.func, "attr", getattr(call.func, "id", None))
+            given = tuple((kw.arg, ast.unparse(kw.value)) for kw in call.keywords
+                          if kw.arg in {"tol", "start", None})
+            if callee in {"solve", "path_root"} and given:
+                passes.append((path.name, where, callee, given))
+    through = ("tikhonov.py", "solve", "path_root", (("tol", "tol"), ("start", "start")))
+    loosened = [entry[:3] for entry in passes if entry != through]
+    assert through in passes
+    assert loosened == [("tikhonov.py", "gauss_newton", "solve")], (
+        f"root finds loosened outside gauss_newton: {passes}")

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -301,6 +302,9 @@ LINEAR = ("diag-unbounded", "volterra-int", "fredholm-gauss")
 # a subnormal noise level, where 2*delta*r underflows to 0
 @example(name="volterra-int", n=16, alpha0=1.0, alpha1=1.0, deltas=[1e-320, 5e-324],
          rho_factor=1.5, seed=0)
+# pencil values near 1e-300, where 0.25*eps*theta underflows to 0
+@example(name="fredholm-gauss", n=16, alpha0=1e300, alpha1=1.0, deltas=[0.1, 0.01],
+         rho_factor=1.5, seed=0)
 @given(name=st.sampled_from(LINEAR),
        n=st.integers(4, 48),
        alpha0=st.one_of(st.just(0.0), log_uniform(1e-3, 10.0)),
@@ -393,6 +397,50 @@ def test_gauss_newton_decomposes_once_per_step(monkeypatch):
     assert len(steps) > len(report.rows)
     assert len(calls) == len(steps)
     assert len(jacobians) == len(steps)
+
+
+def record_root_finds(monkeypatch):
+    """(tol, start, evaluations) of every path root find."""
+    calls = []
+    path_root = tikhonov.path_root
+    signature = inspect.signature(path_root)
+
+    def counted(fn, *args, **kwargs):
+        bound = signature.bind(fn, *args, **kwargs)
+        bound.apply_defaults()
+        evaluations = []
+
+        def value(t):
+            evaluations.append(t)
+            return fn(t)
+
+        try:
+            return path_root(value, *args, **kwargs)
+        finally:
+            calls.append((bound.arguments.get("tol"), bound.arguments.get("start"),
+                          len(evaluations)))
+
+    monkeypatch.setattr(tikhonov, "path_root", counted)
+    return calls
+
+
+def test_gauss_newton_steps_are_solved_to_the_outer_tolerance(monkeypatch):
+    calls = record_root_finds(monkeypatch)
+    report = run_sweep(SweepConfig(problem="autoconv", n=16, deltas=(1e-1, 1e-2)))
+    assert all(row.solver_error is None for row in report.rows)
+    assert len(calls) > len(report.rows)
+    assert {tol for tol, _, _ in calls} == {tikhonov.GN_RTOL}
+    # after the first step of a cell, the search starts at the previous lambda
+    assert sum(start != 0.0 for _, start, _ in calls) >= len(calls) - len(report.rows)
+    assert sum(evaluations for _, _, evaluations in calls) / len(calls) <= 15
+
+
+def test_linear_root_finds_keep_root_tol_from_lam_one(monkeypatch):
+    calls = record_root_finds(monkeypatch)
+    report = run_sweep(SweepConfig(problem="volterra-int", n=16, method="both"))
+    assert all(row.solver_error is None for row in report.rows)
+    assert len(calls) == len(report.rows)
+    assert {(tol, start) for tol, start, _ in calls} == {(tikhonov.ROOT_TOL, 0.0)}
 
 
 @pytest.mark.parametrize("alpha0", [0.0, 1.0])

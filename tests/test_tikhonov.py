@@ -1,11 +1,12 @@
-"""The pencil decomposition of tikhonov.TikhonovPath, checked by its contract."""
+"""The pencil decomposition of tikhonov.TikhonovPath, checked by its contract,
+and the root find on its path."""
 
 import numpy as np
 import pytest
 
-from illposed import (Stabilizer, build_problem, dense_operator, jacobian,
-                      normal_matrix, penalty_matrix)
-from illposed.tikhonov import TikhonovPath, lower_inverse
+from illposed import (SolverFailureError, Stabilizer, build_problem, dense_operator,
+                      jacobian, normal_matrix, penalty_matrix)
+from illposed.tikhonov import ROOT_TOL, T_CEIL, TikhonovPath, lower_inverse, path_root
 
 LINEAR = ("diag-unbounded", "volterra-int", "fredholm-gauss")
 
@@ -55,3 +56,59 @@ def test_pencil_contract_autoconv_jacobian():
     p = build_problem("autoconv", 64)
     lin = dense_operator(p.grid, jacobian(p.op, p.y_true))
     check_pencil_contract(lin, Stabilizer())
+
+
+def counted(fn):
+    """``fn`` that records the points at which it is evaluated."""
+    points = []
+
+    def value(t):
+        points.append(t)
+        return fn(t)
+
+    return value, points
+
+
+def cubic(t):
+    """A nondecreasing fn of t, flat near its root 5.3, off the bracket's lattice."""
+    return (t - 5.3) ** 3 + 0.1 * (t - 5.3)
+
+
+@pytest.mark.parametrize("start", [-100.0, -50.0, 0.0, 5.2, 300.0, T_CEIL, 1e4])
+@pytest.mark.parametrize("tol", [ROOT_TOL, 1e-3])
+def test_path_root_from_any_start_to_its_tolerance(start, tol):
+    fn, points = counted(cubic)
+    t = path_root(fn, -50.0, tol=tol, start=start)
+    assert 0.0 <= fn(t) <= tol
+    assert points[0] == min(max(start, -50.0), T_CEIL)
+
+
+@pytest.mark.parametrize("start", [-100.0, 0.0, 5.2, 20.0, 1e4])
+def test_path_root_loose_tolerance_takes_fewer_evaluations(start):
+    tight, tight_points = counted(cubic)
+    loose, loose_points = counted(cubic)
+    path_root(tight, -50.0, start=start)
+    path_root(loose, -50.0, tol=1e-3, start=start)
+    assert len(loose_points) < len(tight_points)
+
+
+def test_path_root_defaults_start_at_lam_one_to_root_tol():
+    fn, points = counted(cubic)
+    t = path_root(fn, -50.0)
+    assert points[0] == 0.0
+    assert 0.0 <= fn(t) <= ROOT_TOL
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"tol": 1e-3, "start": -80.0},
+                                    {"tol": 1e-3, "start": 2.0},
+                                    {"tol": 1e-3, "start": 1e4}])
+def test_path_root_ends_of_the_path(kwargs):
+    # nonnegative down to the floor: no root, the path's end is the answer
+    fn, points = counted(lambda t: 1.0)
+    assert path_root(fn, -50.0, **kwargs) is None
+    assert points[-1] == -50.0
+    # negative up to the largest float lambda: a named failure
+    fn, points = counted(lambda t: -1.0)
+    with pytest.raises(SolverFailureError, match="beyond the largest float"):
+        path_root(fn, -50.0, **kwargs)
+    assert points[-1] == T_CEIL

@@ -23,15 +23,13 @@ from .operators import (OperatorSpec, apply, as_matrix, dense_operator,
                         weighted_product, weighted_transpose)
 from .oracle import (SearchBox, brute_force_minimize, refine_1d,
                      refine_coordinatewise)
-from .quasisolution import (QuasiCertificate, QuasiResult,
-                            minimize_on_compactum, quasi_certificate)
+from .quasisolution import minimize_on_compactum, quasi_certificate
 from .stabilizers import (Compactum, Stabilizer, contains, penalty_matrix,
                           phi_batch, phi_value, project_onto)
 from .sweep import (SweepConfig, SweepReport, SweepRow, parse_config_file,
                     run_solve, run_sweep)
-from .tikhonov import TikhonovPath
-from .variational import (VariationalCertificate, VariationalResult,
-                          f_functional, minimize_variational,
+from .tikhonov import Solution, TikhonovPath
+from .variational import (VariationalResult, f_functional, minimize_variational,
                           variational_certificate)
 
 __version__ = "0.1.0"

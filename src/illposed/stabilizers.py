@@ -64,13 +64,13 @@ def _cell_gram_diagonal(grid: Grid) -> np.ndarray:
 
 
 def phi_value(stab: Stabilizer, grid: Grid, u: np.ndarray) -> float:
-    """Evaluate the stabilizer at ``u``."""
+    """phi(u); inf past the float range, as the weights multiply Python floats."""
     u = check_vec(grid, u)
-    value = stab.alpha0 * np.sum(grid.gram_diagonal * u * u)
+    value = stab.alpha0 * float(np.sum(grid.gram_diagonal * u * u))
     if stab.alpha1 != 0.0:
         d = difference_quotient(grid, u)
-        value += stab.alpha1 * np.sum(_cell_gram_diagonal(grid) * d * d)
-    return float(value)
+        value += stab.alpha1 * float(np.sum(_cell_gram_diagonal(grid) * d * d))
+    return value
 
 
 def phi_batch(stab: Stabilizer, grid: Grid, pts: np.ndarray) -> np.ndarray:
@@ -119,9 +119,15 @@ def project_onto(K: Compactum, grid: Grid, u: np.ndarray) -> np.ndarray:
     ``t = sqrt(rho / phi(u))``, which lands on the boundary with
     ``phi(result) = rho`` up to rounding.  The inside test shares the
     ``contains`` tolerance so projecting twice returns the same array.
+    Where phi(u) overflows, phi(u) = s m^2 phi_1(u / m) with m = max |u| and
+    phi_1 the stabilizer with its weights divided by the larger one, s.
     """
     u = check_vec(grid, u)
     p = phi_value(K.stab, grid, u)
     if p <= K.rho * (1.0 + CONTAINS_RTOL):
         return u
+    if p == np.inf:
+        s, m = max(K.stab.alpha0, K.stab.alpha1), float(np.max(np.abs(u)))
+        unit = Stabilizer(K.stab.alpha0 / s, K.stab.alpha1 / s)
+        return (np.sqrt(K.rho / s / phi_value(unit, grid, u / m)) / m) * u
     return np.sqrt(K.rho / p) * u

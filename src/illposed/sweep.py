@@ -196,21 +196,17 @@ def solve_one(problem: ProblemInstance, method: str, delta: float,
     try:
         if method == METHOD_VARIATIONAL:
             res = minimize_variational(problem.op, f_delta, delta, stab, path)
+            slacks = variational_certificate(res, problem, delta, stab)
+            row.F_value = res.F_value
         else:
             res = minimize_on_compactum(problem.op, f_delta, K, path)
-        residual_exact = l2_norm(grid, apply(problem.op, res.u_delta) - problem.f_exact)
-        if method == METHOD_VARIATIONAL:
-            cert = variational_certificate(res, problem, delta, stab)
-            row.F_value = res.F_value
-            row.cert_18 = cert.bound_18_ok
-            row.cert_19 = cert.bound_19_ok
-            row.cert_110 = cert.bound_110_ok
-        else:
-            cert = quasi_certificate(res, residual_exact, delta)
-            row.cert_24 = cert.bound_24_ok
-            row.cert_26 = cert.bound_26_ok
+        row.residual_exact = l2_norm(grid,
+                                     apply(problem.op, res.u_delta) - problem.f_exact)
+        if method == METHOD_QUASI:
+            slacks = quasi_certificate(res, row.residual_exact, delta)
+        for column, slack in slacks.items():
+            setattr(row, column, slack >= 0.0)
         row.residual_noisy = res.residual_noisy
-        row.residual_exact = residual_exact
         row.phi_u = res.phi_u
         row.lambda_star = res.lambda_star
         if problem.y_true is not None:

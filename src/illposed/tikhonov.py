@@ -20,24 +20,26 @@ Regularization Methods for Nonlinear Ill-Posed Problems*, 2008).  Each step's
 linear problem is solved only to GN_RTOL, the relative accuracy at which the
 outer loop stops, and its root find starts from the previous step's lambda
 (an inexact Newton method: Dembo, Eisenstat & Steihaug, 1982); a linear A is
-solved to ROOT_TOL from lam = 1.  :func:`solve` is the one place that chooses
-between the two.  Each method states its scalar equation as a :data:`Gap`
-``gap(lin, data, t, u)``: the linear operator ``lin`` and data of the problem
-on whose path ``u`` = u_lam lies, t = log(lam).
+solved to ROOT_TOL from lam = 1.  Both methods state their scalar equation as
+a :data:`Gap` ``gap(lin, data, t, u)``: the linear operator ``lin`` and data
+of the problem on whose path ``u`` = u_lam lies, t = log(lam).  Both return
+the :class:`Solution` of :func:`solve`, the one place that chooses the road.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import InvalidParameterError, SingularSystemError, SolverFailureError
+from .grids import check_vec, l2_norm
 from .operators import (OperatorSpec, apply, dense_operator, jacobian,
                         normal_matrix, weighted_product, weighted_transpose)
-from .stabilizers import Stabilizer, penalty_matrix
+from .stabilizers import Stabilizer, penalty_matrix, phi_value
 
 EPS = float(np.finfo(float).eps)
 T_CEIL = math.log(np.finfo(float).max)  # the largest log(lam) whose lam is a float
@@ -50,6 +52,16 @@ GN_MIN_STEP = 2.0 ** -30  # a step damped below this length fraction ends the so
 INVERSE_LEAF = 64     # blocks of lower_inverse this small go to np.linalg.inv
 
 Gap = Callable[[OperatorSpec, np.ndarray, float, np.ndarray], float]
+
+
+@dataclass
+class Solution:
+    """u_delta, ||A(u_delta) - f_d||, phi(u_delta) and lam (nan for a nonlinear A)."""
+
+    u_delta: np.ndarray
+    residual_noisy: float
+    phi_u: float
+    lambda_star: float
 
 
 class TikhonovPath:
@@ -139,29 +151,37 @@ def lower_inverse(low: np.ndarray) -> np.ndarray:
 def solve(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: Gap,
           objective: Callable[[np.ndarray], float],
           project: Callable[[np.ndarray], np.ndarray],
-          path: Optional[TikhonovPath] = None, *, tol: float = ROOT_TOL,
-          start: float = 0.0) -> Tuple[float, np.ndarray]:
-    """(lam, u) at the root of ``gap``, which is nondecreasing in lam.
+          path: Optional[TikhonovPath] = None) -> Solution:
+    """The :class:`Solution` at the root of ``gap``, which is nondecreasing in lam.
 
-    A linear A is solved on ``path``, the path of (op, stab) that a caller
-    shares across data, or a new one, by :func:`path_root` to ``tol`` from
-    t = ``start``.  lam = 0 when the gap is nonnegative along the whole path,
-    or the floor ``exp(t_floor)`` when a zero pencil value leaves no point at
-    lam = 0; a singular pencil fails the solve like a root find that does not
-    converge.  A nonlinear A is solved by :func:`gauss_newton` with
-    ``objective`` and ``project``, and lam is nan.
+    A linear A is solved by :func:`path_solve` on ``path``, shared by a caller
+    across data, or a new one; a nonlinear A by :func:`gauss_newton`.
     """
-    if not op.is_linear:
-        return math.nan, gauss_newton(op, stab, f_delta, gap, objective, project)
-    path = path or TikhonovPath(op, stab)
+    f_delta = check_vec(op.grid, f_delta, "data")
+    if op.is_linear:
+        lam, u = path_solve(path or TikhonovPath(op, stab), f_delta, gap)
+    else:
+        lam, u = math.nan, gauss_newton(op, stab, f_delta, gap, objective, project)
+    return Solution(u_delta=u, residual_noisy=l2_norm(op.grid, apply(op, u) - f_delta),
+                    phi_u=phi_value(stab, op.grid, u), lambda_star=lam)
+
+
+def path_solve(path: TikhonovPath, f_delta: np.ndarray, gap: Gap, *,
+               tol: float = ROOT_TOL, start: float = 0.0) -> Tuple[float, np.ndarray]:
+    """(lam, u_lam) on ``path`` for ``f_delta`` at the root of ``gap``.
+
+    :func:`path_root` finds the root to ``tol`` from t = ``start``; lam = 0
+    when the gap is nonnegative along the whole path, or the floor
+    ``exp(t_floor)`` when a zero pencil value leaves no point at lam = 0; a
+    singular pencil fails the solve like a root find that does not converge.
+    """
     try:
         coef = path.coefficients(f_delta)
-        t = path_root(lambda t: gap(op, f_delta, t, path.point(math.exp(t), coef)),
+        t = path_root(lambda t: gap(path.op, f_delta, t, path.point(math.exp(t), coef)),
                       path.t_floor, tol=tol, start=start)
-        if t is not None:
-            lam = math.exp(t)
-        else:
-            lam = 0.0 if path.spectrum[0].min() > 0.0 else math.exp(path.t_floor)
+        if t is None:  # the gap is nonnegative down to the floor
+            t = -math.inf if path.spectrum[0].min() > 0.0 else path.t_floor
+        lam = math.exp(t)
         return lam, path.point(lam, coef)
     except SingularSystemError as exc:
         raise SolverFailureError(str(exc)) from exc
@@ -227,7 +247,7 @@ def gauss_newton(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: G
 
     At the iterate u the operator builds its Jacobian matrix J = A'(u) once,
     and the method's own linear problem for J with data f_d - A(u) + J u is
-    solved on its path with ``gap``, to GN_RTOL and from the lambda of the
+    solved by :func:`path_solve` with ``gap``, to GN_RTOL and from the lambda of the
     previous step when that is positive.  The iterate moves toward that
     point, halving the step until ``objective`` drops, then ``project``s.  It
     stops when a step lowers the objective by less than GN_RTOL of its value
@@ -238,10 +258,10 @@ def gauss_newton(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: G
     value, lam = objective(u), 0.0
     for _ in range(GN_MAX_ITER):
         jac = jacobian(op, u)
-        lin = dense_operator(op.grid, jac)
+        path = TikhonovPath(dense_operator(op.grid, jac), stab)
         data = f_delta - apply(op, u) + jac @ u
-        lam, target = solve(lin, stab, data, gap, objective, project, tol=GN_RTOL,
-                            start=math.log(lam) if lam > 0.0 else 0.0)
+        lam, target = path_solve(path, data, gap, tol=GN_RTOL,
+                                 start=math.log(lam) if lam > 0.0 else 0.0)
         step = 1.0
         while True:
             trial = project(u + step * (target - u))

@@ -10,61 +10,32 @@ lam = 0 when lam > 2*delta*r all the way down (:mod:`illposed.tikhonov`).
 
 For nonlinear operators F is minimized by damped Gauss-Newton: each step
 minimizes F of the linearized operator on its path and backtracks on the
-true F (:func:`illposed.tikhonov.gauss_newton`).  The problem is nonconvex,
-so certificates are checked a posteriori and failures are reported, never
-hidden.
+true F (:func:`illposed.tikhonov.gauss_newton`).  The result is the
+:class:`~illposed.tikhonov.Solution` with F(u_delta) added.  The problem is
+nonconvex, so the certificate, the slack of each bound by CSV column, is
+checked a posteriori and failures are reported, never hidden.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from .errors import CertificateUnavailableError, InvalidParameterError
-from .grids import check_vec, l2_norm
+from .grids import l2_norm
 from .operators import OperatorSpec, apply, domain_project
 from .stabilizers import Stabilizer, phi_value
-from .tikhonov import TikhonovPath, solve
+from .tikhonov import Solution, TikhonovPath, solve
 
 
 @dataclass
-class VariationalResult:
-    """Near-minimizer of F with every measured quantity attached."""
+class VariationalResult(Solution):
+    """A near-minimizer of F and its F value, residual_noisy + delta * phi_u."""
 
-    u_delta: np.ndarray
     F_value: float
-    residual_noisy: float
-    phi_u: float
-    lambda_star: float
-
-
-@dataclass
-class VariationalCertificate:
-    """Verdicts for the three a priori inequalities the theory guarantees.
-
-    With c1 = 1 + phi(y) and c = c1 + 1 the checks are
-    F(u_delta) <= c1*delta, F(u_delta) <= c*delta and phi(u_delta) <= c,
-    each padded by ``tol``; the first stands in for inf F <= c1*delta, as
-    u_delta attains the smallest F value found.  Slacks are threshold minus
-    value, so a passing bound has nonnegative slack.
-    """
-
-    c1: float
-    c: float
-    tol: float
-    bound_18_ok: bool
-    bound_19_ok: bool
-    bound_110_ok: bool
-    slack_18: float
-    slack_19: float
-    slack_110: float
-
-    @property
-    def all_ok(self) -> bool:
-        return self.bound_18_ok and self.bound_19_ok and self.bound_110_ok
 
 
 def f_functional(op: OperatorSpec, f_delta: np.ndarray, delta: float,
@@ -88,7 +59,6 @@ def minimize_variational(op: OperatorSpec, f_delta: np.ndarray, delta: float,
     """
     if delta <= 0.0:
         raise InvalidParameterError(f"delta must be positive, got {delta}")
-    f_delta = check_vec(op.grid, f_delta, "data")
 
     def gap(lin: OperatorSpec, data: np.ndarray, t: float, u: np.ndarray) -> float:
         # log(lam / (2*delta*r)): F decreases along the path while negative;
@@ -96,37 +66,30 @@ def minimize_variational(op: OperatorSpec, f_delta: np.ndarray, delta: float,
         r = l2_norm(lin.grid, apply(lin, u) - data)
         return t - math.log(2.0 * delta) - math.log(r) if r > 0.0 else math.inf
 
-    lam, u = solve(op, stab, f_delta, gap,
-                   lambda v: f_functional(op, f_delta, delta, stab, v),
-                   lambda v: domain_project(op, v), path)
-    residual = l2_norm(op.grid, apply(op, u) - f_delta)
-    phi_u = phi_value(stab, op.grid, u)
-    return VariationalResult(u_delta=u, F_value=residual + delta * phi_u,
-                             residual_noisy=residual, phi_u=phi_u, lambda_star=lam)
+    sol = solve(op, stab, f_delta, gap,
+                lambda v: f_functional(op, f_delta, delta, stab, v),
+                lambda v: domain_project(op, v), path)
+    return VariationalResult(**vars(sol), F_value=sol.residual_noisy + delta * sol.phi_u)
 
 
 def variational_certificate(res: VariationalResult, problem, delta: float,
-                            stab: Stabilizer) -> VariationalCertificate:
-    """Check the a priori bounds of the variational method against ``res``.
+                            stab: Stabilizer) -> Dict[str, float]:
+    """Slacks of the a priori bounds of the variational method at ``res``.
 
+    With c1 = 1 + phi(y) and c = c1 + 1 the bounds are (1.8)
+    F(u_delta) <= c1*delta, (1.9) F(u_delta) <= c*delta and (1.10)
+    phi(u_delta) <= c, each padded by tol = 1e-9 * max(1, c*delta); (1.8) stands in for
+    inf F <= c1*delta, as u_delta attains the smallest F value found.  The
+    slack of a bound is threshold + tol - value, keyed by its CSV column.
     Needs the true solution carried by ``problem`` (test mode); raises
     :class:`CertificateUnavailableError` when it is absent.
     """
     if problem.y_true is None:
         raise CertificateUnavailableError(
             "certificate needs the true solution; run a gallery problem")
-    grid = problem.grid
-    phi_y = phi_value(stab, grid, problem.y_true)
-    c1 = 1.0 + phi_y
+    c1 = 1.0 + phi_value(stab, problem.grid, problem.y_true)
     c = c1 + 1.0
     tol = 1e-9 * max(1.0, c * delta)
-    slack_18 = c1 * delta + tol - res.F_value
-    slack_19 = c * delta + tol - res.F_value
-    slack_110 = c + tol - res.phi_u
-    return VariationalCertificate(
-        c1=c1, c=c, tol=tol,
-        bound_18_ok=slack_18 >= 0.0,
-        bound_19_ok=slack_19 >= 0.0,
-        bound_110_ok=slack_110 >= 0.0,
-        slack_18=slack_18, slack_19=slack_19, slack_110=slack_110,
-    )
+    return {"cert_18": c1 * delta + tol - res.F_value,
+            "cert_19": c * delta + tol - res.F_value,
+            "cert_110": c + tol - res.phi_u}

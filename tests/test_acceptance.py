@@ -81,7 +81,7 @@ def test_criterion_1_variational_value_bound(matrix_runs):
         bound = (2.0 + run.phi_y) * delta + 1e-9
         worst = max(worst, run.var.F_value - bound)
         assert run.var.F_value <= bound, (name, delta)
-        assert run.var_cert.bound_19_ok
+        assert run.var_cert["cert_19"] >= 0.0
     ok = worst <= 0.0 and matrix_runs.elapsed < 5.0
     report("criterion 1: F(u_delta) <= (2+phi(y))*delta on the linear gallery",
            ok, f"worst slack {-worst:.3e}, matrix runtime {matrix_runs.elapsed:.2f}s")
@@ -93,7 +93,7 @@ def test_criterion_2_variational_stabilizer_bound(matrix_runs):
         bound = 2.0 + run.phi_y + 1e-9
         worst = max(worst, run.var.phi_u - bound)
         assert run.var.phi_u <= bound, (name, delta)
-        assert run.var_cert.bound_110_ok
+        assert run.var_cert["cert_110"] >= 0.0
     report("criterion 2: phi(u_delta) <= 2+phi(y) on the linear gallery",
            worst <= 0.0, f"worst slack {-worst:.3e}")
 
@@ -104,7 +104,7 @@ def test_criterion_3_infimum_estimate_bound(matrix_runs):
         bound = (1.0 + run.phi_y) * delta + 1e-9
         worst = max(worst, run.var.F_value - bound)
         assert run.var.F_value <= bound, (name, delta)
-        assert run.var_cert.bound_18_ok
+        assert run.var_cert["cert_18"] >= 0.0
     report("criterion 3: infimum estimate <= (1+phi(y))*delta",
            worst <= 0.0, f"worst slack {-worst:.3e}")
 
@@ -113,7 +113,7 @@ def test_criterion_4_quasisolution_discrepancy_bounds(matrix_runs):
     for (name, delta), run in matrix_runs.runs.items():
         assert run.quasi.residual_noisy <= 2.0 * delta + 1e-9, (name, delta)
         assert run.quasi_residual_exact <= 3.0 * delta + 1e-9, (name, delta)
-        assert run.quasi_cert.all_ok
+        assert min(run.quasi_cert.values()) >= 0.0
     report("criterion 4: residuals within 2*delta (noisy) and 3*delta (exact)",
            True)
 

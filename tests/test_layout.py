@@ -1,4 +1,5 @@
-"""Module boundaries of the package, read from its source with ``ast``."""
+"""Module boundaries of the package, read from its source with ``ast``, and
+the library example of the README, run as written."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import illposed
 
 MODULES = sorted(Path(illposed.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
 KIND_NAMES = {"LINEAR_DENSE", "LINEAR_DIAGONAL"}
 
 
@@ -84,8 +86,8 @@ def calls_by_function(tree):
 def test_only_gauss_newton_loosens_a_root_find():
     """Linear solves find their root to ROOT_TOL from lam = 1.
 
-    Only tikhonov.gauss_newton passes ``tol`` or ``start`` to ``solve``, and
-    ``solve`` hands its own two on to ``path_root``.
+    Only tikhonov.gauss_newton passes ``tol`` or ``start``, and only to
+    ``path_solve``, which hands its own two on to ``path_root``.
     """
     passes = []
     for path in MODULES:
@@ -93,10 +95,19 @@ def test_only_gauss_newton_loosens_a_root_find():
             callee = getattr(call.func, "attr", getattr(call.func, "id", None))
             given = tuple((kw.arg, ast.unparse(kw.value)) for kw in call.keywords
                           if kw.arg in {"tol", "start", None})
-            if callee in {"solve", "path_root"} and given:
+            if callee in {"solve", "path_solve", "path_root"} and given:
                 passes.append((path.name, where, callee, given))
-    through = ("tikhonov.py", "solve", "path_root", (("tol", "tol"), ("start", "start")))
+    through = ("tikhonov.py", "path_solve", "path_root",
+               (("tol", "tol"), ("start", "start")))
     loosened = [entry[:3] for entry in passes if entry != through]
     assert through in passes
-    assert loosened == [("tikhonov.py", "gauss_newton", "solve")], (
+    assert loosened == [("tikhonov.py", "gauss_newton", "path_solve")], (
         f"root finds loosened outside gauss_newton: {passes}")
+
+
+def test_readme_library_example_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[-1] for line in lines] == ["True", "True"]

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from illposed import (Compactum, Grid, QuasiResult, SolverFailureError,
+from illposed import (Compactum, Grid, Solution, SolverFailureError,
                       Stabilizer, SweepConfig, apply, build_problem, dense_operator,
                       identity_operator, inject_noise, l2_norm,
                       minimize_on_compactum, phi_value, quasi_certificate,
@@ -30,7 +30,7 @@ def test_feasible_data_is_returned_unchanged(default_stab, rng):
     assert np.allclose(res.u_delta, f_delta, rtol=1e-10, atol=1e-15)
     assert res.residual_noisy <= 1e-12
     assert res.lambda_star == 0.0
-    assert not res.on_boundary
+    assert abs(res.phi_u - K.rho) > 1e-8 * K.rho  # off the boundary
 
 
 def test_spherical_case_matches_radial_projection(rng):
@@ -44,7 +44,7 @@ def test_spherical_case_matches_radial_projection(rng):
     expected = f_delta * np.sqrt(rho) / l2_norm(g, f_delta)
     assert np.allclose(res.u_delta, expected, rtol=1e-8)
     assert phi_value(stab, g, res.u_delta) == pytest.approx(rho, rel=1e-10)
-    assert res.on_boundary and res.lambda_star > 0.0
+    assert abs(res.phi_u - rho) <= 1e-8 * rho and res.lambda_star > 0.0  # on it
 
 
 def test_discrepancy_bound_on_volterra(default_stab):
@@ -74,11 +74,13 @@ def test_linear_solver_invariants(default_stab, name):
 
 def test_certificate_arithmetic():
     delta = 1e-2
-    res = QuasiResult(u_delta=np.zeros(4), residual_noisy=1.9 * delta,
-                      phi_u=1.0, on_boundary=True, lambda_star=1.0)
+    res = Solution(u_delta=np.zeros(4), residual_noisy=1.9 * delta,
+                   phi_u=1.0, lambda_star=1.0)
     cert = quasi_certificate(res, 2.8 * delta, delta)
-    assert cert.bound_24_ok and cert.bound_26_ok
-    assert cert.slack_24 >= 0.0 and cert.slack_26 >= 0.0
+    tol = 1e-9
+    assert cert == pytest.approx({"cert_24": 0.1 * delta + tol,
+                                  "cert_26": 0.2 * delta + tol})
+    assert min(cert.values()) >= 0.0
 
 
 def test_certificate_leaves_result_unchanged(default_stab):
@@ -91,7 +93,7 @@ def test_certificate_leaves_result_unchanged(default_stab):
     cert = quasi_certificate(res, residual_exact, delta)
     for field in dataclasses.fields(res):
         assert np.array_equal(getattr(res, field.name), getattr(before, field.name)), field
-    assert cert.slack_26 == 3.0 * delta + cert.tol - residual_exact
+    assert cert["cert_26"] == 3.0 * delta + 1e-9 - residual_exact
 
 
 def test_interpolating_solution_passes_both_bounds(default_stab, rng):
@@ -105,7 +107,7 @@ def test_interpolating_solution_passes_both_bounds(default_stab, rng):
     res = minimize_on_compactum(identity_operator(g), noisy.f_delta, K)
     cert = quasi_certificate(res, l2_norm(g, res.u_delta - f), delta)
     assert res.residual_noisy <= 1e-10
-    assert cert.bound_24_ok and cert.bound_26_ok
+    assert min(cert.values()) >= 0.0
     assert l2_norm(g, res.u_delta - f) <= delta * (1 + 1e-10)
 
 
@@ -116,7 +118,7 @@ def test_too_small_compactum_fails_certificate(default_stab):
     noisy = inject_noise(p.grid, p.f_exact, delta, 42)
     res = minimize_on_compactum(p.op, noisy.f_delta, K)
     cert = quasi_certificate(res, exact_residual(p, res), delta)
-    assert not cert.bound_24_ok  # reported, not hidden
+    assert cert["cert_24"] < 0.0  # reported, not hidden
 
 
 def test_root_find_iteration_cap_reported(default_stab, monkeypatch):
@@ -147,7 +149,7 @@ def test_nonlinear_solver_feasible_and_within_bound(default_stab):
     assert phi_value(default_stab, p.grid, res.u_delta) <= K.rho * (1 + 1e-12)
     assert np.all(res.u_delta >= 0.0)
     cert = quasi_certificate(res, exact_residual(p, res), delta)
-    assert cert.bound_24_ok and cert.bound_26_ok
+    assert min(cert.values()) >= 0.0
     again = minimize_on_compactum(p.op, noisy.f_delta, K)
     assert np.array_equal(res.u_delta, again.u_delta)
 

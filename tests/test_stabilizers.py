@@ -127,6 +127,20 @@ def test_projection_lands_on_boundary(default_stab, rng):
             K.rho, rel=1e-12)
 
 
+@pytest.mark.parametrize("weights, rho", [((1e300, 1.0), 1e300),
+                                         ((1e308, 1e308), 1e308)])
+def test_projection_of_a_point_whose_phi_overflows(weights, rho):
+    # phi(u) is inf in floats, so sqrt(rho / phi(u)) would map u to zero
+    g = Grid(16)
+    stab = Stabilizer(*weights)
+    K = Compactum(stab, rho)
+    u = 1e5 * np.linspace(1.0, 2.0, 16)
+    assert phi_value(stab, g, u) == math.inf
+    projected = project_onto(K, g, u)
+    assert phi_value(stab, g, projected) == pytest.approx(K.rho, rel=1e-12)
+    assert np.allclose(projected / u, projected[0] / u[0], rtol=1e-15, atol=0.0)
+
+
 def test_projection_idempotent(default_stab, rng):
     g = Grid(10)
     K = Compactum(default_stab, 1.3)

@@ -11,11 +11,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from illposed import (Compactum, ConfigurationError, Stabilizer, SweepConfig,
-                      build_problem, inject_noise, parse_config_file, phi_value,
-                      run_solve, run_sweep, sweep, tikhonov)
+                      VariationalResult, build_problem, inject_noise,
+                      parse_config_file, phi_value, quasi_certificate, run_solve,
+                      run_sweep, sweep, tikhonov, variational_certificate)
 from illposed.cli import main
-from illposed.sweep import (CSV_COLUMNS, SETTINGS, delta_seed, resolve_rho,
-                            rows_to_csv, solve_one)
+from illposed.sweep import (CERT_COLUMNS, CSV_COLUMNS, SETTINGS, delta_seed,
+                            resolve_rho, rows_to_csv, solve_one)
 from illposed.tikhonov import TikhonovPath
 
 # subprocesses import the package from this checkout
@@ -337,6 +338,62 @@ def test_linear_cells_end_in_a_row_or_a_named_failure(name, n, alpha0, alpha1,
             assert math.isfinite(getattr(row, field)), field
         for cert in certs:
             assert isinstance(getattr(row, cert), bool), cert
+
+
+def test_overflowing_phi_is_a_named_failure_of_its_cell():
+    # at alpha0 = 1e300 phi of a linearized path point overflows to inf; the
+    # quasi cells fail by name instead of in a math domain error or, with
+    # RuntimeWarning an error as in this suite, an overflow traceback
+    report = run_sweep(SweepConfig(problem="autoconv", n=16, alpha0=1e300,
+                                   method="quasi"))
+    assert len(report.rows) == 4
+    for row in report.rows:
+        assert row.solver_error.startswith("phi overflows at lambda="), row
+    assert report.exit_code == 2
+    # the same run without the warning filter
+    proc = subprocess.run(
+        [sys.executable, "-m", "illposed", "sweep", "--problem", "autoconv",
+         "--n", "16", "--alpha0", "1e300", "--method", "quasi"],
+        env=SRC_ENV, capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stderr == "", proc.stderr
+    assert proc.stdout.count("SOLVER FAILURE (phi overflows") == 4
+    # neighbouring weights end in rows with verdicts
+    for alpha0, method in [(1e250, "both"), (1e280, "both"), (1e300, "variational")]:
+        report = run_sweep(SweepConfig(problem="autoconv", n=16, alpha0=alpha0,
+                                       method=method))
+        assert all(row.solver_error is None for row in report.rows), (alpha0, method)
+
+
+# defaults, then settings under which some verdicts fail: a radius that
+# excludes the truth (quasi), and a subnormal level on autoconv (both methods)
+@pytest.mark.parametrize("name, settings", [
+    *((name, {}) for name in LINEAR + ("autoconv",)),
+    *((name, {"rho_factor": 0.5}) for name in LINEAR + ("autoconv",)),
+    ("autoconv", {"deltas": (1e-1, 1e-320)}),
+])
+def test_row_verdicts_are_the_certificate_slacks(name, settings):
+    config = SweepConfig(problem=name, n=16, **settings)
+    report = run_sweep(config)
+    problem = build_problem(name, 16)
+    stab = Stabilizer(config.alpha0, config.alpha1)
+    failed = []
+    for row in report.rows:
+        assert row.solver_error is None, row
+        # the certificates read only these fields of a result
+        res = VariationalResult(u_delta=None, residual_noisy=row.residual_noisy,
+                                phi_u=row.phi_u, lambda_star=row.lambda_star,
+                                F_value=row.F_value)
+        if row.method == "variational":
+            assert row.F_value == row.residual_noisy + row.delta * row.phi_u
+            slacks = variational_certificate(res, problem, row.delta, stab)
+        else:
+            assert row.F_value is None
+            slacks = quasi_certificate(res, row.residual_exact, row.delta)
+        verdicts = {column: getattr(row, column) for column in CERT_COLUMNS
+                    if getattr(row, column) is not None}
+        assert verdicts == {column: slack >= 0.0 for column, slack in slacks.items()}
+        failed += [column for column, ok in verdicts.items() if not ok]
+    assert bool(failed) == bool(settings), failed
 
 
 def test_failed_decomposition_fails_every_linear_cell_by_name(monkeypatch):

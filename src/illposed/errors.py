@@ -24,10 +24,6 @@ class InvalidParameterError(IllposedError, ValueError):
 class SingularSystemError(IllposedError):
     """A regularized normal-equations system could not be factorized."""
 
-    def __init__(self, message, lam=None):
-        super().__init__(message)
-        self.lam = lam
-
 
 class SolverFailureError(IllposedError):
     """An iterative solver did not converge; carries the best iterate found."""

@@ -22,7 +22,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .errors import SolverFailureError
 from .grids import l2_norm
 from .operators import OperatorSpec, apply, domain_project
 from .stabilizers import Compactum, phi_value, project_onto
@@ -41,10 +40,11 @@ def minimize_on_compactum(op: OperatorSpec, f_delta: np.ndarray, K: Compactum,
 
     def slack(lin: OperatorSpec, data: np.ndarray, t: float, u: np.ndarray) -> float:
         # log(rho / phi(u_lam)) is nonnegative exactly on the feasible side, so
-        # lam = 0 (an inactive constraint) when the least-squares point is feasible
+        # lam = 0 (an inactive constraint) when the least-squares point is feasible;
+        # a phi past the float range is on the infeasible side
         phi = phi_value(K.stab, op.grid, u)
         if phi == math.inf:
-            raise SolverFailureError(f"phi overflows at lambda={math.exp(t):g}")
+            return -math.inf
         return math.log(K.rho / phi) if phi > 0.0 else math.inf
 
     return solve(op, K.stab, f_delta, slack,

@@ -3,16 +3,18 @@
 u_lam solves (N + lam P) u = A^T W f_d with N = A^T W A and phi(u) = u^T P u.
 In the GSVD view of Hansen's *Regularization Tools* (1994) the pencil (N, B),
 B = N + P, is decomposed once: V^T B V = I, V^T N V = diag(theta) with theta
-in [0, 1], so u_lam = V (c / (theta + lam (1 - theta))) with c = V^T A^T W f_d
+in (0, 1], so u_lam = V (c / (theta + lam (1 - theta))) with c = V^T A^T W f_d
 costs one matrix-vector product.  The decomposition is the Cholesky reduction
 of a symmetric-definite pencil (Golub & Van Loan, *Matrix Computations*,
 section 8.7): B = L L^T, L^-1 by :func:`lower_inverse`, G = W^1/2 A L^-T,
 the symmetric product C = G^T G = L^-1 N L^-T, C = Q diag(theta) Q^T by
-``eigh`` and V = L^-T Q.  B is positive definite exactly when
-N + lam P is for some lam > 0, so a semidefinite phi (alpha0 = 0) needs no
-other road.  The decomposition depends on A and phi only and the data enter
-through c alone, so one :class:`TikhonovPath` serves every noise level and
-both methods of a sweep.
+``eigh`` and V = L^-T Q, truncated at its resolution (a truncated GSVD):
+only the k theta above n * eps of the largest are kept, so V is n x k and
+lam = 0 gives the least-squares point of span(V).  B is positive definite
+exactly when N + lam P is for some lam > 0, so a semidefinite phi
+(alpha0 = 0) needs no other road.  The decomposition depends on A and phi
+only and the data enter through c alone, so one :class:`TikhonovPath`
+serves every noise level and both methods of a sweep.
 
 A nonlinear A is solved by damped Gauss-Newton whose steps are these linear
 problems for the Jacobian (Kaltenbacher, Neubauer & Scherzer, *Iterative
@@ -70,9 +72,9 @@ class TikhonovPath:
     The pencil is decomposed on first use, and once; a failed decomposition
     is not kept, so the next use tries again and fails the same way.  Each
     data vector then costs its coefficients c, and each point one
-    matrix-vector product.  ``theta`` is clipped to [0, 1]; values below
-    n * eps of the largest, which the decomposition cannot tell from zero,
-    are set to zero.
+    matrix-vector product.  ``theta`` keeps the values the decomposition
+    resolves, above n * eps of the largest, clipped to 1; V has their k
+    columns, and k = 0 (every point 0) when none is resolved.
     """
 
     def __init__(self, op: OperatorSpec, stab: Stabilizer):
@@ -95,39 +97,31 @@ class TikhonovPath:
         g = weighted_product(self.op, inv_l.T)   # G = W^1/2 A L^-T
         gram = g.T @ g                           # one symmetric product (syrk)
         del g
-        theta, vectors = np.linalg.eigh(gram)
+        theta, vectors = np.linalg.eigh(gram)   # ascending
         del gram
-        theta = np.clip(theta, 0.0, 1.0)
-        theta[theta <= self.op.grid.n * EPS * theta.max()] = 0.0
-        return theta, inv_l.T @ vectors
+        k = np.searchsorted(theta, self.op.grid.n * EPS * max(theta[-1], 0.0),
+                            side="right")
+        return np.minimum(theta[k:], 1.0), inv_l.T @ vectors[:, k:]
 
     @property
     def t_floor(self) -> float:
         """Below this log(lam) every point equals u_0 bitwise.
 
-        lam (1 - theta) is under half an ulp of each theta there, but for the
-        zero pencil values.  Two logs, as 0.25 * eps * theta underflows to 0
-        for theta near the smallest float.
+        lam (1 - theta) is under half an ulp of each theta there.  Two logs,
+        as 0.25 * eps * theta underflows to 0 for theta near the smallest float.
         """
-        theta = self.spectrum[0]
-        return math.log(0.25 * EPS) + math.log(theta[theta > 0.0].min(initial=1.0))
+        return math.log(0.25 * EPS) + math.log(self.spectrum[0].min(initial=1.0))
 
     def coefficients(self, f_delta: np.ndarray) -> np.ndarray:
         """c = V^T A^T W f_d, the only part of the path that depends on the data."""
         return self.spectrum[1].T @ weighted_transpose(self.op, f_delta)
 
     def point(self, lam: float, coef: np.ndarray) -> np.ndarray:
-        """u_lam of the data with coefficients ``coef``.
-
-        Raises :class:`SingularSystemError` where N + lam P is singular.
-        """
+        """u_lam of the data with coefficients ``coef``."""
         if lam < 0.0:
             raise InvalidParameterError(f"lambda must be nonnegative, got {lam}")
         theta, vectors = self.spectrum
-        values = theta + lam * (1.0 - theta)
-        if values.min() <= 0.0:
-            raise SingularSystemError(f"a pencil value is zero at lambda={lam}", lam=lam)
-        return vectors @ (coef / values)
+        return vectors @ (coef / (theta + lam * (1.0 - theta)))
 
 
 def lower_inverse(low: np.ndarray) -> np.ndarray:
@@ -171,17 +165,14 @@ def path_solve(path: TikhonovPath, f_delta: np.ndarray, gap: Gap, *,
     """(lam, u_lam) on ``path`` for ``f_delta`` at the root of ``gap``.
 
     :func:`path_root` finds the root to ``tol`` from t = ``start``; lam = 0
-    when the gap is nonnegative along the whole path, or the floor
-    ``exp(t_floor)`` when a zero pencil value leaves no point at lam = 0; a
-    singular pencil fails the solve like a root find that does not converge.
+    when the gap is nonnegative along the whole path.  A pencil that cannot
+    be decomposed fails the solve like a root find that does not converge.
     """
     try:
         coef = path.coefficients(f_delta)
         t = path_root(lambda t: gap(path.op, f_delta, t, path.point(math.exp(t), coef)),
                       path.t_floor, tol=tol, start=start)
-        if t is None:  # the gap is nonnegative down to the floor
-            t = -math.inf if path.spectrum[0].min() > 0.0 else path.t_floor
-        lam = math.exp(t)
+        lam = 0.0 if t is None else math.exp(t)
         return lam, path.point(lam, coef)
     except SingularSystemError as exc:
         raise SolverFailureError(str(exc)) from exc

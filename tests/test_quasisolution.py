@@ -156,8 +156,7 @@ def test_nonlinear_solver_feasible_and_within_bound(default_stab):
 
 def test_nonlinear_singular_linearized_step_keeps_certificates():
     # the autoconvolution Jacobian has a zero first row, so every linearized
-    # pencil is singular; the first step of the delta=1e-3 cell ends at the
-    # floor of its path
+    # pencil has a null direction; the path keeps only the resolved ones
     report = run_sweep(SweepConfig(problem="autoconv", n=16, method="quasi",
                                    deltas=(1e-1, 1e-2, 1e-3, 1e-4), seed=368489497))
     assert len(report.rows) == 4
@@ -166,8 +165,8 @@ def test_nonlinear_singular_linearized_step_keeps_certificates():
 
 
 def test_inactive_constraint_with_singular_pencil():
-    # A has a zero row, so N + lam P is singular at lam = 0: the path stops at
-    # its floor instead of at a point that does not exist
+    # A has a zero row, so N is singular: the path drops that unresolved
+    # direction and ends at lam = 0, the least-squares point of the rest
     g = Grid(8)
     matrix = np.diag([0.0] + [1.0] * 7)
     f = matrix @ np.linspace(1.0, 2.0, 8)
@@ -175,4 +174,31 @@ def test_inactive_constraint_with_singular_pencil():
     res = minimize_on_compactum(dense_operator(g, matrix), f, K)
     assert res.residual_noisy <= 1e-12
     assert phi_value(K.stab, g, res.u_delta) <= K.rho
-    assert 0.0 < res.lambda_star < 1e-15
+    assert res.lambda_star == 0.0
+
+
+def test_small_noise_autoconv_quasi_does_not_move_with_round_off(default_stab,
+                                                                  monkeypatch):
+    # data scaled by 1 + 2**-52 differ from the data in round-off only; the
+    # quasi point must not move with it, nor Gauss-Newton creep along the
+    # null direction of the Jacobian's zero first row
+    steps = []
+    jacobian = tikhonov.jacobian
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(tikhonov, "jacobian", counted)
+    p = build_problem("autoconv", 16)
+    K = default_compactum(p, default_stab)
+    for seed in (1, 2, 3):
+        for delta in (1e-3, 1e-4):
+            f_delta = inject_noise(p.grid, p.f_exact, delta, seed).f_delta
+            errors = []
+            for data in (f_delta, f_delta * (1.0 + 2.0 ** -52)):
+                steps.clear()
+                res = minimize_on_compactum(p.op, data, K)
+                assert len(steps) <= 30, (seed, delta, len(steps))
+                errors.append(l2_norm(p.grid, res.u_delta - p.y_true))
+            assert errors[1] == pytest.approx(errors[0], rel=1e-6), (seed, delta)

@@ -1,6 +1,7 @@
 import inspect
 import math
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from illposed import (Compactum, ConfigurationError, Stabilizer, SweepConfig,
-                      VariationalResult, build_problem, inject_noise,
-                      parse_config_file, phi_value, quasi_certificate, run_solve,
-                      run_sweep, sweep, tikhonov, variational_certificate)
+from illposed import (Compactum, ConfigurationError, InvalidParameterError,
+                      Stabilizer, SweepConfig, VariationalResult, build_problem,
+                      inject_noise, parse_config_file, penalty_matrix, phi_value,
+                      quasi_certificate, run_solve, run_sweep, sweep, tikhonov,
+                      variational_certificate)
 from illposed.cli import main
 from illposed.sweep import (CERT_COLUMNS, CSV_COLUMNS, SETTINGS, delta_seed,
                             resolve_rho, rows_to_csv, solve_one)
@@ -174,14 +176,11 @@ def test_cli_solve_exit_zero(capsys):
     for name in LINEAR:
         assert main(["solve", "--problem", name, "--n", "16", "--delta", "1e120"]) == 0
         assert "all-certificates-pass: True" in capsys.readouterr().out
-    # subnormal noise levels, where 2*delta*r underflows to 0; autoconv ends in
-    # rows whose verdicts fail, not in a traceback
+    # subnormal noise levels, where 2*delta*r underflows to 0
     for delta in ("1e-320", "5e-324"):
-        for name in LINEAR:
+        for name in LINEAR + ("autoconv",):
             assert main(["solve", "--problem", name, "--n", "16", "--delta", delta]) == 0
             assert "all-certificates-pass: True" in capsys.readouterr().out
-        assert main(["solve", "--problem", "autoconv", "--n", "16", "--delta", delta]) == 2
-        assert "all-certificates-pass: False" in capsys.readouterr().out
 
 
 def test_cli_solve_writes_out(tmp_path, capsys):
@@ -266,6 +265,48 @@ def test_convergence_study_script_runs(tmp_path):
         assert proc.stderr.startswith("error:"), bad
 
 
+def test_csv_gate_script_runs_and_compares(tmp_path):
+    script = [sys.executable, os.path.join(ROOT, "scripts", "csv_gate.py")]
+    first, second = tmp_path / "first", tmp_path / "second"
+    proc = subprocess.run(script + ["run", str(first), "--linear-n", "8,12",
+                                    "--autoconv-n", "8,12"],
+                          env=SRC_ENV, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    stems = sorted(name[:-len(".csv")] for name in os.listdir(first)
+                   if name.endswith(".csv"))
+    assert len(stems) == 15 and "autoconv-n8-seed3" in stems
+    assert "fredholm-gauss-n8-alpha0-0" in stems
+    shutil.copytree(first, second)
+
+    def compare():
+        return subprocess.run(script + ["compare", str(first), str(second)],
+                              capture_output=True, text=True)
+
+    proc = compare()
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout.count(": byte-identical") == 15
+    # a moved number is measured; a flipped verdict or a new failure fails
+    csv_path = second / "volterra-int-n8.csv"
+    lines = csv_path.read_text().splitlines()
+    cells = lines[1].split(",")
+    error = CSV_COLUMNS.index("error_l2")
+    cells[error] = repr(float(cells[error]) * 1.5)
+    csv_path.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+    proc = compare()
+    assert proc.returncode == 0, proc.stdout
+    assert "== volterra-int-n8: differs" in proc.stdout
+    assert "max rel change 3.33e-01" in proc.stdout
+    cells[CSV_COLUMNS.index("cert_18")] = "false"
+    csv_path.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+    out_path = second / "diag-unbounded-n8.out"
+    out_path.write_text(out_path.read_text().replace(
+        "[pass 24,26]", "[SOLVER FAILURE (injected)]", 1))
+    proc = compare()
+    assert proc.returncode == 1, proc.stdout
+    assert "cert_18 true against false" in proc.stdout
+    assert "solver_error None against 'injected'" in proc.stdout
+
+
 def test_nonlinear_sweep_does_not_load_scipy():
     code = ("import sys\n"
             "from illposed import SweepConfig, run_sweep\n"
@@ -296,40 +337,33 @@ def log_uniform(lo, hi):
 LINEAR = ("diag-unbounded", "volterra-int", "fredholm-gauss")
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
-# a root beyond the largest float lambda is a named failure, not an overflow
-@example(name="volterra-int", n=16, alpha0=1.0, alpha1=1.0, deltas=[1e120, 1.3e154],
-         rho_factor=1.5, seed=0)
-# a subnormal noise level, where 2*delta*r underflows to 0
-@example(name="volterra-int", n=16, alpha0=1.0, alpha1=1.0, deltas=[1e-320, 5e-324],
-         rho_factor=1.5, seed=0)
-# pencil values near 1e-300, where 0.25*eps*theta underflows to 0
-@example(name="fredholm-gauss", n=16, alpha0=1e300, alpha1=1.0, deltas=[0.1, 0.01],
-         rho_factor=1.5, seed=0)
-@given(name=st.sampled_from(LINEAR),
-       n=st.integers(4, 48),
-       alpha0=st.one_of(st.just(0.0), log_uniform(1e-3, 10.0)),
-       alpha1=st.floats(0.0, 10.0),
-       deltas=st.lists(log_uniform(1e-5, 0.5), min_size=2, max_size=2, unique=True),
-       rho_factor=st.floats(0.1, 10.0),
-       seed=st.integers(0, 2**31 - 1))
-def test_linear_cells_end_in_a_row_or_a_named_failure(name, n, alpha0, alpha1,
-                                                      deltas, rho_factor, seed):
-    assume(alpha0 > 0.0 or alpha1 > 0.0)
-    # the compactum of the quasisolution method needs alpha0 > 0
-    config = SweepConfig(problem=name, n=n, alpha0=alpha0, alpha1=alpha1,
-                         method="both" if alpha0 > 0.0 else "variational",
-                         deltas=tuple(deltas), rho_factor=rho_factor, seed=seed)
+def check_rows_or_named_failures(config):
+    """A sweep that ends in one row per cell, each with finite fields and
+    verdicts or a named solver failure; or, exactly when phi's matrix, phi(y)
+    or the radius leaves the float range, in a named rejection before any
+    cell runs."""
+    problem = build_problem(config.problem, config.n)
+    stab = Stabilizer(config.alpha0, config.alpha1)
+    with np.errstate(over="ignore"):
+        finite = bool(np.isfinite(penalty_matrix(stab, problem.grid)).all())
+    phi_y = phi_value(stab, problem.grid, problem.y_true)
+    rho = config.rho_factor * phi_y
+    if not (finite and math.isfinite(phi_y)
+            and ("quasi" not in config.methods or 0.0 < rho < math.inf)):
+        with pytest.raises((ConfigurationError, InvalidParameterError)):
+            run_sweep(config)
+        return
     report = run_sweep(config)
     assert [(row.delta, row.method) for row in report.rows] == [
-        (delta, method) for delta in sorted(deltas, reverse=True)
+        (delta, method) for delta in sorted(config.deltas, reverse=True)
         for method in config.methods]
     for row in report.rows:
         if row.solver_error is not None:
             assert row.solver_error.strip()
             continue
-        fields = ["error_l2", "residual_noisy", "residual_exact", "phi_u",
-                  "lambda_star"]
+        fields = ["error_l2", "residual_noisy", "residual_exact", "phi_u"]
+        if problem.op.is_linear:
+            fields.append("lambda_star")
         certs = ["cert_24", "cert_26"]
         if row.method == "variational":
             fields.append("F_value")
@@ -340,23 +374,79 @@ def test_linear_cells_end_in_a_row_or_a_named_failure(name, n, alpha0, alpha1,
             assert isinstance(getattr(row, cert), bool), cert
 
 
-def test_overflowing_phi_is_a_named_failure_of_its_cell():
-    # at alpha0 = 1e300 phi of a linearized path point overflows to inf; the
-    # quasi cells fail by name instead of in a math domain error or, with
-    # RuntimeWarning an error as in this suite, an overflow traceback
-    report = run_sweep(SweepConfig(problem="autoconv", n=16, alpha0=1e300,
-                                   method="quasi"))
-    assert len(report.rows) == 4
-    for row in report.rows:
-        assert row.solver_error.startswith("phi overflows at lambda="), row
-    assert report.exit_code == 2
-    # the same run without the warning filter
-    proc = subprocess.run(
-        [sys.executable, "-m", "illposed", "sweep", "--problem", "autoconv",
-         "--n", "16", "--alpha0", "1e300", "--method", "quasi"],
-        env=SRC_ENV, capture_output=True, text=True)
-    assert proc.returncode == 2 and proc.stderr == "", proc.stderr
-    assert proc.stdout.count("SOLVER FAILURE (phi overflows") == 4
+# any weight the stabilizer accepts, zero included
+WEIGHTS = st.one_of(st.just(0.0), log_uniform(5e-324, 1e308),
+                    st.floats(0.0, sys.float_info.max))
+
+
+def sweep_config(name, n, alpha0, alpha1, deltas, rho_factor, seed):
+    assume(alpha0 > 0.0 or alpha1 > 0.0)
+    # the compactum of the quasisolution method needs alpha0 > 0
+    return SweepConfig(problem=name, n=n, alpha0=alpha0, alpha1=alpha1,
+                       method="both" if alpha0 > 0.0 else "variational",
+                       deltas=tuple(deltas), rho_factor=rho_factor, seed=seed)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+# a root beyond the largest float lambda is a named failure, not an overflow
+@example(name="volterra-int", n=16, alpha0=1.0, alpha1=1.0, deltas=[1e120, 1.3e154],
+         rho_factor=1.5, seed=0)
+# a subnormal noise level, where 2*delta*r underflows to 0
+@example(name="volterra-int", n=16, alpha0=1.0, alpha1=1.0, deltas=[1e-320, 5e-324],
+         rho_factor=1.5, seed=0)
+# pencil values near 1e-300, where 0.25*eps*theta underflows to 0
+@example(name="fredholm-gauss", n=16, alpha0=1e300, alpha1=1.0, deltas=[0.1, 0.01],
+         rho_factor=1.5, seed=0)
+# the slope weight overflows the matrix of phi, but not phi(y) or the radius
+@example(name="volterra-int", n=12, alpha0=1.0, alpha1=1e307, deltas=[0.1, 0.01],
+         rho_factor=1.5, seed=0)
+@given(name=st.sampled_from(LINEAR),
+       n=st.integers(4, 48),
+       alpha0=WEIGHTS,
+       alpha1=WEIGHTS,
+       deltas=st.lists(log_uniform(1e-5, 0.5), min_size=2, max_size=2, unique=True),
+       rho_factor=st.floats(0.1, 10.0),
+       seed=st.integers(0, 2**31 - 1))
+def test_linear_cells_end_in_a_row_or_a_named_failure(name, n, alpha0, alpha1,
+                                                      deltas, rho_factor, seed):
+    check_rows_or_named_failures(
+        sweep_config(name, n, alpha0, alpha1, deltas, rho_factor, seed))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+# the slope weight overflows the matrix of phi
+@example(n=12, alpha0=2.65e222, alpha1=4.55e307, deltas=[0.1, 0.01], rho_factor=1.5,
+         seed=0)
+@given(n=st.integers(4, 24),
+       alpha0=WEIGHTS,
+       alpha1=WEIGHTS,
+       deltas=st.lists(log_uniform(1e-5, 0.5), min_size=2, max_size=2, unique=True),
+       rho_factor=st.floats(0.1, 10.0),
+       seed=st.integers(0, 2**31 - 1))
+def test_autoconv_cells_end_in_a_row_or_a_named_failure(n, alpha0, alpha1, deltas,
+                                                        rho_factor, seed):
+    check_rows_or_named_failures(
+        sweep_config("autoconv", n, alpha0, alpha1, deltas, rho_factor, seed))
+
+
+def test_overflowing_phi_is_the_infeasible_side():
+    # at these weights phi of some path points overflows to inf; such a point
+    # lies outside the compactum, so the root find closes its bracket on the
+    # finite side and every quasi cell passes its bounds, with RuntimeWarning
+    # an error as in this suite and without
+    for name, n, alpha0 in [("fredholm-gauss", 64, 1e300), ("volterra-int", 64, 1e306),
+                            ("autoconv", 16, 1e300), ("autoconv", 16, 1e306)]:
+        report = run_sweep(SweepConfig(problem=name, n=n, alpha0=alpha0,
+                                       method="quasi"))
+        assert len(report.rows) == 4
+        for row in report.rows:
+            assert row.solver_error is None and row.cert_24 and row.cert_26, row
+        proc = subprocess.run(
+            [sys.executable, "-m", "illposed", "sweep", "--problem", name,
+             "--n", str(n), "--alpha0", repr(alpha0), "--method", "quasi"],
+            env=SRC_ENV, capture_output=True, text=True)
+        assert proc.returncode == report.exit_code and proc.stderr == "", proc.stderr
+        assert proc.stdout.count("[pass 24,26]") == 4, proc.stdout
     # neighbouring weights end in rows with verdicts
     for alpha0, method in [(1e250, "both"), (1e280, "both"), (1e300, "variational")]:
         report = run_sweep(SweepConfig(problem="autoconv", n=16, alpha0=alpha0,
@@ -364,8 +454,8 @@ def test_overflowing_phi_is_a_named_failure_of_its_cell():
         assert all(row.solver_error is None for row in report.rows), (alpha0, method)
 
 
-# defaults, then settings under which some verdicts fail: a radius that
-# excludes the truth (quasi), and a subnormal level on autoconv (both methods)
+# defaults, settings under which some verdicts fail (a radius that excludes
+# the truth, quasi), and a subnormal level on autoconv, whose verdicts hold
 @pytest.mark.parametrize("name, settings", [
     *((name, {}) for name in LINEAR + ("autoconv",)),
     *((name, {"rho_factor": 0.5}) for name in LINEAR + ("autoconv",)),
@@ -393,7 +483,7 @@ def test_row_verdicts_are_the_certificate_slacks(name, settings):
                     if getattr(row, column) is not None}
         assert verdicts == {column: slack >= 0.0 for column, slack in slacks.items()}
         failed += [column for column, ok in verdicts.items() if not ok]
-    assert bool(failed) == bool(settings), failed
+    assert bool(failed) == ("rho_factor" in settings), failed
 
 
 def test_failed_decomposition_fails_every_linear_cell_by_name(monkeypatch):

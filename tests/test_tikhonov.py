@@ -6,7 +6,7 @@ import pytest
 
 from illposed import (SolverFailureError, Stabilizer, build_problem, dense_operator,
                       jacobian, normal_matrix, penalty_matrix)
-from illposed.tikhonov import ROOT_TOL, T_CEIL, TikhonovPath, lower_inverse, path_root
+from illposed.tikhonov import EPS, ROOT_TOL, T_CEIL, TikhonovPath, lower_inverse, path_root
 
 LINEAR = ("diag-unbounded", "volterra-int", "fredholm-gauss")
 
@@ -33,14 +33,28 @@ def test_lower_inverse_of_a_pencil_factor():
 
 
 def check_pencil_contract(op, stab):
-    """V^T B V = I and V^T N V = diag(theta), theta in [0, 1], B = N + P."""
+    """V^T B V = I_k and V^T N V = diag(theta), B = N + P, for the k kept theta
+    in (cut, 1], cut = n eps max(theta); what is dropped carries N-energy of
+    at most cut per unit of B-energy.  Returns k."""
     theta, vectors = TikhonovPath(op, stab).spectrum
     normal = normal_matrix(op)
     pencil = normal + penalty_matrix(stab, op.grid)
-    n = op.grid.n
-    assert np.all((theta >= 0.0) & (theta <= 1.0))
-    assert np.abs(vectors.T @ pencil @ vectors - np.eye(n)).max() <= 1e-9
+    n, k = vectors.shape
+    cut = n * EPS * theta.max(initial=0.0)
+    assert theta.shape == (k,)
+    assert np.all((theta > cut) & (theta <= 1.0))
+    assert np.abs(vectors.T @ pencil @ vectors - np.eye(k)).max() <= 1e-9
     assert np.abs(vectors.T @ normal @ vectors - np.diag(theta)).max() <= 1e-9
+    # an independent full reduction L^-1 N L^-T of the pencil, B = L L^T
+    low = np.linalg.cholesky(pencil)
+    reduced = np.linalg.solve(low, np.linalg.solve(low, normal).T)
+    full = np.linalg.eigvalsh(reduced)
+    assert np.abs(full[n - k:] - theta).max(initial=0.0) <= 1e-9
+    assert full[:n - k].max(initial=0.0) <= cut + 1e-9
+    # the N-energy left outside span(V): the reduced pencil minus its kept part
+    kept = low.T @ vectors
+    assert np.linalg.eigvalsh(reduced - (kept * theta) @ kept.T).max() <= cut + 1e-9
+    return k
 
 
 @pytest.mark.parametrize("alpha0", [0.0, 1.0])
@@ -48,14 +62,19 @@ def check_pencil_contract(op, stab):
 @pytest.mark.parametrize("name", LINEAR)
 def test_pencil_contract_linear(name, n, alpha0):
     p = build_problem(name, n)
-    check_pencil_contract(p.op, Stabilizer(alpha0, 1.0))
+    k = check_pencil_contract(p.op, Stabilizer(alpha0, 1.0))
+    if name == "diag-unbounded" or (name, n) == ("volterra-int", 65):
+        assert k == n   # every direction is resolved
+    if name == "fredholm-gauss" and n > 16:
+        assert k < 20   # the Gaussian kernel resolves about 17 directions
 
 
 def test_pencil_contract_autoconv_jacobian():
-    # the Jacobian's first row is zero, so N is singular and some theta are 0
+    # the Jacobian's first row is zero, so N has one exact null direction,
+    # which is dropped
     p = build_problem("autoconv", 64)
     lin = dense_operator(p.grid, jacobian(p.op, p.y_true))
-    check_pencil_contract(lin, Stabilizer())
+    assert check_pencil_contract(lin, Stabilizer()) == 63
 
 
 def counted(fn):

@@ -3,9 +3,9 @@ import pytest
 
 from illposed import (CertificateUnavailableError, Grid,
                       InvalidParameterError, ProblemInstance,
-                      SingularSystemError, SolverFailureError, Stabilizer,
+                      SolverFailureError, Stabilizer,
                       SweepConfig, VariationalResult, apply, build_problem,
-                      dense_operator, diagonal_operator, f_functional,
+                      diagonal_operator, f_functional,
                       identity_operator, inject_noise, jacobian,
                       l2_norm, minimize_variational, phi_value, run_sweep,
                       tikhonov, variational_certificate)
@@ -86,14 +86,31 @@ def test_tikhonov_matches_diagonal_closed_form(lam, rng):
     assert np.allclose(u, expected, rtol=1e-12)
 
 
-def test_singular_system_names_lambda(default_stab):
+def test_point_at_lambda_zero_drops_unresolved_directions(rng):
+    # a zero diagonal entry leaves N singular: the lam = 0 point is the
+    # least-squares point u_k = f_k / a_k of the other entries, with no
+    # component along the zero one
     g = Grid(4)
-    row = np.array([1.0, 2.0, 3.0, 4.0])
-    op = dense_operator(g, np.outer(np.ones(4), row))
-    with pytest.raises(SingularSystemError) as err:
-        path_point(op, default_stab, np.ones(4), 0.0)
-    assert err.value.lam == 0.0
-    assert "lambda=0" in str(err.value)
+    a = np.array([1.0, 2.0, 0.0, 3.0])
+    f_delta = rng.standard_normal(4)
+    path = TikhonovPath(diagonal_operator(g, a), Stabilizer(1.0, 0.0))
+    assert path.spectrum[1].shape == (4, 3)
+    u = path.point(0.0, path.coefficients(f_delta))
+    assert u[2] == 0.0
+    kept = a != 0.0
+    assert np.allclose(u[kept], f_delta[kept] / a[kept], rtol=1e-12, atol=0.0)
+
+
+def test_path_without_a_resolved_direction_is_zero(default_stab):
+    # A = 0 resolves no direction: V is n x 0, and every point, the solution
+    # included, is 0
+    g = Grid(6)
+    op = diagonal_operator(g, np.zeros(6))
+    path = TikhonovPath(op, default_stab)
+    assert path.spectrum[1].shape == (6, 0)
+    assert not path.point(0.0, path.coefficients(np.ones(6))).any()
+    res = minimize_variational(op, np.ones(6), 1e-2, default_stab)
+    assert not res.u_delta.any() and res.phi_u == 0.0
 
 
 def test_negative_lambda_rejected(default_stab):

@@ -8,15 +8,14 @@ hypotheses hold, plus a gallery of ill-posed test problems and brute-force
 oracles to validate the solvers at small scale.
 """
 
-from .errors import (BudgetExceededError, CertificateUnavailableError,
-                     ConfigurationError, GridMismatchError, IllposedError,
-                     InvalidParameterError, NonFiniteError,
+from .errors import (BudgetExceededError, ConfigurationError, GridMismatchError,
+                     IllposedError, InvalidParameterError, NonFiniteError,
                      SingularSystemError, SolverFailureError,
                      UnsupportedOperatorError)
 from .gallery import (ConditionReport, ProblemInstance, build_problem,
                       condition_report)
 from .grids import Grid, inner_product, l2_norm
-from .noise import NoisyData, inject_noise
+from .noise import inject_noise
 from .operators import (OperatorSpec, apply, as_matrix, dense_operator,
                         diagonal_operator, domain_project, identity_operator,
                         jacobian, nonlinear_operator, normal_matrix,

@@ -34,10 +34,6 @@ class SolverFailureError(IllposedError):
         self.best_value = best_value
 
 
-class CertificateUnavailableError(IllposedError):
-    """Certificate evaluation requires the true solution, which is missing."""
-
-
 class ConfigurationError(IllposedError, ValueError):
     """Invalid problem name, config key, or config value."""
 

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .errors import ConfigurationError
-from .grids import Grid
+from .grids import Grid, check_vec
 from .operators import (OperatorSpec, apply, as_matrix, dense_operator,
                         diagonal_operator, nonlinear_operator)
 
@@ -30,14 +28,22 @@ ILL_POSED_RATIO = 1e3
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A gallery problem: operator, true solution, exact data, provenance."""
+    """A gallery problem: operator, true solution, exact data, provenance.
+
+    The certificates and errors need the true solution and the exact data, so
+    both are checked against the grid when the problem is built.
+    """
 
     name: str
     grid: Grid
     op: OperatorSpec
-    y_true: Optional[np.ndarray]
+    y_true: np.ndarray
     f_exact: np.ndarray
     notes: str
+
+    def __post_init__(self):
+        for name in ("y_true", "f_exact"):
+            object.__setattr__(self, name, check_vec(self.grid, getattr(self, name), name))
 
 
 @dataclass(frozen=True)

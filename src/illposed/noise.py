@@ -7,8 +7,6 @@ platforms, then rescaled to the requested noise level in the grid norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidParameterError
@@ -18,19 +16,9 @@ EXACT_NORM = "exact-norm"
 BOUNDED = "bounded"
 
 
-@dataclass(frozen=True)
-class NoisyData:
-    """Perturbed right-hand side with its noise level and provenance."""
-
-    f_delta: np.ndarray
-    delta: float
-    seed: int
-    mode: str
-
-
 def inject_noise(grid: Grid, f: np.ndarray, delta: float, seed: int,
-                 mode: str = EXACT_NORM) -> NoisyData:
-    """Return ``f`` plus a seeded perturbation of grid norm ``delta``.
+                 mode: str = EXACT_NORM) -> np.ndarray:
+    """The noisy data: ``f`` plus a seeded perturbation of grid norm ``delta``.
 
     In ``exact-norm`` mode the perturbation norm equals ``delta`` exactly
     (worst case allowed by the noise model); in ``bounded`` mode the norm is
@@ -50,5 +38,4 @@ def inject_noise(grid: Grid, f: np.ndarray, delta: float, seed: int,
         raise InvalidParameterError("degenerate noise draw")
     direction = z / nz
     radius = delta if mode == EXACT_NORM else delta * (1.0 - rng.uniform())
-    return NoisyData(f_delta=f + radius * direction, delta=float(delta),
-                     seed=int(seed), mode=mode)
+    return f + radius * direction

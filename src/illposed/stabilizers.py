@@ -58,9 +58,7 @@ def difference_quotient(grid: Grid, u: np.ndarray) -> np.ndarray:
 
 
 def _cell_gram_diagonal(grid: Grid) -> np.ndarray:
-    m = grid.n - 1
-    w = trapezoid_weights(m) if m >= 2 else np.ones(m)
-    return grid.h * w
+    return grid.h * trapezoid_weights(grid.n - 1)
 
 
 def phi_value(stab: Stabilizer, grid: Grid, u: np.ndarray) -> float:

@@ -175,9 +175,6 @@ def resolve_rho(config: SweepConfig, problem: ProblemInstance,
                 stab: Stabilizer) -> float:
     if config.rho is not None:
         return config.rho
-    if problem.y_true is None:
-        raise ConfigurationError(
-            "rho-factor policy needs a known true solution; pass an explicit rho")
     return config.rho_factor * phi_value(stab, problem.grid, problem.y_true)
 
 
@@ -209,8 +206,7 @@ def solve_one(problem: ProblemInstance, method: str, delta: float,
         row.residual_noisy = res.residual_noisy
         row.phi_u = res.phi_u
         row.lambda_star = res.lambda_star
-        if problem.y_true is not None:
-            row.error_l2 = l2_norm(grid, res.u_delta - problem.y_true)
+        row.error_l2 = l2_norm(grid, res.u_delta - problem.y_true)
     except SolverFailureError as exc:
         row.solver_error = str(exc)
     row.wall_ms = 1000.0 * (time.perf_counter() - started)
@@ -249,11 +245,10 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     seeds = {delta: delta_seed(config, j) for j, delta in enumerate(config.deltas)}
     report = SweepReport(config=config)
     for delta in sorted(config.deltas, reverse=True):
-        noisy = inject_noise(problem.grid, problem.f_exact, delta, seeds[delta],
-                             mode=config.noise_mode)
+        f_delta = inject_noise(problem.grid, problem.f_exact, delta, seeds[delta],
+                               mode=config.noise_mode)
         for method in config.methods:
-            report.rows.append(
-                solve_one(problem, method, delta, noisy.f_delta, stab, K, path))
+            report.rows.append(solve_one(problem, method, delta, f_delta, stab, K, path))
     if config.out is not None:
         write_report_csv(report, config.out)
     return report
@@ -309,7 +304,7 @@ SETTINGS: Dict[str, Tuple[Callable[[str], object], str]] = {
     "noise_mode": (str, "exact-norm | bounded"),
     "alpha0": (float, "stabilizer weight on the value term"),
     "alpha1": (float, "stabilizer weight on the slope term"),
-    "rho": (float, "explicit constraint-set radius (blind mode)"),
+    "rho": (float, "explicit constraint-set radius"),
     "rho_factor": (float,
                    "radius as a multiple of the true solution's stabilizer value"),
     "out": (str, "CSV output path"),

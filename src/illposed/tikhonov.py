@@ -21,11 +21,12 @@ problems for the Jacobian (Kaltenbacher, Neubauer & Scherzer, *Iterative
 Regularization Methods for Nonlinear Ill-Posed Problems*, 2008).  Each step's
 linear problem is solved only to GN_RTOL, the relative accuracy at which the
 outer loop stops, and its root find starts from the previous step's lambda
-(an inexact Newton method: Dembo, Eisenstat & Steihaug, 1982); a linear A is
-solved to ROOT_TOL from lam = 1.  Both methods state their scalar equation as
-a :data:`Gap` ``gap(lin, data, t, u)``: the linear operator ``lin`` and data
-of the problem on whose path ``u`` = u_lam lies, t = log(lam).  Both return
-the :class:`Solution` of :func:`solve`, the one place that chooses the road.
+(an inexact Newton method: Dembo, Eisenstat & Steihaug, 1982), the lam = 0
+end t = -inf included; a linear A is solved to ROOT_TOL from lam = 1.  Both
+methods state their scalar equation as a :data:`Gap` ``gap(lin, data, t, u)``:
+the linear operator ``lin`` and data of the problem on whose path ``u`` =
+u_lam lies, t = log(lam).  Both return the :class:`Solution` of
+:func:`solve`, the one place that chooses the road.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ ROOT_TOL = 1e-10      # accepted value of a linear solve's scalar equation, from
 ROOT_MAX_ITER = 100   # evaluations per root find, bracket search included
 GN_MAX_ITER = 100     # Gauss-Newton steps per nonlinear solve
 GN_RTOL = 1e-3        # stop once a step lowers the objective by less than this
-                      # fraction; also the accepted gap of each step's linear solve
-GN_MIN_STEP = 2.0 ** -30  # a step damped below this length fraction ends the solve
+                      # fraction, or its length fraction falls below it; also the
+                      # accepted gap of each step's linear solve
 INVERSE_LEAF = 64     # blocks of lower_inverse this small go to np.linalg.inv
 
 Gap = Callable[[OperatorSpec, np.ndarray, float, np.ndarray], float]
@@ -153,42 +154,43 @@ def solve(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: Gap,
     """
     f_delta = check_vec(op.grid, f_delta, "data")
     if op.is_linear:
-        lam, u = path_solve(path or TikhonovPath(op, stab), f_delta, gap)
+        t, u = path_solve(path or TikhonovPath(op, stab), f_delta, gap)
     else:
-        lam, u = math.nan, gauss_newton(op, stab, f_delta, gap, objective, project)
+        t, u = math.nan, gauss_newton(op, stab, f_delta, gap, objective, project)
     return Solution(u_delta=u, residual_noisy=l2_norm(op.grid, apply(op, u) - f_delta),
-                    phi_u=phi_value(stab, op.grid, u), lambda_star=lam)
+                    phi_u=phi_value(stab, op.grid, u), lambda_star=math.exp(t))
 
 
 def path_solve(path: TikhonovPath, f_delta: np.ndarray, gap: Gap, *,
                tol: float = ROOT_TOL, start: float = 0.0) -> Tuple[float, np.ndarray]:
-    """(lam, u_lam) on ``path`` for ``f_delta`` at the root of ``gap``.
+    """(t, u_lam) on ``path`` for ``f_delta`` at the root t = log(lam) of ``gap``.
 
-    :func:`path_root` finds the root to ``tol`` from t = ``start``; lam = 0
-    when the gap is nonnegative along the whole path.  A pencil that cannot
-    be decomposed fails the solve like a root find that does not converge.
+    :func:`path_root` finds the root to ``tol`` from t = ``start``; t = -inf
+    (lam = 0) when the gap is nonnegative along the whole path.  A pencil
+    that cannot be decomposed fails the solve like a root find that does
+    not converge.
     """
     try:
         coef = path.coefficients(f_delta)
         t = path_root(lambda t: gap(path.op, f_delta, t, path.point(math.exp(t), coef)),
                       path.t_floor, tol=tol, start=start)
-        lam = 0.0 if t is None else math.exp(t)
-        return lam, path.point(lam, coef)
+        return t, path.point(math.exp(t), coef)
     except SingularSystemError as exc:
         raise SolverFailureError(str(exc)) from exc
 
 
 def path_root(fn: Callable[[float], float], t_floor: float, *, tol: float = ROOT_TOL,
-              start: float = 0.0) -> Optional[float]:
+              start: float = 0.0) -> float:
     """Root of a nondecreasing ``fn`` of t = log(lam), from its nonnegative side.
 
     The bracket search starts at t = ``start`` clamped into [t_floor, T_CEIL]
     (by default lam = 1, where every pencil value is 1), and doubles its
-    steps from 1 up to T_CEIL or down to t_floor; Illinois regula falsi,
-    safeguarded by bisection, closes the bracket to 0 <= fn <= ``tol`` or to
-    float resolution.  None when fn is nonnegative down to ``t_floor``, below
-    which the path is constant; :class:`SolverFailureError` when fn is
-    negative up to T_CEIL.
+    steps from 1 up to T_CEIL or down to t_floor, and ends where a clamped
+    step does not move, so each end is evaluated at most once; Illinois
+    regula falsi, safeguarded by bisection, closes the bracket to
+    0 <= fn <= ``tol`` or to float resolution.  -inf (lam = 0) when fn is
+    nonnegative down to ``t_floor``, below which the path is constant;
+    :class:`SolverFailureError` when fn is negative up to T_CEIL.
     """
     calls = 0
 
@@ -205,14 +207,14 @@ def path_root(fn: Callable[[float], float], t_floor: float, *, tol: float = ROOT
     step = -1.0 if f_t >= 0.0 else 1.0
     while True:
         s = min(max(t + step, t_floor), T_CEIL)
+        if s == t:  # clamped at an end that is already evaluated
+            if f_t >= 0.0:
+                return -math.inf
+            raise SolverFailureError(
+                f"path root lies beyond the largest float lambda {math.exp(T_CEIL):g}")
         f_s = value(s)
         if (f_s >= 0.0) != (f_t >= 0.0):
             break
-        if s == t_floor:
-            return None
-        if s == T_CEIL:
-            raise SolverFailureError(
-                f"path root lies beyond the largest float lambda {math.exp(T_CEIL):g}")
         t, f_t, step = s, f_s, 2.0 * step
     (lo, g_lo), (hi, f_hi) = sorted([(t, f_t), (s, f_s)])
 
@@ -238,21 +240,22 @@ def gauss_newton(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: G
 
     At the iterate u the operator builds its Jacobian matrix J = A'(u) once,
     and the method's own linear problem for J with data f_d - A(u) + J u is
-    solved by :func:`path_solve` with ``gap``, to GN_RTOL and from the lambda of the
-    previous step when that is positive.  The iterate moves toward that
-    point, halving the step until ``objective`` drops, then ``project``s.  It
-    stops when a step lowers the objective by less than GN_RTOL of its value
-    or no step lowers it; after GN_MAX_ITER steps it raises
+    solved by :func:`path_solve` with ``gap``, to GN_RTOL and from the t =
+    log(lam) where the previous step's root find ended (lam = 1 at the first
+    step; the floor of the path after a step at lam = 0).  The iterate moves
+    toward that point, halving the step until ``objective`` drops, then
+    ``project``s.  It stops when a step lowers the objective by less than
+    GN_RTOL of its value, or when no step of length fraction at least
+    GN_RTOL lowers it; after GN_MAX_ITER steps it raises
     :class:`SolverFailureError` carrying the iterate.
     """
     u = project(np.ones(op.grid.n))
-    value, lam = objective(u), 0.0
+    value, t = objective(u), 0.0
     for _ in range(GN_MAX_ITER):
         jac = jacobian(op, u)
         path = TikhonovPath(dense_operator(op.grid, jac), stab)
         data = f_delta - apply(op, u) + jac @ u
-        lam, target = path_solve(path, data, gap, tol=GN_RTOL,
-                                 start=math.log(lam) if lam > 0.0 else 0.0)
+        t, target = path_solve(path, data, gap, tol=GN_RTOL, start=t)
         step = 1.0
         while True:
             trial = project(u + step * (target - u))
@@ -260,7 +263,7 @@ def gauss_newton(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: G
             if trial_value < value:
                 break
             step *= 0.5
-            if step < GN_MIN_STEP:
+            if step < GN_RTOL:
                 return u
         decrease, u, value = value - trial_value, trial, trial_value
         if decrease <= GN_RTOL * value:

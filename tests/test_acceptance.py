@@ -58,15 +58,15 @@ def matrix_runs():
         phi_y = phi_value(stab, problem.grid, problem.y_true)
         K = Compactum(stab, RHO_FACTOR * phi_y)
         for j, delta in enumerate(DELTAS):
-            noisy = inject_noise(problem.grid, problem.f_exact, delta, SEED + j)
-            var = minimize_variational(problem.op, noisy.f_delta, delta, stab)
+            f_delta = inject_noise(problem.grid, problem.f_exact, delta, SEED + j)
+            var = minimize_variational(problem.op, f_delta, delta, stab)
             var_cert = variational_certificate(var, problem, delta, stab)
-            quasi = minimize_on_compactum(problem.op, noisy.f_delta, K)
+            quasi = minimize_on_compactum(problem.op, f_delta, K)
             quasi_residual_exact = l2_norm(
                 problem.grid, apply(problem.op, quasi.u_delta) - problem.f_exact)
             q_cert = quasi_certificate(quasi, quasi_residual_exact, delta)
             runs[(name, delta)] = SimpleNamespace(
-                problem=problem, stab=stab, phi_y=phi_y, noisy=noisy,
+                problem=problem, stab=stab, phi_y=phi_y, f_delta=f_delta,
                 var=var, var_cert=var_cert, quasi=quasi, quasi_cert=q_cert,
                 quasi_residual_exact=quasi_residual_exact,
                 var_error=l2_norm(problem.grid, var.u_delta - problem.y_true),
@@ -146,9 +146,9 @@ def test_criterion_6_variational_oracle_equivalence():
     box = _oracle_box(problem)
     worst = 0.0
     for j, delta in enumerate((1e-1, 1e-2)):
-        noisy = inject_noise(problem.grid, problem.f_exact, delta, SEED + j)
-        res = minimize_variational(problem.op, noisy.f_delta, delta, stab)
-        objective = f_objective_batch(problem, stab, noisy.f_delta, delta)
+        f_delta = inject_noise(problem.grid, problem.f_exact, delta, SEED + j)
+        res = minimize_variational(problem.op, f_delta, delta, stab)
+        objective = f_objective_batch(problem, stab, f_delta, delta)
         point, _ = brute_force_minimize(objective, box)
         _, oracle_value = refine_coordinatewise(objective, point, box.cell)
         worst = max(worst, abs(res.F_value - oracle_value))
@@ -166,9 +166,9 @@ def test_criterion_7_quasisolution_oracle_equivalence():
     box = _oracle_box(problem)
     worst = 0.0
     for j, delta in enumerate((1e-1, 1e-2)):
-        noisy = inject_noise(problem.grid, problem.f_exact, delta, SEED + j)
-        res = minimize_on_compactum(problem.op, noisy.f_delta, K)
-        objective = constrained_residual_batch(problem, K, noisy.f_delta)
+        f_delta = inject_noise(problem.grid, problem.f_exact, delta, SEED + j)
+        res = minimize_on_compactum(problem.op, f_delta, K)
+        objective = constrained_residual_batch(problem, K, f_delta)
         point, _ = brute_force_minimize(objective, box)
         _, oracle_value = refine_coordinatewise(objective, point, box.cell)
         worst = max(worst, abs(res.residual_noisy - oracle_value))
@@ -198,14 +198,14 @@ def test_criterion_8_structural_invariants():
     for trial in range(100):
         problem = problems[trial % len(problems)]
         delta = 10.0 ** rng.uniform(-4, -1)
-        noisy = inject_noise(problem.grid, problem.f_exact, delta,
-                             int(rng.integers(1 << 30)))
+        f_delta = inject_noise(problem.grid, problem.f_exact, delta,
+                               int(rng.integers(1 << 30)))
         path = TikhonovPath(problem.op, stab)
-        coef = path.coefficients(noisy.f_delta)
+        coef = path.coefficients(f_delta)
         prev_r, prev_p = -np.inf, np.inf
         for lam in lams:
             u = path.point(lam, coef)
-            r = l2_norm(problem.grid, apply(problem.op, u) - noisy.f_delta)
+            r = l2_norm(problem.grid, apply(problem.op, u) - f_delta)
             p = phi_value(stab, problem.grid, u)
             assert r >= prev_r * (1 - 1e-9)
             assert p <= prev_p * (1 + 1e-9) + 1e-300
@@ -231,22 +231,22 @@ def test_criterion_8_structural_invariants():
     f = problems[0].f_exact
     for trial in range(100):
         delta = DELTAS[trial % 4]
-        noisy = inject_noise(g, f, delta, trial)
-        assert l2_norm(g, noisy.f_delta - f) == pytest.approx(delta, rel=1e-12)
+        f_delta = inject_noise(g, f, delta, trial)
+        assert l2_norm(g, f_delta - f) == pytest.approx(delta, rel=1e-12)
 
     # nonlinear residual derivative against central finite differences
     autoconv = build_problem("autoconv", 48)
     ga = autoconv.grid
-    noisy = inject_noise(ga, autoconv.f_exact, 1e-2, 5)
+    f_delta = inject_noise(ga, autoconv.f_exact, 1e-2, 5)
 
     def half_residual_sq(u):
-        r = apply(autoconv.op, u) - noisy.f_delta
+        r = apply(autoconv.op, u) - f_delta
         return 0.5 * float(np.sum(ga.gram_diagonal * r * r))
 
     for _ in range(100):
         u = np.abs(1.0 + 0.3 * rng.standard_normal(ga.n))
         v = rng.standard_normal(ga.n)
-        r = apply(autoconv.op, u) - noisy.f_delta
+        r = apply(autoconv.op, u) - f_delta
         analytic = float(np.sum(ga.gram_diagonal * r * (jacobian(autoconv.op, u) @ v)))
         eps = 1e-5
         numeric = (half_residual_sq(u + eps * v)

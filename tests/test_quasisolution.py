@@ -50,8 +50,8 @@ def test_spherical_case_matches_radial_projection(rng):
 def test_discrepancy_bound_on_volterra(default_stab):
     p = build_problem("volterra-int", 64)
     delta = 1e-2
-    noisy = inject_noise(p.grid, p.f_exact, delta, 42)
-    res = minimize_on_compactum(p.op, noisy.f_delta, default_compactum(p, default_stab))
+    f_delta = inject_noise(p.grid, p.f_exact, delta, 42)
+    res = minimize_on_compactum(p.op, f_delta, default_compactum(p, default_stab))
     assert res.residual_noisy <= 2.0 * delta + 1e-9
 
 
@@ -60,8 +60,8 @@ def test_linear_solver_invariants(default_stab, name):
     p = build_problem(name, 64)
     K = default_compactum(p, default_stab)
     for j, delta in enumerate(DELTAS):
-        noisy = inject_noise(p.grid, p.f_exact, delta, 42 + j)
-        res = minimize_on_compactum(p.op, noisy.f_delta, K)
+        f_delta = inject_noise(p.grid, p.f_exact, delta, 42 + j)
+        res = minimize_on_compactum(p.op, f_delta, K)
         phi_u = phi_value(default_stab, p.grid, res.u_delta)
         assert phi_u <= K.rho * (1 + 1e-12)                      # feasibility
         assert res.phi_u == phi_u
@@ -86,8 +86,8 @@ def test_certificate_arithmetic():
 def test_certificate_leaves_result_unchanged(default_stab):
     p = build_problem("diag-unbounded", 32)
     delta = 1e-2
-    noisy = inject_noise(p.grid, p.f_exact, delta, 5)
-    res = minimize_on_compactum(p.op, noisy.f_delta, default_compactum(p, default_stab))
+    f_delta = inject_noise(p.grid, p.f_exact, delta, 5)
+    res = minimize_on_compactum(p.op, f_delta, default_compactum(p, default_stab))
     before = copy.deepcopy(res)
     residual_exact = exact_residual(p, res)
     cert = quasi_certificate(res, residual_exact, delta)
@@ -102,9 +102,9 @@ def test_interpolating_solution_passes_both_bounds(default_stab, rng):
     g = Grid(16)
     f = rng.standard_normal(16) * 0.1
     delta = 5e-2
-    noisy = inject_noise(g, f, delta, 3)
+    f_delta = inject_noise(g, f, delta, 3)
     K = Compactum(default_stab, 1e6)
-    res = minimize_on_compactum(identity_operator(g), noisy.f_delta, K)
+    res = minimize_on_compactum(identity_operator(g), f_delta, K)
     cert = quasi_certificate(res, l2_norm(g, res.u_delta - f), delta)
     assert res.residual_noisy <= 1e-10
     assert min(cert.values()) >= 0.0
@@ -115,42 +115,42 @@ def test_too_small_compactum_fails_certificate(default_stab):
     p = build_problem("diag-unbounded", 64)
     K = default_compactum(p, default_stab, factor=0.5)  # excludes the truth
     delta = 1e-2
-    noisy = inject_noise(p.grid, p.f_exact, delta, 42)
-    res = minimize_on_compactum(p.op, noisy.f_delta, K)
+    f_delta = inject_noise(p.grid, p.f_exact, delta, 42)
+    res = minimize_on_compactum(p.op, f_delta, K)
     cert = quasi_certificate(res, exact_residual(p, res), delta)
     assert cert["cert_24"] < 0.0  # reported, not hidden
 
 
 def test_root_find_iteration_cap_reported(default_stab, monkeypatch):
     p = build_problem("volterra-int", 32)
-    noisy = inject_noise(p.grid, p.f_exact, 1e-2, 1)
+    f_delta = inject_noise(p.grid, p.f_exact, 1e-2, 1)
     monkeypatch.setattr(tikhonov, "ROOT_MAX_ITER", 1)
     with pytest.raises(SolverFailureError) as err:
-        minimize_on_compactum(p.op, noisy.f_delta,
+        minimize_on_compactum(p.op, f_delta,
                               default_compactum(p, default_stab))
     assert "1 iterations" in str(err.value)
 
 
 def test_deterministic_given_inputs(default_stab):
     p = build_problem("fredholm-gauss", 48)
-    noisy = inject_noise(p.grid, p.f_exact, 1e-3, 8)
+    f_delta = inject_noise(p.grid, p.f_exact, 1e-3, 8)
     K = default_compactum(p, default_stab)
-    a = minimize_on_compactum(p.op, noisy.f_delta, K)
-    b = minimize_on_compactum(p.op, noisy.f_delta, K)
+    a = minimize_on_compactum(p.op, f_delta, K)
+    b = minimize_on_compactum(p.op, f_delta, K)
     assert np.array_equal(a.u_delta, b.u_delta)
 
 
 def test_nonlinear_solver_feasible_and_within_bound(default_stab):
     p = build_problem("autoconv", 64)
     delta = 1e-2
-    noisy = inject_noise(p.grid, p.f_exact, delta, 43)
+    f_delta = inject_noise(p.grid, p.f_exact, delta, 43)
     K = default_compactum(p, default_stab)
-    res = minimize_on_compactum(p.op, noisy.f_delta, K)
+    res = minimize_on_compactum(p.op, f_delta, K)
     assert phi_value(default_stab, p.grid, res.u_delta) <= K.rho * (1 + 1e-12)
     assert np.all(res.u_delta >= 0.0)
     cert = quasi_certificate(res, exact_residual(p, res), delta)
     assert min(cert.values()) >= 0.0
-    again = minimize_on_compactum(p.op, noisy.f_delta, K)
+    again = minimize_on_compactum(p.op, f_delta, K)
     assert np.array_equal(res.u_delta, again.u_delta)
 
 
@@ -194,7 +194,7 @@ def test_small_noise_autoconv_quasi_does_not_move_with_round_off(default_stab,
     K = default_compactum(p, default_stab)
     for seed in (1, 2, 3):
         for delta in (1e-3, 1e-4):
-            f_delta = inject_noise(p.grid, p.f_exact, delta, seed).f_delta
+            f_delta = inject_noise(p.grid, p.f_exact, delta, seed)
             errors = []
             for data in (f_delta, f_delta * (1.0 + 2.0 ** -52)):
                 steps.clear()

@@ -1,9 +1,11 @@
+import importlib.util
 import inspect
 import math
 import os
 import shutil
 import subprocess
 import sys
+from collections import namedtuple
 from dataclasses import fields
 
 import numpy as np
@@ -17,8 +19,8 @@ from illposed import (Compactum, ConfigurationError, InvalidParameterError,
                       quasi_certificate, run_solve, run_sweep, sweep, tikhonov,
                       variational_certificate)
 from illposed.cli import main
-from illposed.sweep import (CERT_COLUMNS, CSV_COLUMNS, SETTINGS, delta_seed,
-                            resolve_rho, rows_to_csv, solve_one)
+from illposed.sweep import (CERT_COLUMNS, CSV_COLUMNS, SETTINGS, SweepRow,
+                            delta_seed, resolve_rho, rows_to_csv, solve_one)
 from illposed.tikhonov import TikhonovPath
 
 # subprocesses import the package from this checkout
@@ -307,6 +309,30 @@ def test_csv_gate_script_runs_and_compares(tmp_path):
     assert "solver_error None against 'injected'" in proc.stdout
 
 
+def test_gn_probe_script_runs_and_counts_failing_cells(capsys):
+    path = os.path.join(ROOT, "scripts", "gn_probe.py")
+    proc = subprocess.run([sys.executable, path, "--seeds", "1"], env=SRC_ENV,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "== probe: 16 cells, 0 failing" in proc.stdout
+    assert "== round-off twins: 16 cells, 0 failing" in proc.stdout
+    assert "worst twin error_l2 change: " in proc.stdout
+    assert "quasi       delta=0.0001   error_l2 gmean " in proc.stdout
+    assert proc.stdout.endswith("failing cells: 0\n")
+    # a solver error or a false verdict is a failing cell
+    spec = importlib.util.spec_from_file_location("gn_probe", path)
+    gn_probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gn_probe)
+    cells = [("a", SweepRow(delta=0.1, method="quasi", error_l2=0.5, cert_24=True)),
+             ("b", SweepRow(delta=0.1, method="quasi", solver_error="injected")),
+             ("c", SweepRow(delta=0.1, method="variational", cert_18=False))]
+    assert gn_probe.summarize("cells", cells, gn_probe.Tally()) == 2
+    out = capsys.readouterr().out
+    assert "== cells: 3 cells, 2 failing" in out
+    assert "FAIL b delta=0.1 quasi: injected" in out
+    assert "FAIL c delta=0.1 variational: false cert_18" in out
+
+
 def test_nonlinear_sweep_does_not_load_scipy():
     code = ("import sys\n"
             "from illposed import SweepConfig, run_sweep\n"
@@ -546,8 +572,12 @@ def test_gauss_newton_decomposes_once_per_step(monkeypatch):
     assert len(jacobians) == len(steps)
 
 
+RootFind = namedtuple("RootFind", "tol start t_floor points root")
+
+
 def record_root_finds(monkeypatch):
-    """(tol, start, evaluations) of every path root find."""
+    """A RootFind of every path root find: its tol, start and t_floor, the t it
+    evaluated, in order, and the root it returned (None when it raised)."""
     calls = []
     path_root = tikhonov.path_root
     signature = inspect.signature(path_root)
@@ -555,17 +585,18 @@ def record_root_finds(monkeypatch):
     def counted(fn, *args, **kwargs):
         bound = signature.bind(fn, *args, **kwargs)
         bound.apply_defaults()
-        evaluations = []
+        points, root = [], None
 
         def value(t):
-            evaluations.append(t)
+            points.append(t)
             return fn(t)
 
         try:
-            return path_root(value, *args, **kwargs)
+            root = path_root(value, *args, **kwargs)
+            return root
         finally:
-            calls.append((bound.arguments.get("tol"), bound.arguments.get("start"),
-                          len(evaluations)))
+            calls.append(RootFind(bound.arguments["tol"], bound.arguments["start"],
+                                  bound.arguments["t_floor"], points, root))
 
     monkeypatch.setattr(tikhonov, "path_root", counted)
     return calls
@@ -576,10 +607,34 @@ def test_gauss_newton_steps_are_solved_to_the_outer_tolerance(monkeypatch):
     report = run_sweep(SweepConfig(problem="autoconv", n=16, deltas=(1e-1, 1e-2)))
     assert all(row.solver_error is None for row in report.rows)
     assert len(calls) > len(report.rows)
-    assert {tol for tol, _, _ in calls} == {tikhonov.GN_RTOL}
+    assert {call.tol for call in calls} == {tikhonov.GN_RTOL}
     # after the first step of a cell, the search starts at the previous lambda
-    assert sum(start != 0.0 for _, start, _ in calls) >= len(calls) - len(report.rows)
-    assert sum(evaluations for _, _, evaluations in calls) / len(calls) <= 15
+    assert sum(call.start != 0.0 for call in calls) >= len(calls) - len(report.rows)
+    assert sum(len(call.points) for call in calls) / len(calls) <= 15
+
+
+def test_gauss_newton_restarts_at_the_floor_after_lam_zero(monkeypatch):
+    calls = record_root_finds(monkeypatch)
+    firsts = []  # the index of each Gauss-Newton solve's first root find
+    gauss_newton = tikhonov.gauss_newton
+
+    def counted(*args, **kwargs):
+        firsts.append(len(calls))
+        return gauss_newton(*args, **kwargs)
+
+    monkeypatch.setattr(tikhonov, "gauss_newton", counted)
+    for seed in (1, 2, 3):
+        report = run_sweep(SweepConfig(problem="autoconv", n=16, method="quasi",
+                                       seed=seed))
+        assert all(row.solver_error is None for row in report.rows)
+    ends = firsts[1:] + [len(calls)]
+    after_zero = [later for first, end in zip(firsts, ends)
+                  for earlier, later in zip(calls[first:end - 1], calls[first + 1:end])
+                  if earlier.root == -math.inf]
+    # a step at lam = 0 is followed by a search that starts at the new floor
+    assert after_zero
+    assert all(call.points[0] == call.t_floor for call in after_zero)
+    assert sum(len(call.points) for call in calls) <= 300
 
 
 def test_linear_root_finds_keep_root_tol_from_lam_one(monkeypatch):
@@ -587,7 +642,7 @@ def test_linear_root_finds_keep_root_tol_from_lam_one(monkeypatch):
     report = run_sweep(SweepConfig(problem="volterra-int", n=16, method="both"))
     assert all(row.solver_error is None for row in report.rows)
     assert len(calls) == len(report.rows)
-    assert {(tol, start) for tol, start, _ in calls} == {(tikhonov.ROOT_TOL, 0.0)}
+    assert {(call.tol, call.start) for call in calls} == {(tikhonov.ROOT_TOL, 0.0)}
 
 
 @pytest.mark.parametrize("alpha0", [0.0, 1.0])
@@ -601,10 +656,10 @@ def test_shared_decomposition_changes_no_bit(name, alpha0):
     K = Compactum(stab, resolve_rho(config, problem, stab)) if alpha0 > 0.0 else None
     fresh = []
     for j, delta in enumerate(config.deltas):  # the default levels descend
-        noisy = inject_noise(problem.grid, problem.f_exact, delta,
-                             delta_seed(config, j))
+        f_delta = inject_noise(problem.grid, problem.f_exact, delta,
+                               delta_seed(config, j))
         for method in config.methods:
-            fresh.append(solve_one(problem, method, delta, noisy.f_delta, stab, K,
+            fresh.append(solve_one(problem, method, delta, f_delta, stab, K,
                                    TikhonovPath(problem.op, stab)))
     assert rows_to_csv(shared.rows) == rows_to_csv(fresh)
 

@@ -1,6 +1,8 @@
 """The pencil decomposition of tikhonov.TikhonovPath, checked by its contract,
 and the root find on its path."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -122,12 +124,13 @@ def test_path_root_defaults_start_at_lam_one_to_root_tol():
                                     {"tol": 1e-3, "start": 2.0},
                                     {"tol": 1e-3, "start": 1e4}])
 def test_path_root_ends_of_the_path(kwargs):
-    # nonnegative down to the floor: no root, the path's end is the answer
+    # each end is evaluated once, so a start clamped to it is the only evaluation
+    # nonnegative down to the floor: no root, the path's end lam = 0 is the answer
     fn, points = counted(lambda t: 1.0)
-    assert path_root(fn, -50.0, **kwargs) is None
-    assert points[-1] == -50.0
+    assert path_root(fn, -50.0, **kwargs) == -math.inf
+    assert points[-1] == -50.0 and points.count(-50.0) == 1
     # negative up to the largest float lambda: a named failure
     fn, points = counted(lambda t: -1.0)
     with pytest.raises(SolverFailureError, match="beyond the largest float"):
         path_root(fn, -50.0, **kwargs)
-    assert points[-1] == T_CEIL
+    assert points[-1] == T_CEIL and points.count(T_CEIL) == 1

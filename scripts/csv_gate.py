@@ -12,10 +12,11 @@ defaults (method both, deltas 1e-1..1e-4, seed 42) unless named otherwise:
 Each sweep writes ``NAME.csv`` and ``NAME.out``: the console summary without
 its timings, so it keeps each row's solver failure, and the exit code.
 
-``compare DIR_A DIR_B`` prints, per file, the rows, verdicts and solver
-errors that differ, the largest relative change of each numeric column per
-method, and whether the CSVs are byte-identical.  It exits 1 when a file is
-missing or rows, verdicts or solver errors differ, else 0.
+``compare DIR_A DIR_B`` prints, per file, the rows, verdicts, solver errors
+and exit codes that differ, the largest relative change of each numeric
+column per method, and whether the CSVs are byte-identical.  It exits 1 when
+a file is missing or rows, verdicts, solver errors or exit codes differ,
+else 0.
 
     PYTHONPATH=../parent/src python scripts/csv_gate.py run gate/parent
     PYTHONPATH=src python scripts/csv_gate.py run gate/change
@@ -73,15 +74,18 @@ def run(outdir, linear_ns, autoconv_ns):
 
 
 def read_run(directory, stem):
-    """(CSV bytes, CSV rows, solver error of each row or None)."""
+    """(CSV bytes, CSV rows, solver error of each row or None, exit code)."""
     with open(os.path.join(directory, stem + ".csv"), "rb") as fh:
         raw = fh.read()
     rows = list(csv.DictReader(io.StringIO(raw.decode("ascii"))))
     with open(os.path.join(directory, stem + ".out"), encoding="utf-8") as fh:
-        summary = [line for line in fh if line.startswith("delta=")]
+        lines = fh.read().splitlines()
     errors = [line.split("[SOLVER FAILURE (", 1)[1].rsplit(")]", 1)[0]
-              if "[SOLVER FAILURE (" in line else None for line in summary]
-    return raw, rows, errors
+              if "[SOLVER FAILURE (" in line else None
+              for line in lines if line.startswith("delta=")]
+    code = next((line[len("exit: "):] for line in lines if line.startswith("exit: ")),
+                None)
+    return raw, rows, errors, code
 
 
 def relative_change(a, b):
@@ -93,18 +97,21 @@ def relative_change(a, b):
 
 
 def compare_file(dir_a, dir_b, stem):
-    """Print the differences of one sweep; True when rows, verdicts and errors match."""
-    raw_a, rows_a, errors_a = read_run(dir_a, stem)
-    raw_b, rows_b, errors_b = read_run(dir_b, stem)
+    """Print the differences of one sweep; True when rows, verdicts, errors and
+    exit codes match."""
+    raw_a, rows_a, errors_a, code_a = read_run(dir_a, stem)
+    raw_b, rows_b, errors_b, code_b = read_run(dir_b, stem)
     print(f"== {stem}: {'byte-identical' if raw_a == raw_b else 'differs'}")
+    same = code_a == code_b
+    if not same:
+        print(f"   exit code {code_a} against {code_b}")
     if raw_a == raw_b and errors_a == errors_b:
-        return True
+        return same
     keys_a = [(row["delta"], row["method"]) for row in rows_a]
     keys_b = [(row["delta"], row["method"]) for row in rows_b]
     if keys_a != keys_b:
         print(f"   rows differ: {keys_a} against {keys_b}")
         return False
-    same = True
     changes = {}
     for (delta, method), row_a, row_b, err_a, err_b in zip(
             keys_a, rows_a, rows_b, errors_a, errors_b):
@@ -141,7 +148,8 @@ def compare(dir_a, dir_b):
             ok = False
             continue
         ok = compare_file(dir_a, dir_b, stem) and ok
-    print("rows, verdicts and solver errors: " + ("identical" if ok else "DIFFER"))
+    print("rows, verdicts, solver errors and exit codes: "
+          + ("identical" if ok else "DIFFER"))
     return 0 if ok else 1
 
 

@@ -1,7 +1,8 @@
 """Command-line interface: ``illposed solve`` and ``illposed sweep``.
 
 Both subcommands take ``--config`` plus one flag per key of
-``sweep.SETTINGS``; flags override config-file keys.
+``sweep.SETTINGS``; flags override config-file keys.  Flags must be spelled
+in full: argparse's prefix matching is off.
 
 Exit codes: 0 all certificates pass (and errors decrease, for sweeps);
 1 configuration, usage or I/O error; 2 a certificate or convergence verdict
@@ -15,8 +16,8 @@ import sys
 from typing import List, Optional
 
 from .errors import ConfigurationError, IllposedError
-from .sweep import (EXIT_CONFIG, SETTINGS, SweepConfig, fold_delta,
-                    parse_config_file, print_summary, run_solve, run_sweep)
+from .sweep import (EXIT_CONFIG, SETTINGS, SweepConfig, parse_config_file,
+                    print_summary, run_solve, run_sweep)
 
 
 class Parser(argparse.ArgumentParser):
@@ -44,11 +45,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = Parser(
         prog="illposed",
         description="Regularized solvers for operator equations with noisy data",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, help_text in (("solve", "single solve at the first noise level"),
                                ("sweep", "convergence study over noise levels")):
-        cmd = sub.add_parser(command, help=help_text)
+        cmd = sub.add_parser(command, help=help_text, allow_abbrev=False)
         cmd.add_argument("--config", help="flat key = value configuration file")
         for key, (parse, key_help) in SETTINGS.items():
             cmd.add_argument("--" + key.replace("_", "-"), dest=key,
@@ -58,8 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_config(args: argparse.Namespace) -> SweepConfig:
     values = parse_config_file(args.config) if args.config else {}
-    values.update(fold_delta({key: value for key, value in vars(args).items()
-                              if key in SETTINGS and value is not None}))
+    values.update({key: value for key, value in vars(args).items()
+                   if key in SETTINGS and value is not None})
     if "problem" not in values:
         raise IllposedError("--problem is required (flag or config key)")
     return SweepConfig(**values)

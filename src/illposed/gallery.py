@@ -102,9 +102,8 @@ def autoconvolve_jacobian(grid: Grid, u: np.ndarray) -> np.ndarray:
     return grid.h * jac
 
 
-def build_problem(name: str, n: int, sigma: float = 0.1,
-                  a: float = 0.0, b: float = 1.0) -> ProblemInstance:
-    """Construct a gallery problem on an ``n``-node grid over ``[a, b]``."""
+def build_problem(name: str, n: int, sigma: float = 0.1) -> ProblemInstance:
+    """Construct a gallery problem on an ``n``-node grid over ``[0, 1]``."""
     if name not in PROBLEM_NAMES:
         raise ConfigurationError(
             f"unknown problem {name!r}; valid names: {', '.join(PROBLEM_NAMES)}")
@@ -117,7 +116,7 @@ def build_problem(name: str, n: int, sigma: float = 0.1,
         raise ConfigurationError(
             f"kernel width sigma must be positive with a normal, finite square, "
             f"got {sigma}")
-    grid = Grid(n, a, b)
+    grid = Grid(n)
     x = grid.nodes
 
     if name == "diag-unbounded":

@@ -17,6 +17,10 @@ from .errors import BudgetExceededError, InvalidParameterError, NonFiniteError
 
 POINT_BUDGET = 10_000_000
 MAX_DIM = 3
+CHUNK = 1 << 19  # grid points per objective call of the brute force
+GOLDEN_MAX_ITER = 1000  # golden-section steps per bracket
+POLISH_VALUE_TOL = 1e-15  # polishing stops once a sweep gains less than this
+POLISH_MAX_SWEEPS = 300
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -58,13 +62,12 @@ class SearchBox:
 
 
 def brute_force_minimize(objective: Callable[[np.ndarray], np.ndarray],
-                         box: SearchBox,
-                         chunk: int = 1 << 19) -> Tuple[np.ndarray, float]:
+                         box: SearchBox) -> Tuple[np.ndarray, float]:
     """Evaluate ``objective`` at every grid point of ``box`` and return the best.
 
     ``objective`` must accept an ``(m, dim)`` array and return ``m`` values
-    (it is evaluated in chunks to stay within memory).  Ties are broken by
-    lexicographic grid index.  ``+inf`` values mark infeasible points; the
+    (it is evaluated ``CHUNK`` points at a time to stay within memory).  Ties
+    are broken by lexicographic grid index.  ``+inf`` values mark infeasible points; the
     returned minimum must be finite.
     """
     if box.dim > MAX_DIM:
@@ -76,8 +79,8 @@ def brute_force_minimize(objective: Callable[[np.ndarray], np.ndarray],
 
     best_value = np.inf
     best_index = -1
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
+    for start in range(0, total, CHUNK):
+        stop = min(start + CHUNK, total)
         flat = np.arange(start, stop)
         idx = np.unravel_index(flat, shape)
         pts = np.stack([axes[k][idx[k]] for k in range(box.dim)], axis=1)
@@ -97,7 +100,7 @@ def brute_force_minimize(objective: Callable[[np.ndarray], np.ndarray],
 
 
 def refine_1d(g: Callable[[float], float], bracket: Sequence[float],
-              tol: float = 1e-6, max_iter: int = 1000) -> float:
+              tol: float = 1e-6) -> float:
     """Golden-section search on a unimodal ``g``; returns the final bracket midpoint.
 
     Terminates once the bracket width falls below ``tol`` relative to the
@@ -118,7 +121,7 @@ def refine_1d(g: Callable[[float], float], bracket: Sequence[float],
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     gc, gd = _eval(c), _eval(d)
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_MAX_ITER):
         if (b - a) <= tol * 0.5 * (abs(a) + abs(b)) + atol:
             break
         if gc <= gd:
@@ -133,15 +136,14 @@ def refine_1d(g: Callable[[float], float], bracket: Sequence[float],
 
 
 def refine_coordinatewise(objective: Callable[[np.ndarray], np.ndarray],
-                          start: np.ndarray, radius: np.ndarray,
-                          value_tol: float = 1e-15,
-                          max_sweeps: int = 300) -> Tuple[np.ndarray, float]:
+                          start: np.ndarray,
+                          radius: np.ndarray) -> Tuple[np.ndarray, float]:
     """Polish a brute-force minimizer by cyclic per-coordinate golden section.
 
     ``objective`` uses the same batched convention as
     :func:`brute_force_minimize`.  Each sweep refines every coordinate over a
     bracket of +/- ``radius`` around the current point; sweeps stop when the
-    value improvement drops below ``value_tol``.
+    value improvement drops below ``POLISH_VALUE_TOL``.
     """
     point = np.array(start, dtype=float)
     radius = np.broadcast_to(np.asarray(radius, dtype=float), point.shape)
@@ -150,7 +152,7 @@ def refine_coordinatewise(objective: Callable[[np.ndarray], np.ndarray],
         return float(objective(p[None, :])[0])
 
     value = scalar(point)
-    for _ in range(max_sweeps):
+    for _ in range(POLISH_MAX_SWEEPS):
         previous = value
         for k in range(point.size):
             def slice_k(t: float, k: int = k) -> float:
@@ -161,6 +163,6 @@ def refine_coordinatewise(objective: Callable[[np.ndarray], np.ndarray],
             point[k] = refine_1d(slice_k, (point[k] - radius[k], point[k] + radius[k]),
                                  tol=1e-12)
         value = scalar(point)
-        if previous - value < value_tol:
+        if previous - value < POLISH_VALUE_TOL:
             break
     return point, value

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 from math import isnan
@@ -45,6 +44,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERDICT = 2
 
+MAX_N = 4096  # the largest grid of the dense road: an n x n float array is 134 MB
+
 
 @dataclass
 class SweepConfig:
@@ -59,7 +60,6 @@ class SweepConfig:
     noise_mode: str = EXACT_NORM
     alpha0: float = 1.0
     alpha1: float = 1.0
-    rho: Optional[float] = None
     rho_factor: float = 1.5
     out: Optional[str] = None
 
@@ -80,8 +80,8 @@ class SweepConfig:
         if len(set(self.deltas)) != len(self.deltas):
             # each level's seed is its position, so a repeat would reseed a row
             raise ConfigurationError("noise levels must not repeat")
-        if self.n < 4:
-            raise ConfigurationError(f"n must be at least 4, got {self.n}")
+        if not 4 <= self.n <= MAX_N:
+            raise ConfigurationError(f"n must be between 4 and {MAX_N}, got {self.n}")
 
     @property
     def methods(self) -> List[str]:
@@ -173,8 +173,7 @@ def delta_seed(config: SweepConfig, delta_index: int) -> int:
 
 def resolve_rho(config: SweepConfig, problem: ProblemInstance,
                 stab: Stabilizer) -> float:
-    if config.rho is not None:
-        return config.rho
+    """The constraint radius: ``rho_factor`` times the truth's ``phi``."""
     return config.rho_factor * phi_value(stab, problem.grid, problem.y_true)
 
 
@@ -237,10 +236,6 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     K = None
     if METHOD_QUASI in config.methods:
         K = Compactum(stab, resolve_rho(config, problem, stab))
-        if config.rho is not None:
-            print("warning: explicit rho given; the convergence guarantee needs the "
-                  "true solution inside the constraint set, which is not checked",
-                  file=sys.stderr)
     path = TikhonovPath(problem.op, stab) if problem.op.is_linear else None
     seeds = {delta: delta_seed(config, j) for j, delta in enumerate(config.deltas)}
     report = SweepReport(config=config)
@@ -260,8 +255,7 @@ def write_report_csv(report: SweepReport, path: str) -> None:
         fh.write(text)
 
 
-def print_summary(report: SweepReport, stream=None) -> None:
-    stream = stream or sys.stdout
+def print_summary(report: SweepReport) -> None:
     total_ms = 0.0
     for row in report.rows:
         verdicts = [(name[len("cert_"):], getattr(row, name)) for name in CERT_COLUMNS]
@@ -272,14 +266,14 @@ def print_summary(report: SweepReport, stream=None) -> None:
             status = f"SOLVER FAILURE ({row.solver_error})"
         err = "n/a" if row.error_l2 is None else f"{row.error_l2:.6e}"
         print(f"delta={row.delta:<8g} method={row.method:<12s} "
-              f"error={err} [{status}] ({row.wall_ms:.1f} ms)", file=stream)
+              f"error={err} [{status}] ({row.wall_ms:.1f} ms)")
         total_ms += row.wall_ms or 0.0
-    print(f"all-certificates-pass: {report.all_certificates_pass}", file=stream)
+    print(f"all-certificates-pass: {report.all_certificates_pass}")
     for method in report.config.methods:
         verdict = report.error_decreasing(method)
         if verdict is not None:
-            print(f"error-decreasing[{method}]: {verdict}", file=stream)
-    print(f"total wall time: {total_ms:.1f} ms", file=stream)
+            print(f"error-decreasing[{method}]: {verdict}")
+    print(f"total wall time: {total_ms:.1f} ms")
 
 
 # --- settings: config-file keys and CLI flags -------------------------------
@@ -292,53 +286,47 @@ def parse_deltas(text: str) -> Tuple[float, ...]:
         raise ConfigurationError(f"bad noise levels {text!r}: {exc}") from exc
 
 
-# key -> (parser of its text value, help); ``delta`` is folded into ``deltas``
+# key -> (parser of its text value, help); one key per ``SweepConfig`` field
 SETTINGS: Dict[str, Tuple[Callable[[str], object], str]] = {
     "problem": (str, "gallery problem name"),
     "n": (int, "number of grid nodes"),
     "sigma": (float, "kernel width for fredholm-gauss"),
     "method": (str, "variational | quasi | both"),
-    "delta": (float, "one noise level (deltas wins if both are given)"),
     "deltas": (parse_deltas, "comma-separated noise levels"),
     "seed": (int, "base seed for noise draws"),
     "noise_mode": (str, "exact-norm | bounded"),
     "alpha0": (float, "stabilizer weight on the value term"),
     "alpha1": (float, "stabilizer weight on the slope term"),
-    "rho": (float, "explicit constraint-set radius"),
     "rho_factor": (float,
                    "radius as a multiple of the true solution's stabilizer value"),
     "out": (str, "CSV output path"),
 }
 
 
-def fold_delta(values: Dict[str, object]) -> Dict[str, object]:
-    """Replace a single ``delta`` by ``deltas``, unless ``deltas`` is also set."""
-    delta = values.pop("delta", None)
-    if delta is not None:
-        values.setdefault("deltas", (delta,))
-    return values
-
-
 def parse_config_file(path: str) -> Dict[str, object]:
     """Parse a flat ``key = value`` file with ``#`` comments."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not a UTF-8 text file: {exc}") from exc
     values: Dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in SETTINGS:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: unknown key {key!r}; valid keys: "
-                    f"{', '.join(sorted(SETTINGS))}")
-            try:
-                values[key] = SETTINGS[key][0](value.strip())
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    return fold_delta(values)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(
+                f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in SETTINGS:
+            raise ConfigurationError(
+                f"{path}:{lineno}: unknown key {key!r}; valid keys: "
+                f"{', '.join(sorted(SETTINGS))}")
+        try:
+            values[key] = SETTINGS[key][0](value.strip())
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+    return values

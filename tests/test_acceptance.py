@@ -259,15 +259,13 @@ def test_criterion_8_structural_invariants():
 
 
 def test_criterion_9_negative_control(tmp_path):
-    stab = Stabilizer()
-    problem = build_problem("diag-unbounded", N)
-    rho_bad = 0.5 * phi_value(stab, problem.grid, problem.y_true)
+    # rho = 0.5 * phi(y): the truth lies outside the constraint set
     out = tmp_path / "control.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "illposed", "sweep",
          "--problem", "diag-unbounded", "--n", str(N), "--method", "quasi",
          "--deltas", "1e-1,1e-2,1e-3,1e-4", "--seed", str(SEED),
-         "--rho", repr(rho_bad), "--out", str(out)],
+         "--rho-factor", "0.5", "--out", str(out)],
         capture_output=True, text=True)
     header, *rows = out.read_text().splitlines()
     cert_24_column = header.split(",").index("cert_24")

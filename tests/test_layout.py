@@ -1,13 +1,18 @@
-"""Module boundaries of the package, read from its source with ``ast``, and
-the library example of the README, run as written."""
+"""Module boundaries of the package, read from its source with ``ast``, the
+names of the package that the benchmark reaches into, and the library example
+of the README, run as written."""
 
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
 import illposed
 
 MODULES = sorted(Path(illposed.__file__).parent.glob("*.py"))
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 KIND_NAMES = {"LINEAR_DENSE", "LINEAR_DIAGONAL"}
 
 
@@ -103,6 +108,75 @@ def test_only_gauss_newton_loosens_a_root_find():
     assert through in passes
     assert loosened == [("tikhonov.py", "gauss_newton", "path_solve")], (
         f"root finds loosened outside gauss_newton: {passes}")
+
+
+def dotted(node):
+    """``a.b.c`` of a chain of attribute reads on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def resolves(chain):
+    """Whether the dotted ``illposed.a.b`` chain reads from the imported package."""
+    obj = illposed
+    for attr in chain.split(".")[1:]:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def module_constants(tree):
+    """Module-level ``NAME = <literal>`` assignments."""
+    return {target.id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) for target in node.targets
+            if isinstance(target, ast.Name) and isinstance(node.value, ast.Tuple)}
+
+
+def test_names_the_benchmark_reaches_into_exist():
+    """Every name of the package that perfbench/ imports, reads, patches, traces
+    or passes to ``SweepConfig`` exists, so a change that deletes one fails here
+    rather than in the benchmark."""
+    config_fields = {f.name for f in dataclasses.fields(illposed.SweepConfig)}
+    checked, missing = [], []
+
+    def check(path, what, ok):
+        checked.append(what.split(" ", 1)[0])
+        if not ok:
+            missing.append(f"{path.name}: {what}")
+
+    for path in PERFBENCH:
+        tree = parse(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                    "illposed"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    check(path, f"import {node.module}.{alias.name}",
+                          hasattr(module, alias.name))
+            elif isinstance(node, ast.Attribute) and (dotted(node) or "").startswith(
+                    "illposed."):
+                check(path, f"read {dotted(node)}", resolves(dotted(node)))
+            elif isinstance(node, ast.Call) and dotted(node.func) == "Patched":
+                attr = ast.literal_eval(node.args[0])
+                check(path, f"patch illposed.sweep.{attr}", hasattr(illposed.sweep, attr))
+            elif isinstance(node, ast.Call) and (dotted(node.func) or "").endswith(
+                    "SweepConfig"):
+                for kw in node.keywords:
+                    check(path, f"config SweepConfig({kw.arg}=)", kw.arg in config_fields)
+        if path.name == "tracer.py":
+            constants = module_constants(tree)
+            for short in constants["LAYER_MODULES"]:
+                check(path, f"trace illposed.{short}", resolves(f"illposed.{short}"))
+            for attr in constants["SWEEP_FUNCTIONS"]:
+                check(path, f"trace illposed.sweep.{attr}",
+                      hasattr(illposed.sweep, attr))
+    assert not missing, f"perfbench/ reaches names the package lacks: {missing}"
+    # each kind of reach is present, so none of the checks above is vacuous
+    assert set(checked) == {"import", "read", "patch", "config", "trace"}, checked
 
 
 def test_readme_library_example_runs(capsys):

@@ -38,6 +38,10 @@ def test_config_validation():
         SweepConfig(problem="diag-unbounded", method="bayes")
     with pytest.raises(ConfigurationError):
         SweepConfig(problem="diag-unbounded", n=3)
+    # beyond the dense road; only the configuration is built, nothing n x n
+    assert SweepConfig(problem="diag-unbounded", n=4096).n == sweep.MAX_N
+    with pytest.raises(ConfigurationError, match="between 4 and 4096"):
+        SweepConfig(problem="diag-unbounded", n=4097)
     with pytest.raises(ConfigurationError):
         SweepConfig(problem="diag-unbounded", seed=-1)
     with pytest.raises(ConfigurationError):
@@ -64,15 +68,22 @@ def test_config_file_parsing(tmp_path):
     assert config.method == "quasi"
     assert config.rho_factor == 2.0
     assert config.seed == 7
-    # every configuration field is a config key and a flag; delta folds into deltas
-    assert set(SETTINGS) == {f.name for f in fields(SweepConfig)} | {"delta"}
+    # every configuration field is a config key and a flag, and nothing else is
+    assert list(SETTINGS) == [f.name for f in fields(SweepConfig)]
 
 
-def test_config_file_rejects_unknown_key(tmp_path):
+def test_config_file_rejects_unknown_key(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("problema = diag-unbounded\n")
     with pytest.raises(ConfigurationError):
         parse_config_file(path)
+    # one-level deltas and rho_factor are the only spellings of these settings
+    for key in ("delta", "rho"):
+        path.write_text(f"problem = diag-unbounded\n{key} = 0.3\n")
+        with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
+            parse_config_file(path)
+        assert main(["solve", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_config_file_rejects_bad_value(tmp_path):
@@ -80,6 +91,15 @@ def test_config_file_rejects_bad_value(tmp_path):
     path.write_text("n = many\n")
     with pytest.raises(ConfigurationError):
         parse_config_file(path)
+
+
+def test_config_file_that_is_not_utf8_is_a_named_error(tmp_path, capsys):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"problem = volterra-int\n# \xff\n")
+    with pytest.raises(ConfigurationError, match="latin.cfg: not a UTF-8 text file"):
+        parse_config_file(path)
+    assert main(["solve", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_seed_derivation_is_append_stable():
@@ -144,44 +164,37 @@ def test_rows_sorted_descending_regardless_of_config_order():
     assert [row.delta for row in report.rows] == [1e-1, 1e-3]
 
 
-def test_negative_control_flags_certificate(capsys):
-    p = build_problem("diag-unbounded", 64)
-    rho_bad = 0.5 * phi_value(Stabilizer(), p.grid, p.y_true)
+def test_negative_control_flags_certificate():
+    # a radius of half the truth's phi excludes the truth from the compactum
     config = SweepConfig(problem="diag-unbounded", n=64, method="quasi",
-                         deltas=(1e-2, 1e-3), seed=42, rho=rho_bad)
+                         deltas=(1e-2, 1e-3), seed=42, rho_factor=0.5)
     report = run_sweep(config)
     assert report.exit_code == 2
     assert report.rows[0].cert_24 is False
-    warnings = [line for line in capsys.readouterr().err.splitlines()
-                if "not checked" in line]
-    assert len(warnings) == 1  # the blind-mode warning, once per run
 
 
-def test_single_solve_negative_control_exit_two(capsys):
-    p = build_problem("diag-unbounded", 64)
-    rho_bad = 0.5 * phi_value(Stabilizer(), p.grid, p.y_true)
+def test_single_solve_negative_control_exit_two():
     config = SweepConfig(problem="diag-unbounded", n=64, method="quasi",
-                         deltas=(1e-2,), seed=42, rho=rho_bad)
+                         deltas=(1e-2,), seed=42, rho_factor=0.5)
     report = run_solve(config)
     assert report.rows[0].cert_24 is False
     assert report.exit_code == 2
-    capsys.readouterr()
 
 
 def test_cli_solve_exit_zero(capsys):
     code = main(["solve", "--problem", "diag-unbounded", "--n", "32",
-                 "--method", "variational", "--delta", "1e-2", "--seed", "42"])
+                 "--method", "variational", "--deltas", "1e-2", "--seed", "42"])
     assert code == 0
     out = capsys.readouterr().out
     assert "all-certificates-pass: True" in out
     # the variational lambda is about 2e240 here, far beyond the doubling bracket
     for name in LINEAR:
-        assert main(["solve", "--problem", name, "--n", "16", "--delta", "1e120"]) == 0
+        assert main(["solve", "--problem", name, "--n", "16", "--deltas", "1e120"]) == 0
         assert "all-certificates-pass: True" in capsys.readouterr().out
     # subnormal noise levels, where 2*delta*r underflows to 0
     for delta in ("1e-320", "5e-324"):
         for name in LINEAR + ("autoconv",):
-            assert main(["solve", "--problem", name, "--n", "16", "--delta", delta]) == 0
+            assert main(["solve", "--problem", name, "--n", "16", "--deltas", delta]) == 0
             assert "all-certificates-pass: True" in capsys.readouterr().out
 
 
@@ -198,13 +211,13 @@ def test_cli_solve_writes_out(tmp_path, capsys):
 
 
 def test_cli_rejects_bad_config(capsys):
-    assert main(["solve", "--problem", "no-such-problem", "--delta", "1e-2"]) == 1
-    assert main(["solve", "--problem", "diag-unbounded", "--delta", "-1"]) == 1
+    assert main(["solve", "--problem", "no-such-problem", "--deltas", "1e-2"]) == 1
+    assert main(["solve", "--problem", "diag-unbounded", "--deltas", "-1"]) == 1
     assert main(["sweep", "--deltas", "1e-1"]) == 1  # problem missing
     assert main(["sweep", "--problem", "volterra-int", "--deltas", "1e-1,abc"]) == 1
-    assert main(["solve", "--problem", "volterra-int", "--delta", "1e-2",
+    assert main(["solve", "--problem", "volterra-int", "--deltas", "1e-2",
                  "--alpha1", "nan"]) == 1
-    assert main(["solve", "--problem", "volterra-int", "--delta", "1e-2",
+    assert main(["solve", "--problem", "volterra-int", "--deltas", "1e-2",
                  "--alpha0", "nan"]) == 1
     # usage errors exit 1 as well; argparse's own code 2 means a failed verdict
     assert main(["solve", "--problem", "volterra-int", "--n", "abc"]) == 1
@@ -220,6 +233,12 @@ def test_cli_rejects_bad_config(capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 16
     assert "could not convert string to float: 'abc'" in err
+    # removed settings and abbreviations are usage errors: --rho is not taken
+    # for --rho-factor, nor --noise for --noise-mode
+    for flags in (["--delta", "1e-2"], ["--rho", "0.3"], ["--noise", "exact-norm"]):
+        assert main(["sweep", "--problem", "diag-unbounded", *flags]) == 1
+        assert capsys.readouterr().err == (
+            f"error: unrecognized arguments: {' '.join(flags)}\n")
 
 
 def test_cli_unwritable_output_is_io_error(tmp_path, capsys):
@@ -245,7 +264,7 @@ def test_cli_flags_override_config_file(tmp_path, capsys):
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "illposed", "solve", "--problem",
-         "diag-unbounded", "--n", "32", "--method", "quasi", "--delta", "1e-2"],
+         "diag-unbounded", "--n", "32", "--method", "quasi", "--deltas", "1e-2"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "all-certificates-pass: True" in proc.stdout
@@ -287,6 +306,15 @@ def test_csv_gate_script_runs_and_compares(tmp_path):
     proc = compare()
     assert proc.returncode == 0, proc.stdout
     assert proc.stdout.count(": byte-identical") == 15
+    # a differing exit code fails the gate, even with byte-identical files
+    out_path = second / "diag-unbounded-n8.out"
+    summary = out_path.read_text()
+    assert summary.endswith("\nexit: 0\n")
+    out_path.write_text(summary.replace("\nexit: 0\n", "\nexit: 2\n"))
+    proc = compare()
+    assert proc.returncode == 1, proc.stdout
+    assert "== diag-unbounded-n8: byte-identical\n   exit code 0 against 2" in proc.stdout
+    out_path.write_text(summary)
     # a moved number is measured; a flipped verdict or a new failure fails
     csv_path = second / "volterra-int-n8.csv"
     lines = csv_path.read_text().splitlines()
@@ -300,7 +328,6 @@ def test_csv_gate_script_runs_and_compares(tmp_path):
     assert "max rel change 3.33e-01" in proc.stdout
     cells[CSV_COLUMNS.index("cert_18")] = "false"
     csv_path.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
-    out_path = second / "diag-unbounded-n8.out"
     out_path.write_text(out_path.read_text().replace(
         "[pass 24,26]", "[SOLVER FAILURE (injected)]", 1))
     proc = compare()
@@ -664,7 +691,7 @@ def test_shared_decomposition_changes_no_bit(name, alpha0):
     assert rows_to_csv(shared.rows) == rows_to_csv(fresh)
 
 
-@pytest.mark.parametrize("flags", [["--alpha0", "0"], ["--rho", "-1"]])
+@pytest.mark.parametrize("flags", [["--alpha0", "0"], ["--rho-factor", "-1"]])
 def test_settings_are_checked_before_any_cell(flags, monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("a solver ran before the settings were checked")

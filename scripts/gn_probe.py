@@ -16,9 +16,9 @@ picks the checkout.  Every sweep uses the CLI defaults (method both, deltas
 
 For each part it prints the failing cells (a solver error or a false
 verdict), the most and the total Gauss-Newton steps of a cell, the root
-finds and their path evaluations, and the geometric-mean ``error_l2`` per
-(method, delta); for the twins also the worst relative change of
-``error_l2``.  It exits 1 when a cell fails, else 0.
+finds and their path evaluations per method, and the geometric-mean
+``error_l2`` per (method, delta); for the twins also the worst relative
+change of ``error_l2``.  It exits 1 when a cell fails, else 0.
 
     PYTHONPATH=src python scripts/gn_probe.py [--seeds K] [--wide]
 """
@@ -44,15 +44,17 @@ WIDE_SEEDS = (1, 2)
 
 
 class Tally:
-    """Gauss-Newton steps of each cell, and root finds with their path evaluations."""
+    """Gauss-Newton steps of each cell, and root finds with their path
+    evaluations by method."""
 
     def __init__(self):
         self.reset()
 
     def reset(self):
         self.steps = []   # one entry per cell
-        self.root_finds = 0
-        self.evaluations = 0
+        self.method = None   # the method of the current cell
+        self.root_finds = defaultdict(int)
+        self.evaluations = defaultdict(int)
 
     def install(self):
         """Count through ``sweep.solve_one`` (one cell), ``tikhonov.jacobian`` (one
@@ -60,19 +62,20 @@ class Tally:
         solve_one, jacobian = sweep.solve_one, tikhonov.jacobian
         path_root = tikhonov.path_root
 
-        def counted_cell(*args, **kwargs):
+        def counted_cell(problem, method, *args):
             self.steps.append(0)
-            return solve_one(*args, **kwargs)
+            self.method = method
+            return solve_one(problem, method, *args)
 
         def counted_jacobian(*args, **kwargs):
             self.steps[-1] += 1
             return jacobian(*args, **kwargs)
 
         def counted_root(fn, *args, **kwargs):
-            self.root_finds += 1
+            self.root_finds[self.method] += 1
 
             def value(t):
-                self.evaluations += 1
+                self.evaluations[self.method] += 1
                 return fn(t)
 
             return path_root(value, *args, **kwargs)
@@ -146,7 +149,9 @@ def summarize(name, cells, tally):
         print(f"   FAIL {label} delta={row.delta:g} {row.method}: {reason}")
     print(f"   Gauss-Newton steps: most {max(tally.steps, default=0)}, "
           f"total {sum(tally.steps)}")
-    print(f"   root finds: {tally.root_finds}, path evaluations: {tally.evaluations}")
+    for method in sorted(tally.root_finds):
+        print(f"   {method:<11s} root finds: {tally.root_finds[method]}, "
+              f"path evaluations: {tally.evaluations[method]}")
     logs = defaultdict(list)
     for _, row in cells:
         if row.error_l2 is not None and row.error_l2 > 0.0:

@@ -18,7 +18,7 @@ bound by CSV column.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -38,14 +38,16 @@ def minimize_on_compactum(op: OperatorSpec, f_delta: np.ndarray, K: Compactum,
     feasible.
     """
 
-    def slack(lin: OperatorSpec, data: np.ndarray, t: float, u: np.ndarray) -> float:
+    def slack(lin: OperatorSpec, data: np.ndarray, t: float, u: np.ndarray,
+              drift: Callable[[], float]) -> Tuple[float, None]:
         # log(rho / phi(u_lam)) is nonnegative exactly on the feasible side, so
         # lam = 0 (an inactive constraint) when the least-squares point is feasible;
-        # a phi past the float range is on the infeasible side
+        # a phi past the float range is on the infeasible side.  No slope: the
+        # root find keeps its bracket search and Illinois steps.
         phi = phi_value(K.stab, op.grid, u)
         if phi == math.inf:
-            return -math.inf
-        return math.log(K.rho / phi) if phi > 0.0 else math.inf
+            return -math.inf, None
+        return (math.log(K.rho / phi) if phi > 0.0 else math.inf), None
 
     return solve(op, K.stab, f_delta, slack,
                  lambda v: l2_norm(op.grid, apply(op, v) - f_delta),

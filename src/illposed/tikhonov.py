@@ -23,9 +23,15 @@ linear problem is solved only to GN_RTOL, the relative accuracy at which the
 outer loop stops, and its root find starts from the previous step's lambda
 (an inexact Newton method: Dembo, Eisenstat & Steihaug, 1982), the lam = 0
 end t = -inf included; a linear A is solved to ROOT_TOL from lam = 1.  Both
-methods state their scalar equation as a :data:`Gap` ``gap(lin, data, t, u)``:
-the linear operator ``lin`` and data of the problem on whose path ``u`` =
-u_lam lies, t = log(lam).  Both return the :class:`Solution` of
+methods state their scalar equation as a :data:`Gap` ``gap(lin, data, t, u,
+drift)``: the linear operator ``lin`` and data of the problem on whose path
+``u`` = u_lam lies, t = log(lam), and ``drift()``, which gives d r^2/dt of
+its residual r = ||lin u - data|| as an O(k) sum over the pencil
+(:meth:`TikhonovPath.drift`) for a gap that asks.  A gap returns its value
+and its slope in t, or None for the slope.  The
+variational gap has the exact slope, so its root is found by Newton steps
+inside the bracket; the quasisolution slack gives none and keeps the bracket
+search and Illinois steps.  Both return the :class:`Solution` of
 :func:`solve`, the one place that chooses the road.
 """
 
@@ -54,7 +60,8 @@ GN_RTOL = 1e-3        # stop once a step lowers the objective by less than this
                       # accepted gap of each step's linear solve
 INVERSE_LEAF = 64     # blocks of lower_inverse this small go to np.linalg.inv
 
-Gap = Callable[[OperatorSpec, np.ndarray, float, np.ndarray], float]
+Gap = Callable[[OperatorSpec, np.ndarray, float, np.ndarray, Callable[[], float]],
+              Tuple[float, Optional[float]]]
 
 
 @dataclass
@@ -124,6 +131,20 @@ class TikhonovPath:
         theta, vectors = self.spectrum
         return vectors @ (coef / (theta + lam * (1.0 - theta)))
 
+    def drift(self, lam: float, coef: np.ndarray) -> float:
+        """d r^2 / d log(lam) at u_lam, r its residual for the data of ``coef``.
+
+        Along the path d r^2/d lam = -lam d phi(u_lam)/d lam, and phi(u_lam) =
+        sum((1 - theta) y^2) with y = coef / values, values = theta + lam (1 -
+        theta); so this is 2 sum(x^2) with x = w coef / sqrt(values) and w =
+        lam (1 - theta) / values in [0, 1], an O(k) sum that overflows only
+        where r^2 does.  It takes V^T N V = diag(theta) as exact.
+        """
+        theta = self.spectrum[0]
+        values = theta + lam * (1.0 - theta)
+        x = coef / np.sqrt(values) * (lam * (1.0 - theta) / values)
+        return 2.0 * float(x @ x)
+
 
 def lower_inverse(low: np.ndarray) -> np.ndarray:
     """Inverse of a nonsingular lower-triangular matrix, by 2 x 2 blocks.
@@ -172,29 +193,43 @@ def path_solve(path: TikhonovPath, f_delta: np.ndarray, gap: Gap, *,
     """
     try:
         coef = path.coefficients(f_delta)
-        t = path_root(lambda t: gap(path.op, f_delta, t, path.point(math.exp(t), coef)),
-                      path.t_floor, tol=tol, start=start)
+
+        def value(t: float) -> Tuple[float, Optional[float]]:
+            lam = math.exp(t)
+            return gap(path.op, f_delta, t, path.point(lam, coef),
+                       lambda: path.drift(lam, coef))
+
+        t = path_root(value, path.t_floor, tol=tol, start=start)
         return t, path.point(math.exp(t), coef)
     except SingularSystemError as exc:
         raise SolverFailureError(str(exc)) from exc
 
 
-def path_root(fn: Callable[[float], float], t_floor: float, *, tol: float = ROOT_TOL,
-              start: float = 0.0) -> float:
+def path_root(fn: Callable[[float], Tuple[float, Optional[float]]], t_floor: float, *,
+              tol: float = ROOT_TOL, start: float = 0.0) -> float:
     """Root of a nondecreasing ``fn`` of t = log(lam), from its nonnegative side.
 
-    The bracket search starts at t = ``start`` clamped into [t_floor, T_CEIL]
-    (by default lam = 1, where every pencil value is 1), and doubles its
-    steps from 1 up to T_CEIL or down to t_floor, and ends where a clamped
-    step does not move, so each end is evaluated at most once; Illinois
-    regula falsi, safeguarded by bisection, closes the bracket to
-    0 <= fn <= ``tol`` or to float resolution.  -inf (lam = 0) when fn is
-    nonnegative down to ``t_floor``, below which the path is constant;
-    :class:`SolverFailureError` when fn is negative up to T_CEIL.
+    ``fn(t)`` is the value at t and its slope in t, or None for the slope.
+    The search starts at t = ``start`` clamped into [t_floor, T_CEIL] (by
+    default lam = 1, where every pencil value is 1).  From a point with a
+    slope it takes the Newton step aimed at fn = tol / 2, the middle of the
+    accepted band, where that step stays inside the bracket known so far and
+    is at most half the step before last (the safeguard of ``rtsafe`` in
+    *Numerical Recipes*, against a slope that overstates the change), and
+    such a point is the root once 0 <= fn <= ``tol``.  Every other step
+    is the bracket search's while one side is open: steps doubling from 1
+    up to T_CEIL or down to t_floor, ending where a clamped step does not
+    move, so each end is evaluated at most once.  Within the bracket it is
+    a bisection, or from a point without a slope an Illinois regula falsi
+    step safeguarded by bisection, until 0 <= fn <= ``tol`` or float
+    resolution.  -inf (lam = 0) when fn is nonnegative down to ``t_floor``,
+    below which the path is constant; :class:`SolverFailureError` when fn
+    is negative up to T_CEIL.  Every evaluation counts toward ROOT_MAX_ITER.
     """
     calls = 0
+    moves = (math.inf, math.inf)   # the lengths of the step before last and the last
 
-    def value(t: float) -> float:
+    def value(t: float) -> Tuple[float, Optional[float]]:
         nonlocal calls
         if calls == ROOT_MAX_ITER:
             raise SolverFailureError(
@@ -202,28 +237,48 @@ def path_root(fn: Callable[[float], float], t_floor: float, *, tol: float = ROOT
         calls += 1
         return fn(t)
 
+    def newton(t: float, f_t: float, slope: Optional[float], lo: float,
+               hi: float) -> Optional[float]:
+        """The Newton point from t if it is trusted inside (lo, hi), else None."""
+        if slope is None or not slope > 0.0:   # also nan
+            return None
+        s = t - (f_t - 0.5 * tol) / slope
+        return s if lo < s < hi and abs(s - t) <= 0.5 * moves[0] else None
+
     t = min(max(start, t_floor), T_CEIL)
-    f_t = value(t)
+    f_t, slope = value(t)
     step = -1.0 if f_t >= 0.0 else 1.0
     while True:
-        s = min(max(t + step, t_floor), T_CEIL)
-        if s == t:  # clamped at an end that is already evaluated
-            if f_t >= 0.0:
-                return -math.inf
-            raise SolverFailureError(
-                f"path root lies beyond the largest float lambda {math.exp(T_CEIL):g}")
-        f_s = value(s)
+        if slope is not None and 0.0 <= f_t <= tol and t > t_floor:
+            return t
+        s = newton(t, f_t, slope, *((t_floor, t) if f_t >= 0.0 else (t, T_CEIL)))
+        if s is None:
+            s = min(max(t + step, t_floor), T_CEIL)
+            if s == t:  # clamped at an end that is already evaluated
+                if f_t >= 0.0:
+                    return -math.inf
+                raise SolverFailureError(
+                    f"path root lies beyond the largest float lambda {math.exp(T_CEIL):g}")
+        f_s, slope_s = value(s)
+        moves = (moves[1], abs(s - t))
         if (f_s >= 0.0) != (f_t >= 0.0):
             break
-        t, f_t, step = s, f_s, 2.0 * step
+        t, f_t, slope, step = s, f_s, slope_s, 2.0 * step
     (lo, g_lo), (hi, f_hi) = sorted([(t, f_t), (s, f_s)])
 
+    t, f_t, slope = s, f_s, slope_s   # each step starts from the last point
     g_hi, kept = f_hi, 0   # Illinois weights: an end kept twice has its weight halved
     while f_hi > tol and hi - lo > 4.0 * EPS * max(1.0, abs(hi)):
-        t = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-        if not lo + 0.01 * (hi - lo) < t < hi - 0.01 * (hi - lo):  # also nan
-            t = 0.5 * (lo + hi)
-        f_t = value(t)
+        if slope is None:
+            s = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+            if not lo + 0.01 * (hi - lo) < s < hi - 0.01 * (hi - lo):  # also nan
+                s = None
+        else:
+            s = newton(t, f_t, slope, lo, hi)
+        if s is None:
+            s = 0.5 * (lo + hi)
+        f_s, slope = value(s)
+        t, f_t, moves = s, f_s, (moves[1], abs(s - t))
         if f_t >= 0.0:
             hi, f_hi, g_hi = t, f_t, f_t
             g_lo, kept = (0.5 * g_lo if kept < 0 else g_lo), -1

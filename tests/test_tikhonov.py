@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from illposed import (SolverFailureError, Stabilizer, build_problem, dense_operator,
-                      jacobian, normal_matrix, penalty_matrix)
+                      jacobian, normal_matrix, penalty_matrix, tikhonov)
 from illposed.tikhonov import EPS, ROOT_TOL, T_CEIL, TikhonovPath, lower_inverse, path_root
 
 LINEAR = ("diag-unbounded", "volterra-int", "fredholm-gauss")
@@ -79,13 +79,14 @@ def test_pencil_contract_autoconv_jacobian():
     assert check_pencil_contract(lin, Stabilizer()) == 63
 
 
-def counted(fn):
-    """``fn`` that records the points at which it is evaluated."""
+def counted(fn, slope=lambda t: None):
+    """``fn`` with ``slope`` as path_root takes it, recording the points at
+    which it is evaluated."""
     points = []
 
     def value(t):
         points.append(t)
-        return fn(t)
+        return fn(t), slope(t)
 
     return value, points
 
@@ -95,12 +96,30 @@ def cubic(t):
     return (t - 5.3) ** 3 + 0.1 * (t - 5.3)
 
 
+def cubic_slope(t):
+    return 3.0 * (t - 5.3) ** 2 + 0.1
+
+
+def softplus(x):
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+
+def gap_like(t):
+    """A nondecreasing fn of t whose slope falls from 1 to 0.1 around t = 2, as
+    the variational gap's does where the residual starts to grow."""
+    return t - 0.9 * softplus(t - 2.0) - 1.7
+
+
+def gap_like_slope(t):
+    return 1.0 - 0.9 / (1.0 + math.exp(-(t - 2.0)))
+
+
 @pytest.mark.parametrize("start", [-100.0, -50.0, 0.0, 5.2, 300.0, T_CEIL, 1e4])
 @pytest.mark.parametrize("tol", [ROOT_TOL, 1e-3])
 def test_path_root_from_any_start_to_its_tolerance(start, tol):
     fn, points = counted(cubic)
     t = path_root(fn, -50.0, tol=tol, start=start)
-    assert 0.0 <= fn(t) <= tol
+    assert 0.0 <= cubic(t) <= tol
     assert points[0] == min(max(start, -50.0), T_CEIL)
 
 
@@ -117,7 +136,7 @@ def test_path_root_defaults_start_at_lam_one_to_root_tol():
     fn, points = counted(cubic)
     t = path_root(fn, -50.0)
     assert points[0] == 0.0
-    assert 0.0 <= fn(t) <= ROOT_TOL
+    assert 0.0 <= cubic(t) <= ROOT_TOL
 
 
 @pytest.mark.parametrize("kwargs", [{}, {"tol": 1e-3, "start": -80.0},
@@ -134,3 +153,70 @@ def test_path_root_ends_of_the_path(kwargs):
     with pytest.raises(SolverFailureError, match="beyond the largest float"):
         path_root(fn, -50.0, **kwargs)
     assert points[-1] == T_CEIL and points.count(T_CEIL) == 1
+
+
+STARTS = [-math.inf, -100.0, -50.0, 0.0, 5.2, 5.4, 20.0, 300.0, T_CEIL, 1e4]
+
+
+@pytest.mark.parametrize("start", STARTS)
+@pytest.mark.parametrize("tol", [ROOT_TOL, 1e-3])
+@pytest.mark.parametrize("fn, slope", [(cubic, cubic_slope), (gap_like, gap_like_slope)])
+def test_path_root_newton_from_either_side(fn, slope, tol, start):
+    # starts below the root (to -inf, clamped to the floor) and above it
+    newton, points = counted(fn, slope)
+    t = path_root(newton, -50.0, tol=tol, start=start)
+    assert 0.0 <= fn(t) <= tol
+    assert points[0] == min(max(start, -50.0), T_CEIL)
+    if fn is gap_like:   # Newton near the cubic's flat root is only linear
+        illinois, illinois_points = counted(fn)
+        path_root(illinois, -50.0, tol=tol, start=start)
+        assert len(points) <= min(len(illinois_points), 10)
+
+
+@pytest.mark.parametrize("start", STARTS)
+@pytest.mark.parametrize("tol", [ROOT_TOL, 1e-3])
+@pytest.mark.parametrize("lie", [0.0, -1.0, 1e-300, math.nan, math.inf, -math.inf])
+def test_path_root_lying_slope_ends_at_the_root(lie, tol, start):
+    # a zero, negative or tiny slope puts every Newton point outside the bracket,
+    # so the search doubles its steps and then bisects; an infinite one does not move
+    fn, points = counted(gap_like, lambda t: lie)
+    t = path_root(fn, -50.0, tol=tol, start=start)
+    assert 0.0 <= gap_like(t) <= tol
+    assert len(points) <= 60
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"tol": 1e-3, "start": -80.0},
+                                    {"tol": 1e-3, "start": 2.0},
+                                    {"tol": 1e-3, "start": 1e4}])
+@pytest.mark.parametrize("slope", [0.0, 1.0])
+def test_path_root_ends_of_the_path_with_a_slope(slope, kwargs):
+    # as without a slope.  On these flat fn a slope of 1 overstates every change:
+    # Newton steps of one unit would take 700 evaluations to T_CEIL, so the
+    # step-length safeguard hands over to the doubling search
+    fn, points = counted(lambda t: 1.0, lambda t: slope)
+    assert path_root(fn, -50.0, **kwargs) == -math.inf
+    assert points[-1] == -50.0 and points.count(-50.0) == 1
+    fn, points = counted(lambda t: -1.0, lambda t: slope)
+    with pytest.raises(SolverFailureError, match="beyond the largest float"):
+        path_root(fn, -50.0, **kwargs)
+    assert points[-1] == T_CEIL and points.count(T_CEIL) == 1
+
+
+@pytest.mark.parametrize("start", [-80.0, -50.0, 2.0, 1e4])
+def test_path_root_accepts_a_point_with_a_slope_in_the_band(start):
+    # such a point is the root, except at the floor, where the path ends at lam = 0
+    fn, points = counted(lambda t: 0.5 * ROOT_TOL, lambda t: 1.0)
+    expected = -math.inf if start <= -50.0 else min(start, T_CEIL)
+    assert path_root(fn, -50.0, start=start) == expected
+    assert len(points) == 1
+
+
+def test_path_root_counts_every_newton_evaluation(monkeypatch):
+    fn, points = counted(gap_like, gap_like_slope)
+    path_root(fn, -50.0, start=300.0)
+    assert len(points) > 3
+    monkeypatch.setattr(tikhonov, "ROOT_MAX_ITER", 3)
+    fn, points = counted(gap_like, gap_like_slope)
+    with pytest.raises(SolverFailureError, match="did not converge in 3"):
+        path_root(fn, -50.0, start=300.0)
+    assert len(points) == 3

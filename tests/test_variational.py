@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from illposed import (Grid, GridMismatchError,
                       SweepConfig, VariationalResult, apply, build_problem,
                       diagonal_operator, f_functional,
                       identity_operator, inject_noise, jacobian,
-                      l2_norm, minimize_variational, phi_value, run_sweep,
+                      l2_norm, minimize_variational, normal_matrix, phi_value, run_sweep,
                       tikhonov, variational_certificate)
 from illposed.tikhonov import TikhonovPath
 
@@ -133,6 +135,70 @@ def test_path_monotonicity(default_stab, linear_problems):
         for i in range(len(lams) - 1):
             assert residuals[i + 1] >= residuals[i] * (1 - 1e-9)
             assert phis[i + 1] <= phis[i] * (1 + 1e-9) + 1e-300
+
+
+# --- the slope of the gap ----------------------------------------------------
+
+def recorded_root_finds(monkeypatch):
+    """[path, data, fn, t_floor] of every path root find, which still runs."""
+    found = []
+    path_solve, path_root = tikhonov.path_solve, tikhonov.path_root
+
+    def solve_recording(path, data, gap, **kwargs):
+        found.append([path, data])
+        return path_solve(path, data, gap, **kwargs)
+
+    def root_recording(fn, t_floor, **kwargs):
+        found[-1] += [fn, t_floor]
+        return path_root(fn, t_floor, **kwargs)
+
+    monkeypatch.setattr(tikhonov, "path_solve", solve_recording)
+    monkeypatch.setattr(tikhonov, "path_root", root_recording)
+    return found
+
+
+def check_gap_slope(path, data, fn, t_floor, h=1e-4):
+    """The slope fn returns against a central difference of its value, from
+    just above the floor of the path to t = 5: to 1e-5 relative, plus what the
+    decomposition's error E = V^T N V - diag(theta) contributes.  The slope's
+    O(k) sum takes E as 0; the residual's t-derivative carries 2 y'.E y, which
+    dominates where r^2 nears E's size (r ~ 1e-12 on a path with k = n)."""
+    theta, vectors = path.spectrum
+    coef = path.coefficients(data)
+    error = np.linalg.norm(vectors.T @ normal_matrix(path.op) @ vectors - np.diag(theta), 2)
+    resolved = 0
+    for t in np.linspace(t_floor + 0.5, 5.0, 12):
+        _, slope = fn(t)
+        difference = (fn(t + h)[0] - fn(t - h)[0]) / (2.0 * h)
+        lam = math.exp(t)
+        values = theta + lam * (1.0 - theta)
+        y = coef / values
+        r = l2_norm(path.op.grid, apply(path.op, vectors @ y) - data)
+        allowance = error * np.linalg.norm(y) * np.linalg.norm(
+            lam * (1.0 - theta) * y / values) / r ** 2
+        assert abs(slope - difference) <= 1e-5 * abs(difference) + allowance, t
+        resolved += allowance <= 1e-7 * abs(difference)
+    assert resolved >= 4   # points where the test is 1e-5 relative outright
+
+
+@pytest.mark.parametrize("alpha0", [0.0, 1.0])
+@pytest.mark.parametrize("name", ["diag-unbounded", "volterra-int", "fredholm-gauss"])
+def test_gap_slope_matches_central_difference(name, alpha0, monkeypatch):
+    found = recorded_root_finds(monkeypatch)
+    p = build_problem(name, 64)
+    f_delta = inject_noise(p.grid, p.f_exact, 1e-2, 7)
+    minimize_variational(p.op, f_delta, 1e-2, Stabilizer(alpha0, 1.0))
+    assert len(found) == 1
+    check_gap_slope(*found[0])
+
+
+def test_gap_slope_on_a_jacobian_path(default_stab, monkeypatch):
+    found = recorded_root_finds(monkeypatch)
+    p = build_problem("autoconv", 64)
+    f_delta = inject_noise(p.grid, p.f_exact, 1e-2, 7)
+    minimize_variational(p.op, f_delta, 1e-2, default_stab)
+    assert len(found) > 1   # one per Gauss-Newton step
+    check_gap_slope(*found[0])
 
 
 # --- the outer minimization --------------------------------------------------

@@ -39,15 +39,19 @@ def minimize_on_compactum(op: OperatorSpec, f_delta: np.ndarray, K: Compactum,
     """
 
     def slack(lin: OperatorSpec, data: np.ndarray, t: float, u: np.ndarray,
-              drift: Callable[[], float]) -> Tuple[float, None]:
+              drift: Callable[[], float],
+              shrink: Callable[[], float]) -> Tuple[float, Optional[float]]:
         # log(rho / phi(u_lam)) is nonnegative exactly on the feasible side, so
         # lam = 0 (an inactive constraint) when the least-squares point is feasible;
-        # a phi past the float range is on the infeasible side.  No slope: the
-        # root find keeps its bracket search and Illinois steps.
+        # a phi past the float range is on the infeasible side.  Its slope is
+        # -d log(phi)/dt = shrink / phi, from the pencil; its value stays on the
+        # direct phi, which the pencil's sum misses by more than ROOT_TOL
         phi = phi_value(K.stab, op.grid, u)
         if phi == math.inf:
             return -math.inf, None
-        return (math.log(K.rho / phi) if phi > 0.0 else math.inf), None
+        if phi == 0.0:
+            return math.inf, None
+        return math.log(K.rho / phi), shrink() / phi
 
     return solve(op, K.stab, f_delta, slack,
                  lambda v: l2_norm(op.grid, apply(op, v) - f_delta),

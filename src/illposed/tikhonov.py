@@ -24,14 +24,14 @@ outer loop stops, and its root find starts from the previous step's lambda
 (an inexact Newton method: Dembo, Eisenstat & Steihaug, 1982), the lam = 0
 end t = -inf included; a linear A is solved to ROOT_TOL from lam = 1.  Both
 methods state their scalar equation as a :data:`Gap` ``gap(lin, data, t, u,
-drift)``: the linear operator ``lin`` and data of the problem on whose path
-``u`` = u_lam lies, t = log(lam), and ``drift()``, which gives d r^2/dt of
-its residual r = ||lin u - data|| as an O(k) sum over the pencil
-(:meth:`TikhonovPath.drift`) for a gap that asks.  A gap returns its value
-and its slope in t, or None for the slope.  The
-variational gap has the exact slope, so its root is found by Newton steps
-inside the bracket; the quasisolution slack gives none and keeps the bracket
-search and Illinois steps.  Both return the :class:`Solution` of
+drift, shrink)``: the linear operator ``lin`` and data of the problem on whose
+path ``u`` = u_lam lies, t = log(lam), ``drift()``, which gives d r^2/dt of
+its residual r = ||lin u - data||, and ``shrink()``, which gives -d phi/dt of
+phi(u), each an O(k) sum over the pencil (:meth:`TikhonovPath.drift`,
+:meth:`TikhonovPath.shrink`) for a gap that asks.  A gap returns its value
+and its slope in t, or None for the slope.  Both gaps have the exact slope,
+so their roots are found by Newton steps inside the bracket, and a point
+without a slope bisects.  Both return the :class:`Solution` of
 :func:`solve`, the one place that chooses the road.
 """
 
@@ -60,8 +60,8 @@ GN_RTOL = 1e-3        # stop once a step lowers the objective by less than this
                       # accepted gap of each step's linear solve
 INVERSE_LEAF = 64     # blocks of lower_inverse this small go to np.linalg.inv
 
-Gap = Callable[[OperatorSpec, np.ndarray, float, np.ndarray, Callable[[], float]],
-              Tuple[float, Optional[float]]]
+Gap = Callable[[OperatorSpec, np.ndarray, float, np.ndarray, Callable[[], float],
+               Callable[[], float]], Tuple[float, Optional[float]]]
 
 
 @dataclass
@@ -145,6 +145,24 @@ class TikhonovPath:
         x = coef / np.sqrt(values) * (lam * (1.0 - theta) / values)
         return 2.0 * float(x @ x)
 
+    def shrink(self, lam: float, coef: np.ndarray) -> float:
+        """-d phi(u_lam) / d log(lam) at u_lam, for the data of ``coef``.
+
+        phi(u_lam) = sum((1 - theta) y^2) with y = coef / values, so this is
+        2 sum(w (1 - theta) y^2) = 2 sum(x^2) with x = y sqrt(w (1 - theta)),
+        w as in :meth:`drift`: an O(k) sum that overflows only where phi
+        does.  lam times it is the drift, which underflows to 0 where lam is
+        tiny, so it is not computed as drift / lam.  It takes V^T P V = I -
+        diag(theta) as exact; the pencil's phi sum differs from the direct
+        ``phi_value`` by up to 1.6e-9 relative (n = 512, alpha0 = 0.01;
+        1.5e-11 at alpha0 = 1), above ROOT_TOL, so a gap's value stays on
+        the direct product.
+        """
+        theta = self.spectrum[0]
+        values = theta + lam * (1.0 - theta)
+        x = coef / values * np.sqrt(lam * (1.0 - theta) / values * (1.0 - theta))
+        return 2.0 * float(x @ x)
+
 
 def lower_inverse(low: np.ndarray) -> np.ndarray:
     """Inverse of a nonsingular lower-triangular matrix, by 2 x 2 blocks.
@@ -197,7 +215,7 @@ def path_solve(path: TikhonovPath, f_delta: np.ndarray, gap: Gap, *,
         def value(t: float) -> Tuple[float, Optional[float]]:
             lam = math.exp(t)
             return gap(path.op, f_delta, t, path.point(lam, coef),
-                       lambda: path.drift(lam, coef))
+                       lambda: path.drift(lam, coef), lambda: path.shrink(lam, coef))
 
         t = path_root(value, path.t_floor, tol=tol, start=start)
         return t, path.point(math.exp(t), coef)
@@ -219,12 +237,11 @@ def path_root(fn: Callable[[float], Tuple[float, Optional[float]]], t_floor: flo
     such a point is the root once 0 <= fn <= ``tol``.  Every other step
     is the bracket search's while one side is open: steps doubling from 1
     up to T_CEIL or down to t_floor, ending where a clamped step does not
-    move, so each end is evaluated at most once.  Within the bracket it is
-    a bisection, or from a point without a slope an Illinois regula falsi
-    step safeguarded by bisection, until 0 <= fn <= ``tol`` or float
-    resolution.  -inf (lam = 0) when fn is nonnegative down to ``t_floor``,
-    below which the path is constant; :class:`SolverFailureError` when fn
-    is negative up to T_CEIL.  Every evaluation counts toward ROOT_MAX_ITER.
+    move, so each end is evaluated at most once.  Within the bracket every
+    other step bisects, until 0 <= fn <= ``tol`` or float resolution.  -inf
+    (lam = 0) when fn is nonnegative down to ``t_floor``, below which the
+    path is constant; :class:`SolverFailureError` when fn is negative up to
+    T_CEIL.  Every evaluation counts toward ROOT_MAX_ITER.
     """
     calls = 0
     moves = (math.inf, math.inf)   # the lengths of the step before last and the last
@@ -264,27 +281,19 @@ def path_root(fn: Callable[[float], Tuple[float, Optional[float]]], t_floor: flo
         if (f_s >= 0.0) != (f_t >= 0.0):
             break
         t, f_t, slope, step = s, f_s, slope_s, 2.0 * step
-    (lo, g_lo), (hi, f_hi) = sorted([(t, f_t), (s, f_s)])
+    (lo, _), (hi, f_hi) = sorted([(t, f_t), (s, f_s)])
 
     t, f_t, slope = s, f_s, slope_s   # each step starts from the last point
-    g_hi, kept = f_hi, 0   # Illinois weights: an end kept twice has its weight halved
     while f_hi > tol and hi - lo > 4.0 * EPS * max(1.0, abs(hi)):
-        if slope is None:
-            s = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-            if not lo + 0.01 * (hi - lo) < s < hi - 0.01 * (hi - lo):  # also nan
-                s = None
-        else:
-            s = newton(t, f_t, slope, lo, hi)
+        s = newton(t, f_t, slope, lo, hi)
         if s is None:
             s = 0.5 * (lo + hi)
         f_s, slope = value(s)
         t, f_t, moves = s, f_s, (moves[1], abs(s - t))
         if f_t >= 0.0:
-            hi, f_hi, g_hi = t, f_t, f_t
-            g_lo, kept = (0.5 * g_lo if kept < 0 else g_lo), -1
+            hi, f_hi = t, f_t
         else:
-            lo, g_lo = t, f_t
-            g_hi, kept = (0.5 * g_hi if kept > 0 else g_hi), 1
+            lo = t
     return hi
 
 

@@ -61,7 +61,8 @@ def minimize_variational(op: OperatorSpec, f_delta: np.ndarray, delta: float,
         raise InvalidParameterError(f"delta must be positive, got {delta}")
 
     def gap(lin: OperatorSpec, data: np.ndarray, t: float, u: np.ndarray,
-            drift: Callable[[], float]) -> Tuple[float, Optional[float]]:
+            drift: Callable[[], float],
+            shrink: Callable[[], float]) -> Tuple[float, Optional[float]]:
         # log(lam / (2*delta*r)): F decreases along the path while negative;
         # two logs, as 2*delta*r underflows to 0 for a subnormal delta.  Its
         # slope 1 - d log(r)/dt = 1 - drift / (2 r^2) is in (0, 1] in exact arithmetic

@@ -1,8 +1,9 @@
-"""Shared batched objectives for the brute-force oracle checks."""
+"""Shared batched objectives for the brute-force oracle checks, and a recorder
+of the path root finds a solve runs."""
 
 import numpy as np
 
-from illposed import as_matrix, phi_batch
+from illposed import as_matrix, phi_batch, tikhonov
 
 
 def weighted_residual_batch(problem, f_delta):
@@ -43,3 +44,21 @@ def constrained_residual_batch(problem, K, f_delta, infeasible_value=1e30):
         return np.where(feasible, residuals(pts), infeasible_value)
 
     return objective
+
+
+def recorded_root_finds(monkeypatch):
+    """[path, data, fn, t_floor] of every path root find, which still runs."""
+    found = []
+    path_solve, path_root = tikhonov.path_solve, tikhonov.path_root
+
+    def solve_recording(path, data, gap, **kwargs):
+        found.append([path, data])
+        return path_solve(path, data, gap, **kwargs)
+
+    def root_recording(fn, t_floor, **kwargs):
+        found[-1] += [fn, t_floor]
+        return path_root(fn, t_floor, **kwargs)
+
+    monkeypatch.setattr(tikhonov, "path_solve", solve_recording)
+    monkeypatch.setattr(tikhonov, "path_root", root_recording)
+    return found

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ import pytest
 from illposed import (Compactum, Grid, Solution, SolverFailureError,
                       Stabilizer, SweepConfig, apply, build_problem, dense_operator,
                       identity_operator, inject_noise, l2_norm,
-                      minimize_on_compactum, phi_value, quasi_certificate,
-                      run_sweep)
+                      minimize_on_compactum, penalty_matrix, phi_value,
+                      quasi_certificate, run_sweep)
 from illposed import tikhonov
+
+from helpers import recorded_root_finds
 
 DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -119,6 +122,59 @@ def test_too_small_compactum_fails_certificate(default_stab):
     res = minimize_on_compactum(p.op, f_delta, K)
     cert = quasi_certificate(res, exact_residual(p, res), delta)
     assert cert["cert_24"] < 0.0  # reported, not hidden
+
+
+# --- the slope of the slack --------------------------------------------------
+
+def check_slack_slope(path, data, fn, t_floor, h=1e-4):
+    """The slope fn returns against a central difference of its value, from
+    just above the floor of the path to t = 5: to 1e-5 relative, plus what the
+    decomposition's error E = V^T P V - (I - diag(theta)) contributes, plus
+    the difference's own round-off.  The slope's O(k) sum takes E as 0, while
+    the value log(rho / phi) reads the direct phi, an n-term sum good to about
+    n eps relative; over 2h that is n eps / h, which dominates near the floor,
+    where phi is flat (slopes below 1e-8)."""
+    theta, vectors = path.spectrum
+    coef = path.coefficients(data)
+    grid = path.op.grid
+    error = np.linalg.norm(vectors.T @ penalty_matrix(path.stab, grid) @ vectors
+                           - np.diag(1.0 - theta), 2)
+    resolved = 0
+    for t in np.linspace(t_floor + 0.5, 5.0, 12):
+        _, slope = fn(t)
+        difference = (fn(t + h)[0] - fn(t - h)[0]) / (2.0 * h)
+        lam = math.exp(t)
+        values = theta + lam * (1.0 - theta)
+        y = coef / values
+        phi = phi_value(path.stab, grid, vectors @ y)
+        allowance = error * np.linalg.norm(y) * (
+            2.0 * np.linalg.norm(lam * (1.0 - theta) * y / values)
+            + abs(difference) * np.linalg.norm(y)) / phi
+        allowance += grid.n * np.finfo(float).eps / h
+        assert abs(slope - difference) <= 1e-5 * abs(difference) + allowance, t
+        resolved += allowance <= 1e-7 * abs(difference)
+    assert resolved >= 4   # points where the test is 1e-5 relative outright
+
+
+@pytest.mark.parametrize("alpha0", [0.01, 1.0])
+@pytest.mark.parametrize("name", ["diag-unbounded", "volterra-int", "fredholm-gauss"])
+def test_slack_slope_matches_central_difference(name, alpha0, monkeypatch):
+    found = recorded_root_finds(monkeypatch)
+    p = build_problem(name, 64)
+    stab = Stabilizer(alpha0, 1.0)
+    f_delta = inject_noise(p.grid, p.f_exact, 1e-2, 7)
+    minimize_on_compactum(p.op, f_delta, default_compactum(p, stab))
+    assert len(found) == 1
+    check_slack_slope(*found[0])
+
+
+def test_slack_slope_on_a_jacobian_path(default_stab, monkeypatch):
+    found = recorded_root_finds(monkeypatch)
+    p = build_problem("autoconv", 64)
+    f_delta = inject_noise(p.grid, p.f_exact, 1e-2, 7)
+    minimize_on_compactum(p.op, f_delta, default_compactum(p, default_stab))
+    assert len(found) > 1   # one per Gauss-Newton step
+    check_slack_slope(*found[0])
 
 
 def test_root_find_iteration_cap_reported(default_stab, monkeypatch):

@@ -672,20 +672,25 @@ def test_linear_root_finds_keep_root_tol_from_lam_one(monkeypatch):
     assert {(call.tol, call.start) for call in calls} == {(tikhonov.ROOT_TOL, 0.0)}
 
 
-def test_variational_root_finds_take_few_evaluations(monkeypatch):
-    # Newton on the gap's exact slope; the bracket search and Illinois took about 30
+# the most path evaluations of one root find in the default n=64 linear sweeps
+MOST_EVALUATIONS = {"variational": 20, "quasi": 15}
+
+
+@pytest.mark.parametrize("method", sorted(MOST_EVALUATIONS))
+def test_root_finds_take_few_evaluations(method, monkeypatch):
+    # Newton on the exact slope; the bracket search and Illinois steps took about 30
     calls = record_root_finds(monkeypatch)
     for name in LINEAR:
-        report = run_sweep(SweepConfig(problem=name, n=64, method="variational"))
+        report = run_sweep(SweepConfig(problem=name, n=64, method=method))
         assert all(row.solver_error is None for row in report.rows)
     counts = [len(call.points) for call in calls]
     assert len(counts) == 3 * len(SweepConfig(problem=LINEAR[0]).deltas)
     assert sum(counts) / len(counts) <= 10
-    assert max(counts) <= 20
+    assert max(counts) <= MOST_EVALUATIONS[method]
 
 
 # lambda_star of the rows of each method in the sweep below, as the bracket search
-# and Illinois steps found them: quasi keeps them to the bit, variational to 1e-8
+# and Illinois steps found them; Newton on the exact slopes keeps them to 1e-8
 OVERFLOW_LAMBDAS = {
     "volterra-int": {"variational": [2.000000000000048e200, 2.0331366043292087],
                      "quasi": [1.728402807919276e-201, 6.508321296100668e-302]},
@@ -699,16 +704,19 @@ def test_huge_penalty_and_noise_keep_lambda_in_range(name):
     # weights 1e300 and 1e-300 with a noise level of 1e100 put the variational root
     # near lam = 2e200, where a Newton point can leave the float range; the suite
     # fails on any RuntimeWarning, an overflow included
-    report = run_sweep(SweepConfig(problem=name, n=16, alpha0=1e300, alpha1=1e-300,
-                                   deltas=(1e100, 1.0)))
+    config = SweepConfig(problem=name, n=16, alpha0=1e300, alpha1=1e-300,
+                         deltas=(1e100, 1.0))
+    report = run_sweep(config)
     assert len(report.rows) == 4
     assert all(row.solver_error is None for row in report.rows)
     for method, expected in OVERFLOW_LAMBDAS[name].items():
         found = [row.lambda_star for row in report.rows if row.method == method]
-        if method == "quasi":
-            assert found == expected
-        else:
-            assert found == pytest.approx(expected, rel=1e-8)
+        assert found == pytest.approx(expected, rel=1e-8)
+    # the quasi root is approached from the feasible side
+    stab = Stabilizer(config.alpha0, config.alpha1)
+    rho = resolve_rho(config, build_problem(name, 16), stab)
+    assert all(row.phi_u <= rho * (1.0 + 1e-12)
+               for row in report.rows if row.method == "quasi")
 
 
 @pytest.mark.parametrize("alpha0", [0.0, 1.0])

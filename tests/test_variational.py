@@ -13,6 +13,8 @@ from illposed import (Grid, GridMismatchError,
                       tikhonov, variational_certificate)
 from illposed.tikhonov import TikhonovPath
 
+from helpers import recorded_root_finds
+
 DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
@@ -138,24 +140,6 @@ def test_path_monotonicity(default_stab, linear_problems):
 
 
 # --- the slope of the gap ----------------------------------------------------
-
-def recorded_root_finds(monkeypatch):
-    """[path, data, fn, t_floor] of every path root find, which still runs."""
-    found = []
-    path_solve, path_root = tikhonov.path_solve, tikhonov.path_root
-
-    def solve_recording(path, data, gap, **kwargs):
-        found.append([path, data])
-        return path_solve(path, data, gap, **kwargs)
-
-    def root_recording(fn, t_floor, **kwargs):
-        found[-1] += [fn, t_floor]
-        return path_root(fn, t_floor, **kwargs)
-
-    monkeypatch.setattr(tikhonov, "path_solve", solve_recording)
-    monkeypatch.setattr(tikhonov, "path_root", root_recording)
-    return found
-
 
 def check_gap_slope(path, data, fn, t_floor, h=1e-4):
     """The slope fn returns against a central difference of its value, from

@@ -10,13 +10,17 @@ defaults (method both, deltas 1e-1..1e-4, seed 42) unless named otherwise:
 - autoconv at n = 16 and 64, seeds 1, 2 and 3.
 
 Each sweep writes ``NAME.csv`` and ``NAME.out``: the console summary without
-its timings, so it keeps each row's solver failure, and the exit code.
+its timings, so it keeps each row's solver failure, and the exit code.  BLAS
+runs on one thread, pinned before numpy is imported, and the run writes that
+count to ``blas_threads``: on two threads the same code moves linear n=512
+quasi rows by up to 7e-6 relative, far above the round-off this gate reads.
 
 ``compare DIR_A DIR_B`` prints, per file, the rows, verdicts, solver errors
 and exit codes that differ, the largest relative change of each numeric
 column per method, and whether the CSVs are byte-identical.  It exits 1 when
-a file is missing or rows, verdicts, solver errors or exit codes differ,
-else 0.
+the BLAS thread counts of the two runs differ (a run without the file counts
+as unpinned), when a file is missing or rows, verdicts, solver errors or
+exit codes differ, else 0.
 
     PYTHONPATH=../parent/src python scripts/csv_gate.py run gate/parent
     PYTHONPATH=src python scripts/csv_gate.py run gate/change
@@ -32,6 +36,9 @@ import os
 import re
 import sys
 
+BLAS_THREADS = 1
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+THREADS_FILE = "blas_threads"
 LINEAR = ("diag-unbounded", "volterra-int", "fredholm-gauss")
 SEEDS = (1, 2, 3)
 NUMERIC = ("error_l2", "residual_noisy", "residual_exact", "phi_u", "F_value",
@@ -56,11 +63,15 @@ def sweeps(linear_ns, autoconv_ns):
 
 
 def run(outdir, linear_ns, autoconv_ns):
+    for name in BLAS_ENV:   # before numpy is first imported, below
+        os.environ[name] = str(BLAS_THREADS)
     import illposed
     from illposed.cli import main
 
     print(f"illposed from {os.path.dirname(illposed.__file__)}")
     os.makedirs(outdir, exist_ok=True)
+    with open(os.path.join(outdir, THREADS_FILE), "w", encoding="utf-8") as fh:
+        fh.write(f"{BLAS_THREADS}\n")
     for stem, flags in sweeps(linear_ns, autoconv_ns):
         summary = io.StringIO()
         with contextlib.redirect_stdout(summary):
@@ -137,10 +148,22 @@ def compare_file(dir_a, dir_b, stem):
     return same
 
 
+def blas_threads(directory):
+    """The BLAS thread count a run recorded, or "unpinned"."""
+    path = os.path.join(directory, THREADS_FILE)
+    if not os.path.exists(path):
+        return "unpinned"
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().strip()
+
+
 def compare(dir_a, dir_b):
     stems = sorted({name[:-len(".csv")] for d in (dir_a, dir_b) for name in os.listdir(d)
                     if name.endswith(".csv")})
-    ok = True
+    threads = blas_threads(dir_a), blas_threads(dir_b)
+    ok = threads[0] == threads[1]
+    print(f"BLAS threads: {threads[0]} against {threads[1]}"
+          + ("" if ok else ": the runs are not comparable"))
     for stem in stems:
         if not all(os.path.exists(os.path.join(d, stem + ext))
                    for d in (dir_a, dir_b) for ext in (".csv", ".out")):

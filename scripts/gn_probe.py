@@ -16,9 +16,9 @@ picks the checkout.  Every sweep uses the CLI defaults (method both, deltas
 
 For each part it prints the failing cells (a solver error or a false
 verdict), the most and the total Gauss-Newton steps of a cell, the root
-finds and their path evaluations per method, and the geometric-mean
-``error_l2`` per (method, delta); for the twins also the worst relative
-change of ``error_l2``.  It exits 1 when a cell fails, else 0.
+finds and their O(k) and direct path evaluations per method, and the
+geometric-mean ``error_l2`` per (method, delta); for the twins also the
+worst relative change of ``error_l2``.  It exits 1 when a cell fails, else 0.
 
     PYTHONPATH=src python scripts/gn_probe.py [--seeds K] [--wide]
 """
@@ -44,8 +44,8 @@ WIDE_SEEDS = (1, 2)
 
 
 class Tally:
-    """Gauss-Newton steps of each cell, and root finds with their path
-    evaluations by method."""
+    """Gauss-Newton steps of each cell, and root finds with their O(k) and
+    direct path evaluations by method."""
 
     def __init__(self):
         self.reset()
@@ -54,13 +54,14 @@ class Tally:
         self.steps = []   # one entry per cell
         self.method = None   # the method of the current cell
         self.root_finds = defaultdict(int)
-        self.evaluations = defaultdict(int)
+        self.evaluations = defaultdict(int)   # (method, "O(k)" or "direct")
 
     def install(self):
         """Count through ``sweep.solve_one`` (one cell), ``tikhonov.jacobian`` (one
-        Gauss-Newton step) and ``tikhonov.path_root`` (one root find)."""
+        Gauss-Newton step) and ``tikhonov.path_solve`` (one root find, whose
+        gap sees every path point it evaluates, O(k) or direct)."""
         solve_one, jacobian = sweep.solve_one, tikhonov.jacobian
-        path_root = tikhonov.path_root
+        path_solve = tikhonov.path_solve
 
         def counted_cell(problem, method, *args):
             self.steps.append(0)
@@ -71,18 +72,19 @@ class Tally:
             self.steps[-1] += 1
             return jacobian(*args, **kwargs)
 
-        def counted_root(fn, *args, **kwargs):
+        def counted_solve(path, data, gap, **kwargs):
             self.root_finds[self.method] += 1
 
-            def value(t):
-                self.evaluations[self.method] += 1
-                return fn(t)
+            def counted_gap(point):
+                kind = "direct" if point.direct else "O(k)"
+                self.evaluations[(self.method, kind)] += 1
+                return gap(point)
 
-            return path_root(value, *args, **kwargs)
+            return path_solve(path, data, counted_gap, **kwargs)
 
         sweep.solve_one = counted_cell
         tikhonov.jacobian = counted_jacobian
-        tikhonov.path_root = counted_root
+        tikhonov.path_solve = counted_solve
 
 
 def relative_change(a, b):
@@ -150,8 +152,9 @@ def summarize(name, cells, tally):
     print(f"   Gauss-Newton steps: most {max(tally.steps, default=0)}, "
           f"total {sum(tally.steps)}")
     for method in sorted(tally.root_finds):
-        print(f"   {method:<11s} root finds: {tally.root_finds[method]}, "
-              f"path evaluations: {tally.evaluations[method]}")
+        print(f"   {method:<11s} root finds: {tally.root_finds[method]}, path "
+              f"evaluations: O(k) {tally.evaluations[(method, 'O(k)')]}, "
+              f"direct {tally.evaluations[(method, 'direct')]}")
     logs = defaultdict(list)
     for _, row in cells:
         if row.error_l2 is not None and row.error_l2 > 0.0:

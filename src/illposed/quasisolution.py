@@ -18,14 +18,14 @@ bound by CSV column.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .grids import l2_norm
 from .operators import OperatorSpec, apply, domain_project
-from .stabilizers import Compactum, phi_value, project_onto
-from .tikhonov import Solution, TikhonovPath, solve
+from .stabilizers import Compactum, project_onto
+from .tikhonov import PathPoint, Solution, TikhonovPath, solve
 
 
 def minimize_on_compactum(op: OperatorSpec, f_delta: np.ndarray, K: Compactum,
@@ -38,20 +38,17 @@ def minimize_on_compactum(op: OperatorSpec, f_delta: np.ndarray, K: Compactum,
     feasible.
     """
 
-    def slack(lin: OperatorSpec, data: np.ndarray, t: float, u: np.ndarray,
-              drift: Callable[[], float],
-              shrink: Callable[[], float]) -> Tuple[float, Optional[float]]:
+    def slack(point: PathPoint) -> Tuple[float, Optional[float]]:
         # log(rho / phi(u_lam)) is nonnegative exactly on the feasible side, so
         # lam = 0 (an inactive constraint) when the least-squares point is feasible;
-        # a phi past the float range is on the infeasible side.  Its slope is
-        # -d log(phi)/dt = shrink / phi, from the pencil; its value stays on the
-        # direct phi, which the pencil's sum misses by more than ROOT_TOL
-        phi = phi_value(K.stab, op.grid, u)
+        # a phi past the float range, O(k) or direct, is on the infeasible side.
+        # Its slope is -d log(phi)/dt = shrink / phi
+        phi = point.phi
         if phi == math.inf:
             return -math.inf, None
         if phi == 0.0:
             return math.inf, None
-        return math.log(K.rho / phi), shrink() / phi
+        return math.log(K.rho / phi), point.shrink() / phi
 
     return solve(op, K.stab, f_delta, slack,
                  lambda v: l2_norm(op.grid, apply(op, v) - f_delta),

@@ -13,6 +13,7 @@ residual-minimization method.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -81,27 +82,32 @@ def phi_batch(stab: Stabilizer, grid: Grid, pts: np.ndarray) -> np.ndarray:
     return value
 
 
+def penalty_bands(stab: Stabilizer, grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
+    """(diagonal, off-diagonal) of the tridiagonal P of :func:`penalty_matrix`.
+
+    The slope term D^T C D (C the cell weights) is summed cell by cell,
+    rounded exactly as the dense product rounds it.
+    """
+    diagonal, off = stab.alpha0 * grid.gram_diagonal, np.zeros(grid.n - 1)
+    if stab.alpha1 != 0.0:
+        inv_h = 1.0 / grid.h
+        c = (inv_h * _cell_gram_diagonal(grid)) * inv_h
+        diagonal = diagonal + stab.alpha1 * (np.append(c, 0.0) + np.append(0.0, c))
+        off = stab.alpha1 * -c
+    return diagonal, off
+
+
 def penalty_matrix(stab: Stabilizer, grid: Grid) -> np.ndarray:
     """Symmetric PSD matrix P with phi(u) = u^T P u (plain coordinates).
 
     P is positive definite when alpha0 > 0.  In the weighted geometry the
     Gram operator of phi is W^{-1} P, self-adjoint for the grid inner
-    product.  The slope term D^T C D (C the cell weights) is tridiagonal and
-    filled entry by entry, rounded exactly as the dense product rounds it.
+    product.  P is tridiagonal, filled from :func:`penalty_bands`.
     """
-    n = grid.n
-    P = np.zeros((n, n))
-    diagonal = stab.alpha0 * grid.gram_diagonal
-    if stab.alpha1 != 0.0:
-        inv_h = 1.0 / grid.h
-        c = (inv_h * _cell_gram_diagonal(grid)) * inv_h
-        d = np.zeros(n)
-        d[:-1] += c
-        d[1:] += c
-        diagonal = diagonal + stab.alpha1 * d
-        cells = np.arange(n - 1)
-        P[cells, cells + 1] = P[cells + 1, cells] = stab.alpha1 * -c
-    np.fill_diagonal(P, diagonal)
+    diagonal, off = penalty_bands(stab, grid)
+    P = np.diag(diagonal)
+    cells = np.arange(grid.n - 1)
+    P[cells, cells + 1] = P[cells + 1, cells] = off
     return P
 
 

@@ -24,7 +24,7 @@ from .grids import l2_norm
 from .noise import BOUNDED, EXACT_NORM, inject_noise
 from .operators import apply
 from .quasisolution import minimize_on_compactum, quasi_certificate
-from .stabilizers import Compactum, Stabilizer, penalty_matrix, phi_value
+from .stabilizers import Compactum, Stabilizer, penalty_bands, phi_value
 from .tikhonov import TikhonovPath
 from .variational import minimize_variational, variational_certificate
 
@@ -221,15 +221,15 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     """One row per (delta, method); rows are reported by descending delta.
 
     The stabilizer and the compactum are built, and so checked, before any
-    cell runs, as are phi's matrix and phi(y), which must be finite.  A
-    linear problem has one Tikhonov path for the whole sweep: the first cell
-    decomposes its pencil and pays for it in its ``wall_ms``, and every
-    later cell reuses the decomposition.
+    cell runs, as are the bands of phi's matrix and phi(y), which must be
+    finite.  A linear problem has one Tikhonov path for the whole sweep: the
+    first cell decomposes its pencil and pays for it in its ``wall_ms``, and
+    every later cell reuses the decomposition.
     """
     problem = build_problem(config.problem, config.n, sigma=config.sigma)
     stab = Stabilizer(config.alpha0, config.alpha1)
     with np.errstate(over="ignore"):  # weights near the top of the float range
-        finite = np.isfinite(penalty_matrix(stab, problem.grid)).all()
+        finite = np.isfinite(np.concatenate(penalty_bands(stab, problem.grid))).all()
     if not (finite and math.isfinite(phi_value(stab, problem.grid, problem.y_true))):
         raise ConfigurationError(f"phi overflows at alpha0={config.alpha0:g}, "
                                  f"alpha1={config.alpha1:g}")

@@ -16,23 +16,28 @@ exactly when N + lam P is for some lam > 0, so a semidefinite phi
 only and the data enter through c alone, so one :class:`TikhonovPath`
 serves every noise level and both methods of a sweep.
 
+Both methods state their scalar equation as a :data:`Gap` ``gap(point)``:
+it reads the residual ``r`` or ``phi`` of a :class:`PathPoint` at t =
+log(lam), and ``drift()`` or ``shrink()`` for the slope, and returns its
+value and its slope in t, or None for the slope.  A point's values are
+either O(k) sums over the pencil, as Hansen's ``discrep`` and ``lsqi`` get
+both norms from filter factors, or direct, measured on u_lam (an n x k
+product, and one more for r).  The O(k) values take V^T N V = diag(theta)
+and V^T P V = I - diag(theta) as exact and so miss the direct ones by the
+decomposition's round-off, up to 2.7e-5 in the variational gap (n = 512);
+``drift`` and ``shrink`` are their exact t-derivatives.  So
+:func:`path_solve` finds each root in two phases, Newton steps on O(k)
+points to COARSE_TOL and then on direct points to the solve's own
+tolerance, and :func:`solve`, the one place that chooses the road, reads
+the residual and phi of a linear solution from the point it returns.
+
 A nonlinear A is solved by damped Gauss-Newton whose steps are these linear
 problems for the Jacobian (Kaltenbacher, Neubauer & Scherzer, *Iterative
 Regularization Methods for Nonlinear Ill-Posed Problems*, 2008).  Each step's
 linear problem is solved only to GN_RTOL, the relative accuracy at which the
 outer loop stops, and its root find starts from the previous step's lambda
 (an inexact Newton method: Dembo, Eisenstat & Steihaug, 1982), the lam = 0
-end t = -inf included; a linear A is solved to ROOT_TOL from lam = 1.  Both
-methods state their scalar equation as a :data:`Gap` ``gap(lin, data, t, u,
-drift, shrink)``: the linear operator ``lin`` and data of the problem on whose
-path ``u`` = u_lam lies, t = log(lam), ``drift()``, which gives d r^2/dt of
-its residual r = ||lin u - data||, and ``shrink()``, which gives -d phi/dt of
-phi(u), each an O(k) sum over the pencil (:meth:`TikhonovPath.drift`,
-:meth:`TikhonovPath.shrink`) for a gap that asks.  A gap returns its value
-and its slope in t, or None for the slope.  Both gaps have the exact slope,
-so their roots are found by Newton steps inside the bracket, and a point
-without a slope bisects.  Both return the :class:`Solution` of
-:func:`solve`, the one place that chooses the road.
+end t = -inf included; a linear A is solved to ROOT_TOL from lam = 1.
 """
 
 from __future__ import annotations
@@ -51,17 +56,16 @@ from .operators import (OperatorSpec, apply, dense_operator, jacobian,
 from .stabilizers import Stabilizer, penalty_matrix, phi_value
 
 EPS = float(np.finfo(float).eps)
-T_CEIL = math.log(np.finfo(float).max)  # the largest log(lam) whose lam is a float
+FLOAT_MAX = float(np.finfo(float).max)
+T_CEIL = math.log(FLOAT_MAX)  # the largest log(lam) whose lam is a float
 ROOT_TOL = 1e-10      # accepted value of a linear solve's scalar equation, from above
-ROOT_MAX_ITER = 100   # evaluations per root find, bracket search included
+COARSE_TOL = 1e-6     # accepted O(k) value, from above, before the direct finish
+ROOT_MAX_ITER = 100   # evaluations per root find phase, bracket search included
 GN_MAX_ITER = 100     # Gauss-Newton steps per nonlinear solve
 GN_RTOL = 1e-3        # stop once a step lowers the objective by less than this
                       # fraction, or its length fraction falls below it; also the
                       # accepted gap of each step's linear solve
 INVERSE_LEAF = 64     # blocks of lower_inverse this small go to np.linalg.inv
-
-Gap = Callable[[OperatorSpec, np.ndarray, float, np.ndarray, Callable[[], float],
-               Callable[[], float]], Tuple[float, Optional[float]]]
 
 
 @dataclass
@@ -131,37 +135,91 @@ class TikhonovPath:
         theta, vectors = self.spectrum
         return vectors @ (coef / (theta + lam * (1.0 - theta)))
 
-    def drift(self, lam: float, coef: np.ndarray) -> float:
-        """d r^2 / d log(lam) at u_lam, r its residual for the data of ``coef``.
 
-        Along the path d r^2/d lam = -lam d phi(u_lam)/d lam, and phi(u_lam) =
-        sum((1 - theta) y^2) with y = coef / values, values = theta + lam (1 -
-        theta); so this is 2 sum(x^2) with x = w coef / sqrt(values) and w =
-        lam (1 - theta) / values in [0, 1], an O(k) sum that overflows only
-        where r^2 does.  It takes V^T N V = diag(theta) as exact.
-        """
-        theta = self.spectrum[0]
-        values = theta + lam * (1.0 - theta)
-        x = coef / np.sqrt(values) * (lam * (1.0 - theta) / values)
-        return 2.0 * float(x @ x)
+class PathData:
+    """One data vector on a :class:`TikhonovPath`: its coefficients c, and
+    what the O(k) sums of its points share.
 
-    def shrink(self, lam: float, coef: np.ndarray) -> float:
-        """-d phi(u_lam) / d log(lam) at u_lam, for the data of ``coef``.
+    As values >= theta and w <= 1 all along the path, |y| = |c| / values is
+    at most |c / theta|, and |w c| / sqrt(values) at most |c / sqrt(theta)|.
+    So c is kept divided by the largest |c / theta| (``y_coef``) and, over
+    sqrt(theta), by the largest |c / sqrt(theta)| (``r_coef``): every term of
+    a sum is then at most 1, and a sum overflows only to inf, in the Python
+    floats that scale it back.  ``r0``, the direct residual of u_0, is
+    measured when an O(k) point first needs it.
+    """
 
-        phi(u_lam) = sum((1 - theta) y^2) with y = coef / values, so this is
-        2 sum(w (1 - theta) y^2) = 2 sum(x^2) with x = y sqrt(w (1 - theta)),
-        w as in :meth:`drift`: an O(k) sum that overflows only where phi
+    def __init__(self, path: TikhonovPath, data: np.ndarray):
+        self.path, self.data, self.coef = path, data, path.coefficients(data)
+        self.theta, self.r0 = path.spectrum[0], None
+        self.rest, root = 1.0 - self.theta, np.sqrt(self.theta)
+        with np.errstate(over="ignore"):   # a scale past the float range is clipped
+            bounds = [np.abs(self.coef / x).max(initial=0.0) for x in (self.theta, root)]
+        self.y_scale, self.r_scale = (min(float(b) or 1.0, FLOAT_MAX) for b in bounds)
+        self.y_coef = self.coef / self.y_scale
+        self.r_coef = self.coef / root / self.r_scale
+
+
+class PathPoint:
+    """The point u_lam at t = log(lam) of :class:`PathData`, with its
+    ``values`` = theta + lam (1 - theta) and weights ``w`` = lam (1 - theta) /
+    values in [0, 1].
+
+    A direct point holds ``u`` = V (c / values), and measures its residual
+    ``r`` = ||lin u - data|| and ``phi`` = phi(u) on first read.  An O(k)
+    point has no u, and sums r and phi over the pencil with y = c / values:
+    phi = sum((1 - theta) y^2) and r^2 = r_0^2 + sum(w^2 c^2 / theta).  The
+    slopes ``drift()`` and ``shrink()`` are the exact t-derivatives of those
+    sums, for points of either kind.
+    """
+
+    __slots__ = ("t", "lam", "direct", "of", "values", "w", "u", "_r", "_phi")
+
+    def __init__(self, of: PathData, t: float, direct: bool):
+        self.t, self.lam, self.direct, self.of = t, math.exp(t), direct, of
+        scaled = self.lam * of.rest
+        self.values = of.theta + scaled
+        self.w, self._r, self._phi = scaled / self.values, None, None
+        self.u = of.path.point(self.lam, of.coef) if direct else None
+
+    @property
+    def r(self) -> float:
+        of = self.of
+        if self._r is None and self.direct:
+            self._r = l2_norm(of.path.op.grid, apply(of.path.op, self.u) - of.data)
+        elif self._r is None:
+            if of.r0 is None:
+                of.r0 = PathPoint(of, -math.inf, True).r
+            z = self.w * of.r_coef
+            self._r = math.hypot(of.r0, of.r_scale * math.sqrt(float(z @ z)))
+        return self._r
+
+    @property
+    def phi(self) -> float:
+        of = self.of
+        if self._phi is None and self.direct:
+            self._phi = phi_value(of.path.stab, of.path.op.grid, self.u)
+        elif self._phi is None:
+            q = of.y_coef / self.values
+            self._phi = float((q * q) @ of.rest) * of.y_scale * of.y_scale
+        return self._phi
+
+    def drift(self) -> float:
+        """d r^2 / dt = 2 sum(w^2 c^2 / values), overflowing only where r^2 does."""
+        of, z = self.of, self.w * self.of.r_coef
+        return 2.0 * float((z * z) @ (of.theta / self.values)) * of.r_scale * of.r_scale
+
+    def shrink(self) -> float:
+        """-d phi / dt = 2 sum(w (1 - theta) y^2), overflowing only where phi
         does.  lam times it is the drift, which underflows to 0 where lam is
-        tiny, so it is not computed as drift / lam.  It takes V^T P V = I -
-        diag(theta) as exact; the pencil's phi sum differs from the direct
-        ``phi_value`` by up to 1.6e-9 relative (n = 512, alpha0 = 0.01;
-        1.5e-11 at alpha0 = 1), above ROOT_TOL, so a gap's value stays on
-        the direct product.
-        """
-        theta = self.spectrum[0]
-        values = theta + lam * (1.0 - theta)
-        x = coef / values * np.sqrt(lam * (1.0 - theta) / values * (1.0 - theta))
-        return 2.0 * float(x @ x)
+        tiny, so neither is computed from the other."""
+        of, q = self.of, self.of.y_coef / self.values
+        return 2.0 * float((q * q) @ (self.w * of.rest)) * of.y_scale * of.y_scale
+
+
+# gap(point): a method's scalar equation at a PathPoint, nondecreasing in t, as
+# (value, slope in t or None); it reads r or phi, and drift() or shrink()
+Gap = Callable[[PathPoint], Tuple[float, Optional[float]]]
 
 
 def lower_inverse(low: np.ndarray) -> np.ndarray:
@@ -189,42 +247,49 @@ def solve(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: Gap,
     """The :class:`Solution` at the root of ``gap``, which is nondecreasing in lam.
 
     A linear A is solved by :func:`path_solve` on ``path``, shared by a caller
-    across data, or a new one; a nonlinear A by :func:`gauss_newton`.
+    across data, or a new one, and the solution reads its residual and phi
+    from the point found; a nonlinear A is solved by :func:`gauss_newton`.
     """
     f_delta = check_vec(op.grid, f_delta, "data")
     if op.is_linear:
-        t, u = path_solve(path or TikhonovPath(op, stab), f_delta, gap)
-    else:
-        t, u = math.nan, gauss_newton(op, stab, f_delta, gap, objective, project)
-    return Solution(u_delta=u, residual_noisy=l2_norm(op.grid, apply(op, u) - f_delta),
-                    phi_u=phi_value(stab, op.grid, u), lambda_star=math.exp(t))
+        point = path_solve(path or TikhonovPath(op, stab), f_delta, gap)
+        return Solution(point.u, point.r, point.phi, point.lam)
+    u = gauss_newton(op, stab, f_delta, gap, objective, project)
+    return Solution(u, l2_norm(op.grid, apply(op, u) - f_delta),
+                    phi_value(stab, op.grid, u), math.nan)
 
 
 def path_solve(path: TikhonovPath, f_delta: np.ndarray, gap: Gap, *,
-               tol: float = ROOT_TOL, start: float = 0.0) -> Tuple[float, np.ndarray]:
-    """(t, u_lam) on ``path`` for ``f_delta`` at the root t = log(lam) of ``gap``.
+               tol: float = ROOT_TOL, start: float = 0.0) -> PathPoint:
+    """The direct :class:`PathPoint` on ``path`` for ``f_delta`` at the root of ``gap``.
 
-    :func:`path_root` finds the root to ``tol`` from t = ``start``; t = -inf
-    (lam = 0) when the gap is nonnegative along the whole path.  A pencil
-    that cannot be decomposed fails the solve like a root find that does
-    not converge.
+    :func:`path_root` finds the root on O(k) points to max(``tol``,
+    COARSE_TOL) from t = ``start``, then from there on direct points to
+    ``tol``, so a root find takes one or two direct points where the O(k)
+    values are good to COARSE_TOL.  Where the direct finish closes at float
+    resolution with its gap above ``tol``, the direct values are round-off
+    there, and the point is the O(k) root.  t = -inf (lam = 0) when the gap
+    is nonnegative along the whole path.  A pencil that cannot be
+    decomposed fails the solve like a root find that does not converge.
     """
     try:
-        coef = path.coefficients(f_delta)
+        data, found = PathData(path, f_delta), {}   # found: t -> its direct point
+        coarse = path_root(lambda t: gap(PathPoint(data, t, False)), path.t_floor,
+                           tol=max(tol, COARSE_TOL), start=start)
 
-        def value(t: float) -> Tuple[float, Optional[float]]:
-            lam = math.exp(t)
-            return gap(path.op, f_delta, t, path.point(lam, coef),
-                       lambda: path.drift(lam, coef), lambda: path.shrink(lam, coef))
+        def direct(t: float) -> Tuple[float, Optional[float]]:
+            found[t] = PathPoint(data, t, True)
+            return gap(found[t])
 
-        t = path_root(value, path.t_floor, tol=tol, start=start)
-        return t, path.point(math.exp(t), coef)
+        t = path_root(direct, path.t_floor, tol=tol, start=coarse, fallback=coarse)
+        return found.get(t) or PathPoint(data, t, True)
     except SingularSystemError as exc:
         raise SolverFailureError(str(exc)) from exc
 
 
 def path_root(fn: Callable[[float], Tuple[float, Optional[float]]], t_floor: float, *,
-              tol: float = ROOT_TOL, start: float = 0.0) -> float:
+              tol: float = ROOT_TOL, start: float = 0.0,
+              fallback: Optional[float] = None) -> float:
     """Root of a nondecreasing ``fn`` of t = log(lam), from its nonnegative side.
 
     ``fn(t)`` is the value at t and its slope in t, or None for the slope.
@@ -238,63 +303,44 @@ def path_root(fn: Callable[[float], Tuple[float, Optional[float]]], t_floor: flo
     is the bracket search's while one side is open: steps doubling from 1
     up to T_CEIL or down to t_floor, ending where a clamped step does not
     move, so each end is evaluated at most once.  Within the bracket every
-    other step bisects, until 0 <= fn <= ``tol`` or float resolution.  -inf
-    (lam = 0) when fn is nonnegative down to ``t_floor``, below which the
-    path is constant; :class:`SolverFailureError` when fn is negative up to
-    T_CEIL.  Every evaluation counts toward ROOT_MAX_ITER.
+    other step bisects, until 0 <= fn <= ``tol`` or float resolution, where
+    it ends at the nonnegative end or at ``fallback`` when one is given.
+    -inf (lam = 0) when fn is nonnegative down to ``t_floor``, below which
+    the path is constant; :class:`SolverFailureError` when fn is negative up
+    to T_CEIL.  Every evaluation counts toward ROOT_MAX_ITER.
     """
-    calls = 0
     moves = (math.inf, math.inf)   # the lengths of the step before last and the last
-
-    def value(t: float) -> Tuple[float, Optional[float]]:
-        nonlocal calls
-        if calls == ROOT_MAX_ITER:
-            raise SolverFailureError(
-                f"path root find did not converge in {ROOT_MAX_ITER} iterations")
-        calls += 1
-        return fn(t)
-
-    def newton(t: float, f_t: float, slope: Optional[float], lo: float,
-               hi: float) -> Optional[float]:
-        """The Newton point from t if it is trusted inside (lo, hi), else None."""
-        if slope is None or not slope > 0.0:   # also nan
-            return None
-        s = t - (f_t - 0.5 * tol) / slope
-        return s if lo < s < hi and abs(s - t) <= 0.5 * moves[0] else None
-
-    t = min(max(start, t_floor), T_CEIL)
-    f_t, slope = value(t)
-    step = -1.0 if f_t >= 0.0 else 1.0
-    while True:
-        if slope is not None and 0.0 <= f_t <= tol and t > t_floor:
-            return t
-        s = newton(t, f_t, slope, *((t_floor, t) if f_t >= 0.0 else (t, T_CEIL)))
-        if s is None:
-            s = min(max(t + step, t_floor), T_CEIL)
-            if s == t:  # clamped at an end that is already evaluated
-                if f_t >= 0.0:
-                    return -math.inf
-                raise SolverFailureError(
-                    f"path root lies beyond the largest float lambda {math.exp(T_CEIL):g}")
-        f_s, slope_s = value(s)
-        moves = (moves[1], abs(s - t))
-        if (f_s >= 0.0) != (f_t >= 0.0):
-            break
-        t, f_t, slope, step = s, f_s, slope_s, 2.0 * step
-    (lo, _), (hi, f_hi) = sorted([(t, f_t), (s, f_s)])
-
-    t, f_t, slope = s, f_s, slope_s   # each step starts from the last point
-    while f_hi > tol and hi - lo > 4.0 * EPS * max(1.0, abs(hi)):
-        s = newton(t, f_t, slope, lo, hi)
-        if s is None:
-            s = 0.5 * (lo + hi)
-        f_s, slope = value(s)
-        t, f_t, moves = s, f_s, (moves[1], abs(s - t))
+    lo = hi = None   # the nearest points known with fn < 0 and with fn >= 0
+    t, step = min(max(start, t_floor), T_CEIL), 1.0
+    for _ in range(ROOT_MAX_ITER):
+        f_t, slope = fn(t)
         if f_t >= 0.0:
             hi, f_hi = t, f_t
         else:
             lo = t
-    return hi
+        if slope is not None and 0.0 <= f_t <= tol and t > t_floor:
+            return t
+        bracket = lo is not None and hi is not None
+        if bracket and (f_hi <= tol or hi - lo <= 4.0 * EPS * max(1.0, abs(hi))):
+            return hi if f_hi <= tol or fallback is None else fallback
+        # the Newton point, trusted strictly inside what is known (an open side
+        # reaches to its end) and at most half the step before last; a missing,
+        # nonpositive or nan slope gives none (nan fails every comparison)
+        s = t - (f_t - 0.5 * tol) / slope if (slope or 0.0) > 0.0 else math.nan
+        if not ((t_floor if lo is None else lo) < s < (T_CEIL if hi is None else hi)
+                and abs(s - t) <= 0.5 * moves[0]):
+            if bracket:
+                s = 0.5 * (lo + hi)
+            else:
+                s = min(max(t - step if hi is not None else t + step, t_floor), T_CEIL)
+                if s == t:  # clamped at an end that is already evaluated
+                    if hi is not None:
+                        return -math.inf
+                    raise SolverFailureError(
+                        f"path root lies beyond the largest float lambda {FLOAT_MAX:g}")
+        t, moves, step = s, (moves[1], abs(s - t)), 2.0 * step
+    raise SolverFailureError(
+        f"path root find did not converge in {ROOT_MAX_ITER} iterations")
 
 
 def gauss_newton(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: Gap,
@@ -319,7 +365,8 @@ def gauss_newton(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: G
         jac = jacobian(op, u)
         path = TikhonovPath(dense_operator(op.grid, jac), stab)
         data = f_delta - apply(op, u) + jac @ u
-        t, target = path_solve(path, data, gap, tol=GN_RTOL, start=t)
+        point = path_solve(path, data, gap, tol=GN_RTOL, start=t)
+        t, target = point.t, point.u
         step = 1.0
         while True:
             trial = project(u + step * (target - u))

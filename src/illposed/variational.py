@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import InvalidParameterError
 from .grids import l2_norm
 from .operators import OperatorSpec, apply, domain_project
 from .stabilizers import Stabilizer, phi_value
-from .tikhonov import Solution, TikhonovPath, solve
+from .tikhonov import PathPoint, Solution, TikhonovPath, solve
 
 
 @dataclass
@@ -60,16 +60,15 @@ def minimize_variational(op: OperatorSpec, f_delta: np.ndarray, delta: float,
     if delta <= 0.0:
         raise InvalidParameterError(f"delta must be positive, got {delta}")
 
-    def gap(lin: OperatorSpec, data: np.ndarray, t: float, u: np.ndarray,
-            drift: Callable[[], float],
-            shrink: Callable[[], float]) -> Tuple[float, Optional[float]]:
+    def gap(point: PathPoint) -> Tuple[float, Optional[float]]:
         # log(lam / (2*delta*r)): F decreases along the path while negative;
         # two logs, as 2*delta*r underflows to 0 for a subnormal delta.  Its
         # slope 1 - d log(r)/dt = 1 - drift / (2 r^2) is in (0, 1] in exact arithmetic
-        r = l2_norm(lin.grid, apply(lin, u) - data)
+        r = point.r
         if r == 0.0:
             return math.inf, None
-        return t - math.log(2.0 * delta) - math.log(r), 1.0 - 0.5 * drift() / r / r
+        slope = 1.0 - 0.5 * point.drift() / r / r
+        return point.t - math.log(2.0 * delta) - math.log(r), slope
 
     sol = solve(op, stab, f_delta, gap,
                 lambda v: f_functional(op, f_delta, delta, stab, v),

@@ -1,9 +1,14 @@
 """Shared batched objectives for the brute-force oracle checks, and a recorder
 of the path root finds a solve runs."""
 
+import inspect
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional
+
 import numpy as np
 
 from illposed import as_matrix, phi_batch, tikhonov
+from illposed.tikhonov import TikhonovPath
 
 
 def weighted_residual_batch(problem, f_delta):
@@ -46,19 +51,50 @@ def constrained_residual_batch(problem, K, f_delta, infeasible_value=1e30):
     return objective
 
 
+@dataclass
+class RootFind:
+    """One path root find: its path, data, gap, tol and start, the t of its
+    O(k) and of its direct evaluations, in order, and the t it returned (None
+    when it raised)."""
+
+    path: TikhonovPath
+    data: np.ndarray
+    gap: Callable
+    tol: float
+    start: float
+    coarse: List[float] = field(default_factory=list)
+    direct: List[float] = field(default_factory=list)
+    root: Optional[float] = None
+
+    @property
+    def points(self):
+        """The t of every evaluation, in order: the O(k) phase comes first."""
+        return self.coarse + self.direct
+
+    @property
+    def t_floor(self):
+        return self.path.t_floor
+
+
 def recorded_root_finds(monkeypatch):
-    """[path, data, fn, t_floor] of every path root find, which still runs."""
-    found = []
-    path_solve, path_root = tikhonov.path_solve, tikhonov.path_root
+    """A RootFind of every ``tikhonov.path_solve``, which still runs."""
+    finds = []
+    path_solve = tikhonov.path_solve
+    signature = inspect.signature(path_solve)
 
-    def solve_recording(path, data, gap, **kwargs):
-        found.append([path, data])
-        return path_solve(path, data, gap, **kwargs)
+    def recording(path, data, gap, **kwargs):
+        given = signature.bind(path, data, gap, **kwargs)
+        given.apply_defaults()
+        find = RootFind(path, data, gap, given.arguments["tol"], given.arguments["start"])
+        finds.append(find)
 
-    def root_recording(fn, t_floor, **kwargs):
-        found[-1] += [fn, t_floor]
-        return path_root(fn, t_floor, **kwargs)
+        def counted(point):
+            (find.direct if point.direct else find.coarse).append(point.t)
+            return gap(point)
 
-    monkeypatch.setattr(tikhonov, "path_solve", solve_recording)
-    monkeypatch.setattr(tikhonov, "path_root", root_recording)
-    return found
+        point = path_solve(path, data, counted, **kwargs)
+        find.root = point.t
+        return point
+
+    monkeypatch.setattr(tikhonov, "path_solve", recording)
+    return finds

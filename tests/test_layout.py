@@ -92,7 +92,9 @@ def test_only_gauss_newton_loosens_a_root_find():
     """Linear solves find their root to ROOT_TOL from lam = 1.
 
     Only tikhonov.gauss_newton passes ``tol`` or ``start``, and only to
-    ``path_solve``, which hands its own two on to ``path_root``.
+    ``path_solve``, which hands its own two on to ``path_root`` in two
+    phases: on O(k) points to max(tol, COARSE_TOL) from ``start``, then on
+    direct points to ``tol`` from the O(k) root.
     """
     passes = []
     for path in MODULES:
@@ -102,10 +104,12 @@ def test_only_gauss_newton_loosens_a_root_find():
                           if kw.arg in {"tol", "start", None})
             if callee in {"solve", "path_solve", "path_root"} and given:
                 passes.append((path.name, where, callee, given))
-    through = ("tikhonov.py", "path_solve", "path_root",
-               (("tol", "tol"), ("start", "start")))
-    loosened = [entry[:3] for entry in passes if entry != through]
-    assert through in passes
+    through = [("tikhonov.py", "path_solve", "path_root",
+                (("tol", "max(tol, COARSE_TOL)"), ("start", "start"))),
+               ("tikhonov.py", "path_solve", "path_root",
+                (("tol", "tol"), ("start", "coarse")))]
+    loosened = [entry[:3] for entry in passes if entry not in through]
+    assert [entry for entry in passes if entry in through] == through
     assert loosened == [("tikhonov.py", "gauss_newton", "path_solve")], (
         f"root finds loosened outside gauss_newton: {passes}")
 

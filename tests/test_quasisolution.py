@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from illposed import (Compactum, Grid, Solution, SolverFailureError,
                       minimize_on_compactum, penalty_matrix, phi_value,
                       quasi_certificate, run_sweep)
 from illposed import tikhonov
+from illposed.tikhonov import EPS, PathData, PathPoint
 
 from helpers import recorded_root_finds
 
@@ -126,34 +126,33 @@ def test_too_small_compactum_fails_certificate(default_stab):
 
 # --- the slope of the slack --------------------------------------------------
 
-def check_slack_slope(path, data, fn, t_floor, h=1e-4):
-    """The slope fn returns against a central difference of its value, from
-    just above the floor of the path to t = 5: to 1e-5 relative, plus what the
-    decomposition's error E = V^T P V - (I - diag(theta)) contributes, plus
-    the difference's own round-off.  The slope's O(k) sum takes E as 0, while
-    the value log(rho / phi) reads the direct phi, an n-term sum good to about
-    n eps relative; over 2h that is n eps / h, which dominates near the floor,
-    where phi is flat (slopes below 1e-8)."""
-    theta, vectors = path.spectrum
-    coef = path.coefficients(data)
-    grid = path.op.grid
-    error = np.linalg.norm(vectors.T @ penalty_matrix(path.stab, grid) @ vectors
-                           - np.diag(1.0 - theta), 2)
+def check_slack_slope(find, h=1e-4):
+    """The slope of the O(k) slack against a central difference of its value,
+    from just above the floor of the path to t = 5: to 1e-6 relative, plus
+    the difference's own round-off, 4 k eps / h for sums of k terms.  And its
+    value against the direct slack's: the O(k) phi takes the decomposition's
+    error E = V^T P V - (I - diag(theta)) as 0, so the direct phi differs
+    from it by y'E y, at most ||E|| |y|^2, which is counted twice, as E
+    measured in floats carries a round-off of its own size; plus the direct
+    phi's round-off, n^2 eps relative, as its difference quotients cancel."""
+    theta, vectors = find.path.spectrum
+    data = PathData(find.path, find.data)
+    error = np.linalg.norm(vectors.T @ penalty_matrix(find.path.stab, find.path.op.grid)
+                           @ vectors - np.diag(1.0 - theta), 2)
+    n, k = vectors.shape
     resolved = 0
-    for t in np.linspace(t_floor + 0.5, 5.0, 12):
-        _, slope = fn(t)
-        difference = (fn(t + h)[0] - fn(t - h)[0]) / (2.0 * h)
-        lam = math.exp(t)
-        values = theta + lam * (1.0 - theta)
-        y = coef / values
-        phi = phi_value(path.stab, grid, vectors @ y)
-        allowance = error * np.linalg.norm(y) * (
-            2.0 * np.linalg.norm(lam * (1.0 - theta) * y / values)
-            + abs(difference) * np.linalg.norm(y)) / phi
-        allowance += grid.n * np.finfo(float).eps / h
-        assert abs(slope - difference) <= 1e-5 * abs(difference) + allowance, t
-        resolved += allowance <= 1e-7 * abs(difference)
-    assert resolved >= 4   # points where the test is 1e-5 relative outright
+    for t in np.linspace(find.t_floor + 0.5, 5.0, 12):
+        value, slope = find.gap(PathPoint(data, t, False))
+        difference = (find.gap(PathPoint(data, t + h, False))[0]
+                      - find.gap(PathPoint(data, t - h, False))[0]) / (2.0 * h)
+        roundoff = 4.0 * k * EPS / h
+        assert abs(slope - difference) <= 1e-6 * abs(difference) + roundoff, t
+        resolved += roundoff <= 1e-7 * abs(difference)
+        direct = PathPoint(data, t, True)
+        y = data.coef / direct.values
+        allowance = 2.0 * error * (y @ y) / direct.phi + n * n * EPS
+        assert abs(value - find.gap(direct)[0]) <= allowance, t
+    assert resolved >= 4   # points where the test is 1e-6 relative outright
 
 
 @pytest.mark.parametrize("alpha0", [0.01, 1.0])
@@ -165,7 +164,7 @@ def test_slack_slope_matches_central_difference(name, alpha0, monkeypatch):
     f_delta = inject_noise(p.grid, p.f_exact, 1e-2, 7)
     minimize_on_compactum(p.op, f_delta, default_compactum(p, stab))
     assert len(found) == 1
-    check_slack_slope(*found[0])
+    check_slack_slope(found[0])
 
 
 def test_slack_slope_on_a_jacobian_path(default_stab, monkeypatch):
@@ -174,7 +173,7 @@ def test_slack_slope_on_a_jacobian_path(default_stab, monkeypatch):
     f_delta = inject_noise(p.grid, p.f_exact, 1e-2, 7)
     minimize_on_compactum(p.op, f_delta, default_compactum(p, default_stab))
     assert len(found) > 1   # one per Gauss-Newton step
-    check_slack_slope(*found[0])
+    check_slack_slope(found[0])
 
 
 def test_root_find_iteration_cap_reported(default_stab, monkeypatch):

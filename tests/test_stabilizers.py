@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from illposed import (Compactum, Grid, InvalidParameterError, Stabilizer,
                       contains, l2_norm, penalty_matrix, phi_batch, phi_value,
                       project_onto)
+from illposed.stabilizers import penalty_bands
 
 
 def test_weight_validation():
@@ -60,6 +61,17 @@ def test_phi_equals_quadratic_form(default_stab, rng):
             u = rng.standard_normal(14)
             assert phi_value(stab, g, u) == pytest.approx(float(u @ P @ u),
                                                           rel=1e-12)
+
+
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (0.0, 1.0), (2.0, 0.0), (1e-300, 1e300)])
+def test_penalty_bands_are_the_matrix_bands(weights):
+    g = Grid(11, -1.0, 3.0)
+    stab = Stabilizer(*weights)
+    diagonal, off = penalty_bands(stab, g)
+    P = penalty_matrix(stab, g)
+    assert np.array_equal(np.diag(P), diagonal)
+    assert np.array_equal(np.diag(P, 1), off) and np.array_equal(np.diag(P, -1), off)
+    assert np.array_equal(P, np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
 
 
 def test_phi_batch_matches_scalar(default_stab, rng):

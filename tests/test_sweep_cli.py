@@ -1,11 +1,9 @@
 import importlib.util
-import inspect
 import math
 import os
 import shutil
 import subprocess
 import sys
-from collections import namedtuple
 from dataclasses import fields
 
 import numpy as np
@@ -22,6 +20,8 @@ from illposed.cli import main
 from illposed.sweep import (CERT_COLUMNS, CSV_COLUMNS, SETTINGS, SweepRow,
                             delta_seed, resolve_rho, rows_to_csv, solve_one)
 from illposed.tikhonov import TikhonovPath
+
+from helpers import recorded_root_finds
 
 # subprocesses import the package from this checkout
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -306,6 +306,19 @@ def test_csv_gate_script_runs_and_compares(tmp_path):
     proc = compare()
     assert proc.returncode == 0, proc.stdout
     assert proc.stdout.count(": byte-identical") == 15
+    # each run pins BLAS to one thread; runs on other counts are not compared
+    assert proc.stdout.startswith("BLAS threads: 1 against 1\n")
+    threads = second / "blas_threads"
+    assert threads.read_text() == "1\n"
+    for other in ("2\n", None):   # another count, and a run that did not pin
+        if other is None:
+            threads.unlink()
+        else:
+            threads.write_text(other)
+        proc = compare()
+        assert proc.returncode == 1, proc.stdout
+        assert "the runs are not comparable" in proc.stdout
+    threads.write_text("1\n")
     # a differing exit code fails the gate, even with byte-identical files
     out_path = second / "diag-unbounded-n8.out"
     summary = out_path.read_text()
@@ -599,38 +612,8 @@ def test_gauss_newton_decomposes_once_per_step(monkeypatch):
     assert len(jacobians) == len(steps)
 
 
-RootFind = namedtuple("RootFind", "tol start t_floor points root")
-
-
-def record_root_finds(monkeypatch):
-    """A RootFind of every path root find: its tol, start and t_floor, the t it
-    evaluated, in order, and the root it returned (None when it raised)."""
-    calls = []
-    path_root = tikhonov.path_root
-    signature = inspect.signature(path_root)
-
-    def counted(fn, *args, **kwargs):
-        bound = signature.bind(fn, *args, **kwargs)
-        bound.apply_defaults()
-        points, root = [], None
-
-        def value(t):
-            points.append(t)
-            return fn(t)
-
-        try:
-            root = path_root(value, *args, **kwargs)
-            return root
-        finally:
-            calls.append(RootFind(bound.arguments["tol"], bound.arguments["start"],
-                                  bound.arguments["t_floor"], points, root))
-
-    monkeypatch.setattr(tikhonov, "path_root", counted)
-    return calls
-
-
 def test_gauss_newton_steps_are_solved_to_the_outer_tolerance(monkeypatch):
-    calls = record_root_finds(monkeypatch)
+    calls = recorded_root_finds(monkeypatch)
     report = run_sweep(SweepConfig(problem="autoconv", n=16, deltas=(1e-1, 1e-2)))
     assert all(row.solver_error is None for row in report.rows)
     assert len(calls) > len(report.rows)
@@ -641,7 +624,7 @@ def test_gauss_newton_steps_are_solved_to_the_outer_tolerance(monkeypatch):
 
 
 def test_gauss_newton_restarts_at_the_floor_after_lam_zero(monkeypatch):
-    calls = record_root_finds(monkeypatch)
+    calls = recorded_root_finds(monkeypatch)
     firsts = []  # the index of each Gauss-Newton solve's first root find
     gauss_newton = tikhonov.gauss_newton
 
@@ -665,7 +648,7 @@ def test_gauss_newton_restarts_at_the_floor_after_lam_zero(monkeypatch):
 
 
 def test_linear_root_finds_keep_root_tol_from_lam_one(monkeypatch):
-    calls = record_root_finds(monkeypatch)
+    calls = recorded_root_finds(monkeypatch)
     report = run_sweep(SweepConfig(problem="volterra-int", n=16, method="both"))
     assert all(row.solver_error is None for row in report.rows)
     assert len(calls) == len(report.rows)
@@ -678,8 +661,9 @@ MOST_EVALUATIONS = {"variational": 20, "quasi": 15}
 
 @pytest.mark.parametrize("method", sorted(MOST_EVALUATIONS))
 def test_root_finds_take_few_evaluations(method, monkeypatch):
-    # Newton on the exact slope; the bracket search and Illinois steps took about 30
-    calls = record_root_finds(monkeypatch)
+    # Newton on the exact slope; the bracket search and Illinois steps took about
+    # 30.  Most are O(k) points, and one or two direct ones finish a find
+    calls = recorded_root_finds(monkeypatch)
     for name in LINEAR:
         report = run_sweep(SweepConfig(problem=name, n=64, method=method))
         assert all(row.solver_error is None for row in report.rows)
@@ -687,6 +671,7 @@ def test_root_finds_take_few_evaluations(method, monkeypatch):
     assert len(counts) == 3 * len(SweepConfig(problem=LINEAR[0]).deltas)
     assert sum(counts) / len(counts) <= 10
     assert max(counts) <= MOST_EVALUATIONS[method]
+    assert sum(len(call.direct) for call in calls) / len(calls) <= 3
 
 
 # lambda_star of the rows of each method in the sweep below, as the bracket search

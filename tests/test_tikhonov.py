@@ -211,6 +211,26 @@ def test_path_root_accepts_a_point_with_a_slope_in_the_band(start):
     assert len(points) == 1
 
 
+def jump(t):
+    """A nondecreasing fn that steps across the band [0, ROOT_TOL] at t = 2."""
+    return 1e-3 if t >= 2.0 else -1e-3
+
+
+@pytest.mark.parametrize("slope", [lambda t: None, lambda t: 1.0])
+def test_path_root_closing_at_float_resolution_ends_at_its_fallback(slope):
+    # no point meets the band, so the bracket closes at float resolution: at
+    # its nonnegative end by default, at the fallback when one is given
+    fn, points = counted(jump, slope)
+    t = path_root(fn, -50.0)
+    assert jump(t) > ROOT_TOL and 0.0 <= t - 2.0 <= 8.0 * EPS * 2.0
+    assert len(points) < 100
+    fn, points = counted(jump, slope)
+    assert path_root(fn, -50.0, fallback=-7.0) == -7.0
+    # a find that meets the band ignores the fallback
+    t = path_root(counted(gap_like, gap_like_slope)[0], -50.0, fallback=-7.0)
+    assert 0.0 <= gap_like(t) <= ROOT_TOL
+
+
 def test_path_root_counts_every_newton_evaluation(monkeypatch):
     fn, points = counted(gap_like, gap_like_slope)
     path_root(fn, -50.0, start=300.0)

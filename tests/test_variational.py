@@ -11,7 +11,7 @@ from illposed import (Grid, GridMismatchError,
                       identity_operator, inject_noise, jacobian,
                       l2_norm, minimize_variational, normal_matrix, phi_value, run_sweep,
                       tikhonov, variational_certificate)
-from illposed.tikhonov import TikhonovPath
+from illposed.tikhonov import EPS, PathData, PathPoint, TikhonovPath
 
 from helpers import recorded_root_finds
 
@@ -141,28 +141,34 @@ def test_path_monotonicity(default_stab, linear_problems):
 
 # --- the slope of the gap ----------------------------------------------------
 
-def check_gap_slope(path, data, fn, t_floor, h=1e-4):
-    """The slope fn returns against a central difference of its value, from
-    just above the floor of the path to t = 5: to 1e-5 relative, plus what the
-    decomposition's error E = V^T N V - diag(theta) contributes.  The slope's
-    O(k) sum takes E as 0; the residual's t-derivative carries 2 y'.E y, which
-    dominates where r^2 nears E's size (r ~ 1e-12 on a path with k = n)."""
-    theta, vectors = path.spectrum
-    coef = path.coefficients(data)
-    error = np.linalg.norm(vectors.T @ normal_matrix(path.op) @ vectors - np.diag(theta), 2)
+def check_gap_slope(find, h=1e-4):
+    """The slope of the O(k) gap against a central difference of its value,
+    from just above the floor of the path to t = 5: to 1e-6 relative, plus
+    the difference's own round-off, 4 k eps / h for sums of k terms.  And its
+    value against the direct gap's: the O(k) r^2 takes the decomposition's
+    error E = V^T N V - diag(theta) as 0, so the direct r^2 differs from it
+    by y'E y - y_0'E y_0, at most ||E|| (|y|^2 + |y_0|^2), plus the direct
+    residual's round-off, n^2 eps; that dominates where r^2 nears E's size
+    (r ~ 1e-12 on a path with k = n)."""
+    theta, vectors = find.path.spectrum
+    data = PathData(find.path, find.data)
+    error = np.linalg.norm(vectors.T @ normal_matrix(find.path.op) @ vectors
+                           - np.diag(theta), 2)
+    y0 = data.coef / theta
+    n, k = vectors.shape
     resolved = 0
-    for t in np.linspace(t_floor + 0.5, 5.0, 12):
-        _, slope = fn(t)
-        difference = (fn(t + h)[0] - fn(t - h)[0]) / (2.0 * h)
-        lam = math.exp(t)
-        values = theta + lam * (1.0 - theta)
-        y = coef / values
-        r = l2_norm(path.op.grid, apply(path.op, vectors @ y) - data)
-        allowance = error * np.linalg.norm(y) * np.linalg.norm(
-            lam * (1.0 - theta) * y / values) / r ** 2
-        assert abs(slope - difference) <= 1e-5 * abs(difference) + allowance, t
-        resolved += allowance <= 1e-7 * abs(difference)
-    assert resolved >= 4   # points where the test is 1e-5 relative outright
+    for t in np.linspace(find.t_floor + 0.5, 5.0, 12):
+        value, slope = find.gap(PathPoint(data, t, False))
+        difference = (find.gap(PathPoint(data, t + h, False))[0]
+                      - find.gap(PathPoint(data, t - h, False))[0]) / (2.0 * h)
+        roundoff = 4.0 * k * EPS / h
+        assert abs(slope - difference) <= 1e-6 * abs(difference) + roundoff, t
+        resolved += roundoff <= 1e-7 * abs(difference)
+        direct = PathPoint(data, t, True)
+        y = data.coef / direct.values
+        allowance = error * (y @ y + y0 @ y0) / (2.0 * direct.r ** 2) + n * n * EPS
+        assert abs(value - find.gap(direct)[0]) <= allowance, t
+    assert resolved >= 4   # points where the test is 1e-6 relative outright
 
 
 @pytest.mark.parametrize("alpha0", [0.0, 1.0])
@@ -173,7 +179,7 @@ def test_gap_slope_matches_central_difference(name, alpha0, monkeypatch):
     f_delta = inject_noise(p.grid, p.f_exact, 1e-2, 7)
     minimize_variational(p.op, f_delta, 1e-2, Stabilizer(alpha0, 1.0))
     assert len(found) == 1
-    check_gap_slope(*found[0])
+    check_gap_slope(found[0])
 
 
 def test_gap_slope_on_a_jacobian_path(default_stab, monkeypatch):
@@ -182,7 +188,7 @@ def test_gap_slope_on_a_jacobian_path(default_stab, monkeypatch):
     f_delta = inject_noise(p.grid, p.f_exact, 1e-2, 7)
     minimize_variational(p.op, f_delta, 1e-2, default_stab)
     assert len(found) > 1   # one per Gauss-Newton step
-    check_gap_slope(*found[0])
+    check_gap_slope(found[0])
 
 
 # --- the outer minimization --------------------------------------------------
@@ -206,6 +212,27 @@ def test_minimizer_not_clamped_at_small_lambda(default_stab):
     f_min = f_functional(p.op, f_delta, delta, default_stab, res.u_delta)
     assert f_min < f_floor * (1 - 1e-9)
     assert res.lambda_star < 1e-12
+
+
+def test_a_root_find_limited_by_resolution_ends_at_its_o_k_root(monkeypatch):
+    # at delta = 1e-3 (noise seed 5) the root lies near lam = 3e-17, where the
+    # residual is round-off: the direct gap scatters by 5e-5 and more, and its
+    # finish closes at float resolution outside ROOT_TOL.  Such a find returns
+    # the root of the smooth O(k) gap, never a point that misses silently
+    found = recorded_root_finds(monkeypatch)
+    report = run_sweep(SweepConfig(problem="diag-unbounded", n=16, seed=3,
+                                   method="variational",
+                                   deltas=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)))
+    ends = []
+    for find, row in zip(found, report.rows, strict=True):
+        assert row.solver_error is None
+        t = math.log(row.lambda_star)
+        direct = t - math.log(2.0 * row.delta) - math.log(row.residual_noisy)
+        coarse = find.gap(PathPoint(PathData(find.path, find.data), t, False))[0]
+        ends.append("direct" if 0.0 <= direct <= tikhonov.ROOT_TOL
+                    else "O(k)" if 0.0 <= coarse <= tikhonov.COARSE_TOL else "miss")
+    assert ends == ["direct", "direct", "O(k)", "direct", "direct", "direct"]
+    assert found[2].root == found[2].coarse[-1]
 
 
 def test_result_invariants(default_stab):

@@ -15,8 +15,10 @@ picks the checkout.  Every sweep uses the CLI defaults (method both, deltas
   (1728 cells).
 
 For each part it prints the failing cells (a solver error or a false
-verdict), the most and the total Gauss-Newton steps of a cell, the root
-finds and their O(k) and direct path evaluations per method, and the
+verdict), the most and the total Gauss-Newton steps of a cell, the pencil
+decompositions (a sweep decomposes the first step's pencil once per start
+point, so there are fewer than steps), the root finds and their O(k) and
+direct path evaluations per method, and the
 geometric-mean ``error_l2`` per (method, delta); for the twins also the
 worst relative change of ``error_l2``.  It exits 1 when a cell fails, else 0.
 
@@ -29,6 +31,8 @@ import math
 import random
 import sys
 from collections import defaultdict
+
+import numpy as np
 
 from illposed import (Compactum, Stabilizer, SweepConfig, build_problem,
                       inject_noise, run_sweep, sweep, tikhonov)
@@ -44,23 +48,25 @@ WIDE_SEEDS = (1, 2)
 
 
 class Tally:
-    """Gauss-Newton steps of each cell, and root finds with their O(k) and
-    direct path evaluations by method."""
+    """Gauss-Newton steps of each cell, pencil decompositions, and root finds
+    with their O(k) and direct path evaluations by method."""
 
     def __init__(self):
         self.reset()
 
     def reset(self):
         self.steps = []   # one entry per cell
+        self.decompositions = 0
         self.method = None   # the method of the current cell
         self.root_finds = defaultdict(int)
         self.evaluations = defaultdict(int)   # (method, "O(k)" or "direct")
 
     def install(self):
-        """Count through ``sweep.solve_one`` (one cell), ``tikhonov.jacobian`` (one
-        Gauss-Newton step) and ``tikhonov.path_solve`` (one root find, whose
-        gap sees every path point it evaluates, O(k) or direct)."""
-        solve_one, jacobian = sweep.solve_one, tikhonov.jacobian
+        """Count through ``sweep.solve_one`` (one cell), ``np.linalg.eigh`` (one
+        pencil decomposition) and ``tikhonov.path_solve`` (one Gauss-Newton
+        step's root find, whose gap sees every path point it evaluates, O(k) or
+        direct)."""
+        solve_one, eigh = sweep.solve_one, np.linalg.eigh
         path_solve = tikhonov.path_solve
 
         def counted_cell(problem, method, *args):
@@ -68,11 +74,12 @@ class Tally:
             self.method = method
             return solve_one(problem, method, *args)
 
-        def counted_jacobian(*args, **kwargs):
-            self.steps[-1] += 1
-            return jacobian(*args, **kwargs)
+        def counted_eigh(*args, **kwargs):
+            self.decompositions += 1
+            return eigh(*args, **kwargs)
 
         def counted_solve(path, data, gap, **kwargs):
+            self.steps[-1] += 1
             self.root_finds[self.method] += 1
 
             def counted_gap(point):
@@ -83,7 +90,7 @@ class Tally:
             return path_solve(path, data, counted_gap, **kwargs)
 
         sweep.solve_one = counted_cell
-        tikhonov.jacobian = counted_jacobian
+        np.linalg.eigh = counted_eigh
         tikhonov.path_solve = counted_solve
 
 
@@ -150,7 +157,7 @@ def summarize(name, cells, tally):
         reason = row.solver_error or "false " + ",".join(verdicts)
         print(f"   FAIL {label} delta={row.delta:g} {row.method}: {reason}")
     print(f"   Gauss-Newton steps: most {max(tally.steps, default=0)}, "
-          f"total {sum(tally.steps)}")
+          f"total {sum(tally.steps)}; pencil decompositions: {tally.decompositions}")
     for method in sorted(tally.root_finds):
         print(f"   {method:<11s} root finds: {tally.root_finds[method]}, path "
               f"evaluations: O(k) {tally.evaluations[(method, 'O(k)')]}, "

@@ -104,11 +104,22 @@ def penalty_matrix(stab: Stabilizer, grid: Grid) -> np.ndarray:
     Gram operator of phi is W^{-1} P, self-adjoint for the grid inner
     product.  P is tridiagonal, filled from :func:`penalty_bands`.
     """
+    return add_penalty(stab, grid, np.zeros((grid.n, grid.n)))
+
+
+def add_penalty(stab: Stabilizer, grid: Grid, matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` + P, in place from :func:`penalty_bands`; returns ``matrix``.
+
+    Only the three bands of the n x n ``matrix`` are touched, each entry by
+    one addition, so M + P is bitwise P + M (IEEE addition commutes) and no
+    n x n P is allocated.
+    """
     diagonal, off = penalty_bands(stab, grid)
-    P = np.diag(diagonal)
-    cells = np.arange(grid.n - 1)
-    P[cells, cells + 1] = P[cells + 1, cells] = off
-    return P
+    n = grid.n
+    matrix.flat[::n + 1] += diagonal
+    matrix.flat[1::n + 1] += off
+    matrix.flat[n::n + 1] += off
+    return matrix
 
 
 def contains(K: Compactum, grid: Grid, u: np.ndarray) -> bool:

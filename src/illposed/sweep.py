@@ -183,8 +183,8 @@ def solve_one(problem: ProblemInstance, method: str, delta: float,
     """Run one (method, delta) cell on the noisy data and evaluate its certificates.
 
     ``stab``, the compactum ``K`` of the quasi cells and the Tikhonov ``path``
-    of a linear problem (None for a nonlinear one) are shared by every cell of
-    a sweep.
+    of the problem's operator are shared by every cell of a sweep; with
+    ``path`` None the cell shares nothing.
     """
     grid = problem.grid
     row = SweepRow(delta=delta, method=method)
@@ -222,9 +222,18 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
     The stabilizer and the compactum are built, and so checked, before any
     cell runs, as are the bands of phi's matrix and phi(y), which must be
-    finite.  A linear problem has one Tikhonov path for the whole sweep: the
-    first cell decomposes its pencil and pays for it in its ``wall_ms``, and
-    every later cell reuses the decomposition.
+    finite.  Every problem has one Tikhonov path for the whole sweep.  For a
+    linear problem the first cell decomposes its pencil and pays for it in its
+    ``wall_ms``, and every later cell reuses the decomposition.  For a
+    nonlinear problem every cell starts Gauss-Newton from project(1): the
+    variational cells from the domain projection of the profile 1, the quasi
+    cells from its projection onto K, which is the same point when the
+    profile lies in K.  The first cell from each distinct start point
+    linearizes and decomposes there, and every later cell from a bitwise
+    equal start reuses that first step's Jacobian and pencil.  The rows
+    cannot change: a cell would compute the same Jacobian and the same
+    decomposition bit for bit, and everything that depends on its data is
+    still its own.
     """
     problem = build_problem(config.problem, config.n, sigma=config.sigma)
     stab = Stabilizer(config.alpha0, config.alpha1)
@@ -236,7 +245,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     K = None
     if METHOD_QUASI in config.methods:
         K = Compactum(stab, resolve_rho(config, problem, stab))
-    path = TikhonovPath(problem.op, stab) if problem.op.is_linear else None
+    path = TikhonovPath(problem.op, stab)
     seeds = {delta: delta_seed(config, j) for j, delta in enumerate(config.deltas)}
     report = SweepReport(config=config)
     for delta in sorted(config.deltas, reverse=True):

@@ -10,11 +10,12 @@ section 8.7): B = L L^T, L^-1 by :func:`lower_inverse`, G = W^1/2 A L^-T,
 the symmetric product C = G^T G = L^-1 N L^-T, C = Q diag(theta) Q^T by
 ``eigh`` and V = L^-T Q, truncated at its resolution (a truncated GSVD):
 only the k theta above n * eps of the largest are kept, so V is n x k and
-lam = 0 gives the least-squares point of span(V).  B is positive definite
-exactly when N + lam P is for some lam > 0, so a semidefinite phi
-(alpha0 = 0) needs no other road.  The decomposition depends on A and phi
-only and the data enter through c alone, so one :class:`TikhonovPath`
-serves every noise level and both methods of a sweep.
+lam = 0 gives the least-squares point of span(V).  B is N with the three
+bands of the tridiagonal P added in place, so no n x n P is formed.  B is
+positive definite exactly when N + lam P is for some lam > 0, so a
+semidefinite phi (alpha0 = 0) needs no other road.  The decomposition
+depends on A and phi only and the data enter through c alone, so one
+:class:`TikhonovPath` serves every noise level and both methods of a sweep.
 
 Both methods state their scalar equation as a :data:`Gap` ``gap(point)``:
 it reads the residual ``r`` or ``phi`` of a :class:`PathPoint` at t =
@@ -37,7 +38,10 @@ Regularization Methods for Nonlinear Ill-Posed Problems*, 2008).  Each step's
 linear problem is solved only to GN_RTOL, the relative accuracy at which the
 outer loop stops, and its root find starts from the previous step's lambda
 (an inexact Newton method: Dembo, Eisenstat & Steihaug, 1982), the lam = 0
-end t = -inf included; a linear A is solved to ROOT_TOL from lam = 1.
+end t = -inf included; a linear A is solved to ROOT_TOL from lam = 1.  Every
+solve of a sweep starts Gauss-Newton from the same profile, so its first
+Jacobian and pencil are decomposed once per start point and shared, as the
+one path of a linear A is.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .errors import InvalidParameterError, SingularSystemError, SolverFailureErr
 from .grids import check_vec, l2_norm
 from .operators import (OperatorSpec, apply, dense_operator, jacobian,
                         normal_matrix, weighted_product, weighted_transpose)
-from .stabilizers import Stabilizer, penalty_matrix, phi_value
+from .stabilizers import Stabilizer, add_penalty, phi_value
 
 EPS = float(np.finfo(float).eps)
 FLOAT_MAX = float(np.finfo(float).max)
@@ -87,17 +91,21 @@ class TikhonovPath:
     matrix-vector product.  ``theta`` keeps the values the decomposition
     resolves, above n * eps of the largest, clipped to 1; V has their k
     columns, and k = 0 (every point 0) when none is resolved.
+
+    The path of a nonlinear A is that of each of its linearizations
+    (:meth:`linearized`), and has no pencil of its own; ``starts`` keeps the
+    first linearization of :func:`gauss_newton` by the bytes of its start
+    point, one entry per distinct start, for every solve on this path.
     """
 
     def __init__(self, op: OperatorSpec, stab: Stabilizer):
         self.op, self.stab = op, stab
+        self.starts = {}   # a nonlinear A's first linearization at each start point
 
     @functools.cached_property
     def spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
         """(theta, V); raises :class:`SingularSystemError` where B is singular."""
-        # P first (its assembly needs the most scratch), then B = P + N in place
-        pencil = penalty_matrix(self.stab, self.op.grid)
-        pencil += normal_matrix(self.op)
+        pencil = add_penalty(self.stab, self.op.grid, normal_matrix(self.op))
         try:
             # B = L L^T turns the pencil into the symmetric L^-1 N L^-T = G^T G
             factor = np.linalg.cholesky(pencil)
@@ -123,6 +131,11 @@ class TikhonovPath:
         as 0.25 * eps * theta underflows to 0 for theta near the smallest float.
         """
         return math.log(0.25 * EPS) + math.log(self.spectrum[0].min(initial=1.0))
+
+    def linearized(self, u: np.ndarray) -> TikhonovPath:
+        """The path of a nonlinear A's Jacobian matrix J = A'(u), J as its operator."""
+        jac = jacobian(self.op, u)
+        return TikhonovPath(dense_operator(self.op.grid, jac), self.stab)
 
     def coefficients(self, f_delta: np.ndarray) -> np.ndarray:
         """c = V^T A^T W f_d, the only part of the path that depends on the data."""
@@ -248,13 +261,15 @@ def solve(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: Gap,
 
     A linear A is solved by :func:`path_solve` on ``path``, shared by a caller
     across data, or a new one, and the solution reads its residual and phi
-    from the point found; a nonlinear A is solved by :func:`gauss_newton`.
+    from the point found; a nonlinear A is solved by :func:`gauss_newton` on
+    ``path``, whose first linearization is shared the same way.
     """
     f_delta = check_vec(op.grid, f_delta, "data")
+    path = path or TikhonovPath(op, stab)
     if op.is_linear:
-        point = path_solve(path or TikhonovPath(op, stab), f_delta, gap)
+        point = path_solve(path, f_delta, gap)
         return Solution(point.u, point.r, point.phi, point.lam)
-    u = gauss_newton(op, stab, f_delta, gap, objective, project)
+    u = gauss_newton(path, f_delta, gap, objective, project)
     return Solution(u, l2_norm(op.grid, apply(op, u) - f_delta),
                     phi_value(stab, op.grid, u), math.nan)
 
@@ -266,11 +281,14 @@ def path_solve(path: TikhonovPath, f_delta: np.ndarray, gap: Gap, *,
     :func:`path_root` finds the root on O(k) points to max(``tol``,
     COARSE_TOL) from t = ``start``, then from there on direct points to
     ``tol``, so a root find takes one or two direct points where the O(k)
-    values are good to COARSE_TOL.  Where the direct finish closes at float
-    resolution with its gap above ``tol``, the direct values are round-off
-    there, and the point is the O(k) root.  t = -inf (lam = 0) when the gap
-    is nonnegative along the whole path.  A pencil that cannot be
-    decomposed fails the solve like a root find that does not converge.
+    values are good to COARSE_TOL.  Where the direct values are round-off,
+    the finish cannot resolve the root better than the O(k) values did, and
+    the point is the O(k) root: once the direct gap's rise across its bracket
+    departs from what its slope predicts by more than that prediction, or
+    where the bracket closes at float resolution with its gap above ``tol``.
+    t = -inf (lam = 0) when the gap is nonnegative along the whole path.  A
+    pencil that cannot be decomposed fails the solve like a root find that
+    does not converge.
     """
     try:
         data, found = PathData(path, f_delta), {}   # found: t -> its direct point
@@ -305,6 +323,10 @@ def path_root(fn: Callable[[float], Tuple[float, Optional[float]]], t_floor: flo
     move, so each end is evaluated at most once.  Within the bracket every
     other step bisects, until 0 <= fn <= ``tol`` or float resolution, where
     it ends at the nonnegative end or at ``fallback`` when one is given.
+    With a ``fallback`` it also ends there once fn's rise across the bracket
+    departs from the slope at t times the bracket's width by more than that
+    product: fn's values then move on a scale its slope does not see, so they
+    are round-off, and bisecting them finds nothing better than the fallback.
     -inf (lam = 0) when fn is nonnegative down to ``t_floor``, below which
     the path is constant; :class:`SolverFailureError` when fn is negative up
     to T_CEIL.  Every evaluation counts toward ROOT_MAX_ITER.
@@ -317,11 +339,15 @@ def path_root(fn: Callable[[float], Tuple[float, Optional[float]]], t_floor: flo
         if f_t >= 0.0:
             hi, f_hi = t, f_t
         else:
-            lo = t
+            lo, f_lo = t, f_t
         if slope is not None and 0.0 <= f_t <= tol and t > t_floor:
             return t
         bracket = lo is not None and hi is not None
-        if bracket and (f_hi <= tol or hi - lo <= 4.0 * EPS * max(1.0, abs(hi))):
+        # the rise of fn across the bracket that its slope at t predicts; with a
+        # fallback, fn is round-off once its own rise departs from that by more
+        rise = slope * (hi - lo) if bracket and (slope or 0.0) > 0.0 else math.nan
+        if bracket and (f_hi <= tol or hi - lo <= 4.0 * EPS * max(1.0, abs(hi))
+                        or fallback is not None and rise < abs(f_hi - f_lo - rise)):
             return hi if f_hi <= tol or fallback is None else fallback
         # the Newton point, trusted strictly inside what is known (an open side
         # reaches to its end) and at most half the step before last; a missing,
@@ -343,10 +369,11 @@ def path_root(fn: Callable[[float], Tuple[float, Optional[float]]], t_floor: flo
         f"path root find did not converge in {ROOT_MAX_ITER} iterations")
 
 
-def gauss_newton(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: Gap,
+def gauss_newton(path: TikhonovPath, f_delta: np.ndarray, gap: Gap,
                  objective: Callable[[np.ndarray], float],
                  project: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Damped Gauss-Newton for a nonlinear A, from the constant profile 1.
+    """Damped Gauss-Newton for the nonlinear A of ``path``, from the constant
+    profile 1.
 
     At the iterate u the operator builds its Jacobian matrix J = A'(u) once,
     and the method's own linear problem for J with data f_d - A(u) + J u is
@@ -358,14 +385,22 @@ def gauss_newton(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: G
     GN_RTOL of its value, or when no step of length fraction at least
     GN_RTOL lowers it; after GN_MAX_ITER steps it raises
     :class:`SolverFailureError` carrying the iterate.
+
+    The first step's linearization, J at the start point project(1) and its
+    path, is kept in ``path.starts`` under the start point's bytes: a solve on
+    the same ``path`` from a bitwise equal start reuses J and the decomposed
+    pencil, which a new decomposition would reproduce bit for bit, and only
+    its data, f_d - A(u) + J u, and its root find are its own.  Later steps
+    are linearized and decomposed anew.
     """
-    u = project(np.ones(op.grid.n))
-    value, t = objective(u), 0.0
-    for _ in range(GN_MAX_ITER):
-        jac = jacobian(op, u)
-        path = TikhonovPath(dense_operator(op.grid, jac), stab)
-        data = f_delta - apply(op, u) + jac @ u
-        point = path_solve(path, data, gap, tol=GN_RTOL, start=t)
+    u = project(np.ones(path.op.grid.n))
+    value, t, start = objective(u), 0.0, u.tobytes()
+    if start not in path.starts:
+        path.starts[start] = path.linearized(u)
+    for k in range(GN_MAX_ITER):
+        lin = path.starts[start] if k == 0 else path.linearized(u)
+        data = f_delta - apply(path.op, u) + lin.op.matrix @ u
+        point = path_solve(lin, data, gap, tol=GN_RTOL, start=t)
         t, target = point.t, point.u
         step = 1.0
         while True:

@@ -4,7 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from illposed import (Compactum, ConfigurationError, InvalidParameterError,
                       Stabilizer, SweepConfig, VariationalResult, build_problem,
-                      inject_noise, parse_config_file, penalty_matrix, phi_value,
-                      quasi_certificate, run_solve, run_sweep, sweep, tikhonov,
-                      variational_certificate)
+                      domain_project, inject_noise, parse_config_file,
+                      penalty_matrix, phi_value, project_onto, quasi_certificate,
+                      run_solve, run_sweep, sweep, tikhonov, variational_certificate)
 from illposed.cli import main
 from illposed.sweep import (CERT_COLUMNS, CSV_COLUMNS, SETTINGS, SweepRow,
                             delta_seed, resolve_rho, rows_to_csv, solve_one)
@@ -357,6 +357,7 @@ def test_gn_probe_script_runs_and_counts_failing_cells(capsys):
     assert "== probe: 16 cells, 0 failing" in proc.stdout
     assert "== round-off twins: 16 cells, 0 failing" in proc.stdout
     assert "worst twin error_l2 change: " in proc.stdout
+    assert "; pencil decompositions: " in proc.stdout
     assert "quasi       delta=0.0001   error_l2 gmean " in proc.stdout
     assert proc.stdout.endswith("failing cells: 0\n")
     # a solver error or a false verdict is a failing cell
@@ -595,7 +596,7 @@ def test_gauss_newton_decomposes_once_per_step(monkeypatch):
     steps, jacobians = [], []
     dense_operator, jacobian = tikhonov.dense_operator, tikhonov.jacobian
 
-    def counted(*args, **kwargs):  # one linearized operator per step
+    def counted(*args, **kwargs):  # one linearized operator per step not shared
         steps.append(1)
         return dense_operator(*args, **kwargs)
 
@@ -610,6 +611,43 @@ def test_gauss_newton_decomposes_once_per_step(monkeypatch):
     assert len(steps) > len(report.rows)
     assert len(calls) == len(steps)
     assert len(jacobians) == len(steps)
+
+
+# (rho_factor, deltas, distinct start points, decompositions of the autoconv sweep
+# at n=64): at rho_factor 0.3 the profile 1 lies outside K, so the quasi cells
+# start from its projection and the variational ones from the profile itself
+SHARED_FIRST_PENCILS = [(1.5, (0.2, 0.02), 1, 8), (0.3, (1e-1, 1e-2, 1e-3, 1e-4), 2, 16)]
+
+
+@pytest.mark.parametrize("rho_factor, deltas, starts, decompositions",
+                         SHARED_FIRST_PENCILS)
+def test_gauss_newton_shares_the_first_pencil_of_each_start_point(
+        rho_factor, deltas, starts, decompositions, monkeypatch):
+    # every cell of a sweep starts Gauss-Newton from project(1), so each distinct
+    # start point is linearized and decomposed once per sweep and every later
+    # step decomposes its own pencil; the rows are those of cells that share
+    # nothing, as the shared first step is the same arithmetic
+    config = SweepConfig(problem="autoconv", n=64, rho_factor=rho_factor, deltas=deltas)
+    problem = build_problem(config.problem, config.n)
+    stab = Stabilizer(config.alpha0, config.alpha1)
+    K = Compactum(stab, resolve_rho(config, problem, stab))
+    ones = domain_project(problem.op, np.ones(config.n))
+    assert len({ones.tobytes(), project_onto(K, problem.grid, ones).tobytes()}) == starts
+    calls = count_decompositions(monkeypatch)
+    steps = recorded_root_finds(monkeypatch)   # one root find per Gauss-Newton step
+    shared = run_sweep(config)
+    assert all(row.solver_error is None for row in shared.rows)
+    assert len(calls) == starts + len(steps) - len(shared.rows) == decompositions
+    apart = [run_sweep(replace(config, method=method)).rows for method in config.methods]
+    assert rows_to_csv(shared.rows) == rows_to_csv(
+        [row for cells in zip(*apart) for row in cells])
+    fresh = []
+    for j, delta in enumerate(config.deltas):  # the levels descend
+        f_delta = inject_noise(problem.grid, problem.f_exact, delta,
+                               delta_seed(config, j))
+        fresh += [solve_one(problem, method, delta, f_delta, stab, K, None)
+                  for method in config.methods]
+    assert rows_to_csv(shared.rows) == rows_to_csv(fresh)
 
 
 def test_gauss_newton_steps_are_solved_to_the_outer_tolerance(monkeypatch):
@@ -657,6 +695,11 @@ def test_linear_root_finds_keep_root_tol_from_lam_one(monkeypatch):
 
 # the most path evaluations of one root find in the default n=64 linear sweeps
 MOST_EVALUATIONS = {"variational": 20, "quasi": 15}
+# the most direct evaluations of one root find: in the default n=64 linear
+# sweeps, and in n=16 sweeps down to delta = 1e-6, where some variational roots
+# lie near lam = 1e-17 and their direct finish is limited by float resolution
+MOST_DIRECT = 8
+MOST_DIRECT_AT_RESOLUTION = 12
 
 
 @pytest.mark.parametrize("method", sorted(MOST_EVALUATIONS))
@@ -672,6 +715,17 @@ def test_root_finds_take_few_evaluations(method, monkeypatch):
     assert sum(counts) / len(counts) <= 10
     assert max(counts) <= MOST_EVALUATIONS[method]
     assert sum(len(call.direct) for call in calls) / len(calls) <= 3
+    assert max(len(call.direct) for call in calls) <= MOST_DIRECT
+    # a finish on round-off values ends at its O(k) root once their rise across
+    # the bracket departs from the slope's; bisecting them to float resolution
+    # took 30 to 49 direct points
+    calls.clear()
+    for name in LINEAR:
+        for seed in (1, 2, 3):
+            report = run_sweep(SweepConfig(problem=name, n=16, method=method, seed=seed,
+                                           deltas=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)))
+            assert all(row.solver_error is None for row in report.rows)
+    assert max(len(call.direct) for call in calls) <= MOST_DIRECT_AT_RESOLUTION
 
 
 # lambda_star of the rows of each method in the sweep below, as the bracket search

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from illposed import (SolverFailureError, Stabilizer, build_problem, dense_operator,
-                      jacobian, normal_matrix, penalty_matrix, tikhonov)
+from illposed import (Grid, SingularSystemError, SolverFailureError, Stabilizer,
+                      build_problem, dense_operator, diagonal_operator, jacobian,
+                      normal_matrix, penalty_matrix, tikhonov)
 from illposed.tikhonov import EPS, ROOT_TOL, T_CEIL, TikhonovPath, lower_inverse, path_root
 
 LINEAR = ("diag-unbounded", "volterra-int", "fredholm-gauss")
@@ -32,6 +33,28 @@ def test_lower_inverse_of_a_pencil_factor():
     p = build_problem("fredholm-gauss", 300)
     pencil = penalty_matrix(Stabilizer(), p.grid) + normal_matrix(p.op)
     check_lower_inverse(np.linalg.cholesky(pencil))
+
+
+@pytest.mark.parametrize("weights",
+                         [(1.0, 1.0), (0.0, 1.0), (2.0, 0.0), (1e-300, 1e300)])
+@pytest.mark.parametrize("n", [4, 5, 16, 64, 513])
+def test_pencil_is_assembled_from_the_penalty_bands(n, weights, rng, monkeypatch):
+    # the B that the decomposition factors is N with P's three bands added in
+    # place: IEEE addition commutes, so it is P + N bitwise, up to signs of zeros
+    grid, stab = Grid(n, -1.0, 3.0), Stabilizer(*weights)
+    factored = []
+
+    def recorded(matrix):
+        factored.append(matrix.copy())
+        raise np.linalg.LinAlgError("stop after the assembly")
+
+    monkeypatch.setattr(np.linalg, "cholesky", recorded)
+    for op in (diagonal_operator(grid, rng.standard_normal(n)),
+               dense_operator(grid, rng.standard_normal((n, n)))):
+        with pytest.raises(SingularSystemError):
+            TikhonovPath(op, stab).spectrum
+        expected = penalty_matrix(stab, grid) + normal_matrix(op)
+        assert np.array_equal(factored.pop(), expected)
 
 
 def check_pencil_contract(op, stab):

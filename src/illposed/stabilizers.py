@@ -124,7 +124,12 @@ def add_penalty(stab: Stabilizer, grid: Grid, matrix: np.ndarray) -> np.ndarray:
 
 def contains(K: Compactum, grid: Grid, u: np.ndarray) -> bool:
     """Membership test; the boundary counts as inside (K is closed)."""
-    return phi_value(K.stab, grid, u) <= K.rho * (1.0 + CONTAINS_RTOL)
+    return _inside(K, phi_value(K.stab, grid, u))
+
+
+def _inside(K: Compactum, phi: float) -> bool:
+    """Whether a point with this phi value lies in K, up to CONTAINS_RTOL."""
+    return phi <= K.rho * (1.0 + CONTAINS_RTOL)
 
 
 def project_onto(K: Compactum, grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -132,14 +137,14 @@ def project_onto(K: Compactum, grid: Grid, u: np.ndarray) -> np.ndarray:
 
     Points inside K are returned unchanged; points outside are scaled by
     ``t = sqrt(rho / phi(u))``, which lands on the boundary with
-    ``phi(result) = rho`` up to rounding.  The inside test shares the
-    ``contains`` tolerance so projecting twice returns the same array.
+    ``phi(result) = rho`` up to rounding.  The inside test is the one of
+    ``contains``, so projecting twice returns the same array.
     Where phi(u) overflows, phi(u) = s m^2 phi_1(u / m) with m = max |u| and
     phi_1 the stabilizer with its weights divided by the larger one, s.
     """
     u = check_vec(grid, u)
     p = phi_value(K.stab, grid, u)
-    if p <= K.rho * (1.0 + CONTAINS_RTOL):
+    if _inside(K, p):
         return u
     if p == np.inf:
         s, m = max(K.stab.alpha0, K.stab.alpha1), float(np.max(np.abs(u)))

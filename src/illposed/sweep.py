@@ -22,7 +22,6 @@ from .errors import ConfigurationError, SolverFailureError
 from .gallery import ProblemInstance, build_problem
 from .grids import l2_norm
 from .noise import BOUNDED, EXACT_NORM, inject_noise
-from .operators import apply
 from .quasisolution import minimize_on_compactum, quasi_certificate
 from .stabilizers import Compactum, Stabilizer, penalty_bands, phi_value
 from .tikhonov import TikhonovPath
@@ -184,7 +183,8 @@ def solve_one(problem: ProblemInstance, method: str, delta: float,
 
     ``stab``, the compactum ``K`` of the quasi cells and the Tikhonov ``path``
     of the problem's operator are shared by every cell of a sweep; with
-    ``path`` None the cell shares nothing.
+    ``path`` None the cell shares nothing.  ``residual_exact`` is measured
+    from the solution's ``image`` A(u_delta), so A is not applied again.
     """
     grid = problem.grid
     row = SweepRow(delta=delta, method=method)
@@ -196,8 +196,7 @@ def solve_one(problem: ProblemInstance, method: str, delta: float,
             row.F_value = res.F_value
         else:
             res = minimize_on_compactum(problem.op, f_delta, K, path)
-        row.residual_exact = l2_norm(grid,
-                                     apply(problem.op, res.u_delta) - problem.f_exact)
+        row.residual_exact = l2_norm(grid, res.image - problem.f_exact)
         if method == METHOD_QUASI:
             slacks = quasi_certificate(res, row.residual_exact, delta)
         for column, slack in slacks.items():
@@ -224,13 +223,18 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     cell runs, as are the bands of phi's matrix and phi(y), which must be
     finite.  Every problem has one Tikhonov path for the whole sweep.  For a
     linear problem the first cell decomposes its pencil and pays for it in its
-    ``wall_ms``, and every later cell reuses the decomposition.  For a
-    nonlinear problem every cell starts Gauss-Newton from project(1): the
+    ``wall_ms``, and every later cell reuses the decomposition.  The path
+    also keeps the last data vector's coefficients: the first cell at each
+    noise level computes them, and pays for them in its ``wall_ms``, and the
+    other method's cell at that level reuses them.
+    For a nonlinear problem every cell starts Gauss-Newton from project(1): the
     variational cells from the domain projection of the profile 1, the quasi
     cells from its projection onto K, which is the same point when the
     profile lies in K.  The first cell from each distinct start point
     linearizes and decomposes there, and every later cell from a bitwise
-    equal start reuses that first step's Jacobian and pencil.  The rows
+    equal start reuses that first step's Jacobian and pencil, and the
+    coefficients of the first step's data where those are bitwise equal too,
+    as they are for the two methods at one level.  The rows
     cannot change: a cell would compute the same Jacobian and the same
     decomposition bit for bit, and everything that depends on its data is
     still its own.

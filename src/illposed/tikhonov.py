@@ -15,7 +15,9 @@ bands of the tridiagonal P added in place, so no n x n P is formed.  B is
 positive definite exactly when N + lam P is for some lam > 0, so a
 semidefinite phi (alpha0 = 0) needs no other road.  The decomposition
 depends on A and phi only and the data enter through c alone, so one
-:class:`TikhonovPath` serves every noise level and both methods of a sweep.
+:class:`TikhonovPath` serves every noise level and both methods of a sweep,
+and the path keeps its last data vector's c (:class:`PathData`), so the two
+methods at one noise level compute it once.
 
 Both methods state their scalar equation as a :data:`Gap` ``gap(point)``:
 it reads the residual ``r`` or ``phi`` of a :class:`PathPoint` at t =
@@ -30,7 +32,8 @@ decomposition's round-off, up to 2.7e-5 in the variational gap (n = 512);
 :func:`path_solve` finds each root in two phases, Newton steps on O(k)
 points to COARSE_TOL and then on direct points to the solve's own
 tolerance, and :func:`solve`, the one place that chooses the road, reads
-the residual and phi of a linear solution from the point it returns.
+the residual, the image A u and phi of a linear solution from the point it
+returns, so A is applied to that point once.
 
 A nonlinear A is solved by damped Gauss-Newton whose steps are these linear
 problems for the Jacobian (Kaltenbacher, Neubauer & Scherzer, *Iterative
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -74,12 +77,14 @@ INVERSE_LEAF = 64     # blocks of lower_inverse this small go to np.linalg.inv
 
 @dataclass
 class Solution:
-    """u_delta, ||A(u_delta) - f_d||, phi(u_delta) and lam (nan for a nonlinear A)."""
+    """u_delta, ||A(u_delta) - f_d||, phi(u_delta) and lam (nan for a nonlinear A),
+    and ``image`` = A(u_delta), the vector the residual was measured from."""
 
     u_delta: np.ndarray
     residual_noisy: float
     phi_u: float
     lambda_star: float
+    image: Optional[np.ndarray] = field(default=None, kw_only=True)
 
 
 class TikhonovPath:
@@ -90,7 +95,9 @@ class TikhonovPath:
     data vector then costs its coefficients c, and each point one
     matrix-vector product.  ``theta`` keeps the values the decomposition
     resolves, above n * eps of the largest, clipped to 1; V has their k
-    columns, and k = 0 (every point 0) when none is resolved.
+    columns, and k = 0 (every point 0) when none is resolved.  ``last`` keeps
+    the :class:`PathData` of the last data vector (:meth:`data`), so the
+    solves of both methods at one noise level pay for c once.
 
     The path of a nonlinear A is that of each of its linearizations
     (:meth:`linearized`), and has no pencil of its own; ``starts`` keeps the
@@ -101,6 +108,7 @@ class TikhonovPath:
     def __init__(self, op: OperatorSpec, stab: Stabilizer):
         self.op, self.stab = op, stab
         self.starts = {}   # a nonlinear A's first linearization at each start point
+        self.last: Optional[PathData] = None   # the PathData of the last data vector
 
     @functools.cached_property
     def spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -137,6 +145,13 @@ class TikhonovPath:
         jac = jacobian(self.op, u)
         return TikhonovPath(dense_operator(self.op.grid, jac), self.stab)
 
+    def data(self, f_delta: np.ndarray) -> PathData:
+        """The :class:`PathData` of ``f_delta``: ``last`` again where ``f_delta``
+        is bitwise equal to its data, else a new one, kept in its place."""
+        if self.last is None or self.last.key != f_delta.tobytes():
+            self.last = PathData(self, f_delta)
+        return self.last
+
     def coefficients(self, f_delta: np.ndarray) -> np.ndarray:
         """c = V^T A^T W f_d, the only part of the path that depends on the data."""
         return self.spectrum[1].T @ weighted_transpose(self.op, f_delta)
@@ -153,6 +168,12 @@ class PathData:
     """One data vector on a :class:`TikhonovPath`: its coefficients c, and
     what the O(k) sums of its points share.
 
+    It holds what its points read, the operator, the stabilizer and the
+    spectrum, and not the path, so a path that keeps its last PathData forms
+    no reference cycle and is freed as soon as its sweep drops it.  ``key``
+    is the data's bytes, and ``data`` a read-only view of them, which a
+    caller cannot change after the fact.
+
     As values >= theta and w <= 1 all along the path, |y| = |c| / values is
     at most |c / theta|, and |w c| / sqrt(values) at most |c / sqrt(theta)|.
     So c is kept divided by the largest |c / theta| (``y_coef``) and, over
@@ -163,8 +184,10 @@ class PathData:
     """
 
     def __init__(self, path: TikhonovPath, data: np.ndarray):
-        self.path, self.data, self.coef = path, data, path.coefficients(data)
-        self.theta, self.r0 = path.spectrum[0], None
+        self.op, self.stab, self.coef = path.op, path.stab, path.coefficients(data)
+        self.key = data.tobytes()
+        self.data = np.frombuffer(self.key)
+        (self.theta, self.vectors), self.r0 = path.spectrum, None
         self.rest, root = 1.0 - self.theta, np.sqrt(self.theta)
         with np.errstate(over="ignore"):   # a scale past the float range is clipped
             bounds = [np.abs(self.coef / x).max(initial=0.0) for x in (self.theta, root)]
@@ -178,28 +201,35 @@ class PathPoint:
     ``values`` = theta + lam (1 - theta) and weights ``w`` = lam (1 - theta) /
     values in [0, 1].
 
-    A direct point holds ``u`` = V (c / values), and measures its residual
-    ``r`` = ||lin u - data|| and ``phi`` = phi(u) on first read.  An O(k)
-    point has no u, and sums r and phi over the pencil with y = c / values:
-    phi = sum((1 - theta) y^2) and r^2 = r_0^2 + sum(w^2 c^2 / theta).  The
-    slopes ``drift()`` and ``shrink()`` are the exact t-derivatives of those
-    sums, for points of either kind.
+    A direct point holds ``u`` = V (c / values), and measures its ``image``
+    = lin u, its residual ``r`` = ||image - data|| and ``phi`` = phi(u) on
+    first read.  An O(k) point has no u, and sums r and phi over the pencil
+    with y = c / values: phi = sum((1 - theta) y^2) and r^2 = r_0^2 +
+    sum(w^2 c^2 / theta).  The slopes ``drift()`` and ``shrink()`` are the
+    exact t-derivatives of those sums, for points of either kind.
     """
 
-    __slots__ = ("t", "lam", "direct", "of", "values", "w", "u", "_r", "_phi")
+    __slots__ = ("t", "lam", "direct", "of", "values", "w", "u", "_image", "_r", "_phi")
 
     def __init__(self, of: PathData, t: float, direct: bool):
         self.t, self.lam, self.direct, self.of = t, math.exp(t), direct, of
         scaled = self.lam * of.rest
         self.values = of.theta + scaled
-        self.w, self._r, self._phi = scaled / self.values, None, None
-        self.u = of.path.point(self.lam, of.coef) if direct else None
+        self.w, self._image, self._r, self._phi = scaled / self.values, None, None, None
+        self.u = of.vectors @ (of.coef / self.values) if direct else None
+
+    @property
+    def image(self) -> np.ndarray:
+        """lin u of a direct point, the one product with lin that it measures."""
+        if self._image is None:
+            self._image = apply(self.of.op, self.u)
+        return self._image
 
     @property
     def r(self) -> float:
         of = self.of
         if self._r is None and self.direct:
-            self._r = l2_norm(of.path.op.grid, apply(of.path.op, self.u) - of.data)
+            self._r = l2_norm(of.op.grid, self.image - of.data)
         elif self._r is None:
             if of.r0 is None:
                 of.r0 = PathPoint(of, -math.inf, True).r
@@ -211,7 +241,7 @@ class PathPoint:
     def phi(self) -> float:
         of = self.of
         if self._phi is None and self.direct:
-            self._phi = phi_value(of.path.stab, of.path.op.grid, self.u)
+            self._phi = phi_value(of.stab, of.op.grid, self.u)
         elif self._phi is None:
             q = of.y_coef / self.values
             self._phi = float((q * q) @ of.rest) * of.y_scale * of.y_scale
@@ -260,18 +290,21 @@ def solve(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: Gap,
     """The :class:`Solution` at the root of ``gap``, which is nondecreasing in lam.
 
     A linear A is solved by :func:`path_solve` on ``path``, shared by a caller
-    across data, or a new one, and the solution reads its residual and phi
-    from the point found; a nonlinear A is solved by :func:`gauss_newton` on
-    ``path``, whose first linearization is shared the same way.
+    across data, or a new one, and the solution reads its residual, its image
+    A u and phi from the point found; a nonlinear A is solved by
+    :func:`gauss_newton` on ``path``, whose first linearization is shared the
+    same way, and A is applied once to the point for both its residual and
+    its image.
     """
     f_delta = check_vec(op.grid, f_delta, "data")
     path = path or TikhonovPath(op, stab)
     if op.is_linear:
         point = path_solve(path, f_delta, gap)
-        return Solution(point.u, point.r, point.phi, point.lam)
+        return Solution(point.u, point.r, point.phi, point.lam, image=point.image)
     u = gauss_newton(path, f_delta, gap, objective, project)
-    return Solution(u, l2_norm(op.grid, apply(op, u) - f_delta),
-                    phi_value(stab, op.grid, u), math.nan)
+    image = apply(op, u)
+    return Solution(u, l2_norm(op.grid, image - f_delta), phi_value(stab, op.grid, u),
+                    math.nan, image=image)
 
 
 def path_solve(path: TikhonovPath, f_delta: np.ndarray, gap: Gap, *,
@@ -288,10 +321,13 @@ def path_solve(path: TikhonovPath, f_delta: np.ndarray, gap: Gap, *,
     where the bracket closes at float resolution with its gap above ``tol``.
     t = -inf (lam = 0) when the gap is nonnegative along the whole path.  A
     pencil that cannot be decomposed fails the solve like a root find that
-    does not converge.
+    does not converge.  The data's :class:`PathData` comes from
+    ``path.data``, so a solve of bitwise equal data right after another on
+    the same path, the other method at the same noise level, reuses its
+    coefficients, their scales and r0; the first solve pays for them.
     """
     try:
-        data, found = PathData(path, f_delta), {}   # found: t -> its direct point
+        data, found = path.data(f_delta), {}   # found: t -> its direct point
         coarse = path_root(lambda t: gap(PathPoint(data, t, False)), path.t_floor,
                            tol=max(tol, COARSE_TOL), start=start)
 

@@ -1,9 +1,11 @@
+import gc
 import importlib.util
 import math
 import os
 import shutil
 import subprocess
 import sys
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,9 +15,10 @@ from hypothesis import strategies as st
 
 from illposed import (Compactum, ConfigurationError, InvalidParameterError,
                       Stabilizer, SweepConfig, VariationalResult, build_problem,
-                      domain_project, inject_noise, parse_config_file,
+                      domain_project, inject_noise, operators, parse_config_file,
                       penalty_matrix, phi_value, project_onto, quasi_certificate,
-                      run_solve, run_sweep, sweep, tikhonov, variational_certificate)
+                      quasisolution, run_solve, run_sweep, sweep, tikhonov,
+                      variational, variational_certificate)
 from illposed.cli import main
 from illposed.sweep import (CERT_COLUMNS, CSV_COLUMNS, SETTINGS, SweepRow,
                             delta_seed, resolve_rho, rows_to_csv, solve_one)
@@ -758,12 +761,45 @@ def test_huge_penalty_and_noise_keep_lambda_in_range(name):
                for row in report.rows if row.method == "quasi")
 
 
+def count_path_work(monkeypatch):
+    """(data vectors whose coefficients are computed, the argument of every
+    product with A, the point of every path solve), each in call order."""
+    coefficients, applied, points = [], [], []
+    compute, apply, path_solve = (TikhonovPath.coefficients, operators.apply,
+                                  tikhonov.path_solve)
+
+    def counted(path, f_delta):
+        coefficients.append(f_delta)
+        return compute(path, f_delta)
+
+    def recorded(op, u):
+        applied.append(u)
+        return apply(op, u)
+
+    def solved(*args, **kwargs):
+        points.append(path_solve(*args, **kwargs))
+        return points[-1]
+
+    monkeypatch.setattr(TikhonovPath, "coefficients", counted)
+    for module in (operators, tikhonov, sweep, variational, quasisolution):
+        monkeypatch.setattr(module, "apply", recorded, raising=False)
+    monkeypatch.setattr(tikhonov, "path_solve", solved)
+    return coefficients, applied, points
+
+
 @pytest.mark.parametrize("alpha0", [0.0, 1.0])
 @pytest.mark.parametrize("name", LINEAR)
-def test_shared_decomposition_changes_no_bit(name, alpha0):
+def test_shared_decomposition_changes_no_bit(name, alpha0, monkeypatch):
     config = SweepConfig(problem=name, n=64, alpha0=alpha0,
                          method="both" if alpha0 > 0.0 else "variational")
+    coefficients, applied, points = count_path_work(monkeypatch)
     shared = run_sweep(config)
+    # the cells of one level share its coefficients, and each returned point
+    # meets A once, for its residual and for residual_exact alike
+    assert len(coefficients) == len(config.deltas)
+    assert len(points) == len(shared.rows)
+    assert [sum(u is point.u for u in applied) for point in points] == [1] * len(points)
+    monkeypatch.undo()
     problem = build_problem(name, 64)
     stab = Stabilizer(config.alpha0, config.alpha1)
     K = Compactum(stab, resolve_rho(config, problem, stab)) if alpha0 > 0.0 else None
@@ -775,6 +811,28 @@ def test_shared_decomposition_changes_no_bit(name, alpha0):
             fresh.append(solve_one(problem, method, delta, f_delta, stab, K,
                                    TikhonovPath(problem.op, stab)))
     assert rows_to_csv(shared.rows) == rows_to_csv(fresh)
+
+
+@pytest.mark.parametrize("name", ["volterra-int", "autoconv"])
+def test_a_sweep_frees_its_paths_without_the_cycle_collector(name, monkeypatch):
+    # a path keeps its last PathData; were that to point back at the path, the
+    # cycle would keep every decomposed pencil alive until the collector ran
+    refs, new_path = [], TikhonovPath
+
+    def tracked(*args):
+        path = new_path(*args)
+        refs.append(weakref.ref(path))
+        return path
+
+    for module in (sweep, tikhonov):   # the sweep's path and each linearization
+        monkeypatch.setattr(module, "TikhonovPath", tracked)
+    gc.disable()
+    try:
+        report = run_sweep(SweepConfig(problem=name, n=16))
+        assert all(row.solver_error is None for row in report.rows)
+        assert refs and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("flags", [["--alpha0", "0"], ["--rho-factor", "-1"]])

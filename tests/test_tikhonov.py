@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from illposed import (Grid, SingularSystemError, SolverFailureError, Stabilizer,
-                      build_problem, dense_operator, diagonal_operator, jacobian,
-                      normal_matrix, penalty_matrix, tikhonov)
+from illposed import (Compactum, Grid, SingularSystemError, SolverFailureError,
+                      Stabilizer, apply, build_problem, dense_operator,
+                      diagonal_operator, inject_noise, jacobian, l2_norm,
+                      minimize_on_compactum, minimize_variational, normal_matrix,
+                      penalty_matrix, phi_value, tikhonov)
 from illposed.tikhonov import EPS, ROOT_TOL, T_CEIL, TikhonovPath, lower_inverse, path_root
 
 LINEAR = ("diag-unbounded", "volterra-int", "fredholm-gauss")
@@ -263,3 +265,31 @@ def test_path_root_counts_every_newton_evaluation(monkeypatch):
     with pytest.raises(SolverFailureError, match="did not converge in 3"):
         path_root(fn, -50.0, start=300.0)
     assert len(points) == 3
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("name", [*LINEAR, "autoconv"])
+def test_solution_image_is_the_product_its_residual_measured(name, shared):
+    # a shared path serves the quasi solve the variational solve's data
+    problem = build_problem(name, 32)
+    stab = Stabilizer()
+    K = Compactum(stab, 1.5 * phi_value(stab, problem.grid, problem.y_true))
+    f_delta = inject_noise(problem.grid, problem.f_exact, 1e-2, 5)
+    path = TikhonovPath(problem.op, stab) if shared else None
+    for sol in (minimize_variational(problem.op, f_delta, 1e-2, stab, path),
+                minimize_on_compactum(problem.op, f_delta, K, path)):
+        assert sol.image.tobytes() == apply(problem.op, sol.u_delta).tobytes()
+        assert sol.residual_noisy == l2_norm(problem.grid, sol.image - f_delta)
+
+
+def test_path_keeps_the_last_data_by_its_bytes():
+    problem = build_problem("volterra-int", 16)
+    path = TikhonovPath(problem.op, Stabilizer())
+    f_delta = problem.f_exact.copy()
+    data = path.data(f_delta)
+    assert path.data(f_delta.copy()) is data
+    f_delta[0] += 1.0   # the kept data is a copy the caller cannot change
+    assert path.data(f_delta) is not data and path.last is not data
+    assert data.data.tobytes() != f_delta.tobytes()
+    zero = np.zeros(16)
+    assert path.data(-zero) is not path.data(zero)   # -0.0 == 0.0, but not bitwise

@@ -17,10 +17,12 @@ picks the checkout.  Every sweep uses the CLI defaults (method both, deltas
 For each part it prints the failing cells (a solver error or a false
 verdict), the most and the total Gauss-Newton steps of a cell, the pencil
 decompositions (a sweep decomposes the first step's pencil once per start
-point, so there are fewer than steps), the root finds and their O(k) and
-direct path evaluations per method, and the
-geometric-mean ``error_l2`` per (method, delta); for the twins also the
-worst relative change of ``error_l2``.  It exits 1 when a cell fails, else 0.
+point, and a later step only where it starts at lam = 0 or falls back), the
+pencil fallbacks (later steps whose factored root find handed the step to
+the pencil), the root finds and their O(k), direct and factored path
+evaluations per method, and the geometric-mean ``error_l2`` per (method,
+delta); for the twins also the worst relative change of ``error_l2``.  It
+exits 1 when a cell fails, else 0.
 
     PYTHONPATH=src python scripts/gn_probe.py [--seeds K] [--wide]
 """
@@ -48,8 +50,9 @@ WIDE_SEEDS = (1, 2)
 
 
 class Tally:
-    """Gauss-Newton steps of each cell, pencil decompositions, and root finds
-    with their O(k) and direct path evaluations by method."""
+    """Gauss-Newton steps of each cell, pencil decompositions and fallbacks,
+    and root finds with their O(k), direct and factored path evaluations by
+    method."""
 
     def __init__(self):
         self.reset()
@@ -57,15 +60,17 @@ class Tally:
     def reset(self):
         self.steps = []   # one entry per cell
         self.decompositions = 0
+        self.fallbacks = 0
         self.method = None   # the method of the current cell
         self.root_finds = defaultdict(int)
-        self.evaluations = defaultdict(int)   # (method, "O(k)" or "direct")
+        self.evaluations = defaultdict(int)   # (method, "O(k)", "direct" or "factored")
 
     def install(self):
         """Count through ``sweep.solve_one`` (one cell), ``np.linalg.eigh`` (one
         pencil decomposition) and ``tikhonov.path_solve`` (one Gauss-Newton
-        step's root find, whose gap sees every path point it evaluates, O(k) or
-        direct)."""
+        step's root find, whose gap sees every path point it evaluates, O(k),
+        direct or factored; a find on a factored path that evaluates an O(k)
+        point has fallen back to the pencil)."""
         solve_one, eigh = sweep.solve_one, np.linalg.eigh
         path_solve = tikhonov.path_solve
 
@@ -82,12 +87,20 @@ class Tally:
             self.steps[-1] += 1
             self.root_finds[self.method] += 1
 
+            kinds = set()
+
             def counted_gap(point):
-                kind = "direct" if point.direct else "O(k)"
+                kind = ("factored" if isinstance(point, tikhonov.FactoredPoint)
+                        else "direct" if point.direct else "O(k)")
+                kinds.add(kind)
                 self.evaluations[(self.method, kind)] += 1
                 return gap(point)
 
-            return path_solve(path, data, counted_gap, **kwargs)
+            try:
+                return path_solve(path, data, counted_gap, **kwargs)
+            finally:
+                if isinstance(path, tikhonov.FactoredPath) and "O(k)" in kinds:
+                    self.fallbacks += 1
 
         sweep.solve_one = counted_cell
         np.linalg.eigh = counted_eigh
@@ -157,11 +170,13 @@ def summarize(name, cells, tally):
         reason = row.solver_error or "false " + ",".join(verdicts)
         print(f"   FAIL {label} delta={row.delta:g} {row.method}: {reason}")
     print(f"   Gauss-Newton steps: most {max(tally.steps, default=0)}, "
-          f"total {sum(tally.steps)}; pencil decompositions: {tally.decompositions}")
+          f"total {sum(tally.steps)}; pencil decompositions: {tally.decompositions}; "
+          f"pencil fallbacks: {tally.fallbacks}")
     for method in sorted(tally.root_finds):
         print(f"   {method:<11s} root finds: {tally.root_finds[method]}, path "
               f"evaluations: O(k) {tally.evaluations[(method, 'O(k)')]}, "
-              f"direct {tally.evaluations[(method, 'direct')]}")
+              f"direct {tally.evaluations[(method, 'direct')]}, "
+              f"factored {tally.evaluations[(method, 'factored')]}")
     logs = defaultdict(list)
     for _, row in cells:
         if row.error_l2 is not None and row.error_l2 > 0.0:

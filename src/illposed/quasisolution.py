@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .grids import l2_norm
-from .operators import OperatorSpec, apply, domain_project
+from .operators import OperatorSpec, domain_project
 from .stabilizers import Compactum, project_onto
 from .tikhonov import PathPoint, Solution, TikhonovPath, solve
 
@@ -51,7 +51,7 @@ def minimize_on_compactum(op: OperatorSpec, f_delta: np.ndarray, K: Compactum,
         return math.log(K.rho / phi), point.shrink() / phi
 
     return solve(op, K.stab, f_delta, slack,
-                 lambda v: l2_norm(op.grid, apply(op, v) - f_delta),
+                 lambda v, image: l2_norm(op.grid, image - f_delta),
                  lambda v: project_onto(K, op.grid, domain_project(op, v)), path)
 
 

@@ -114,8 +114,13 @@ def add_penalty(stab: Stabilizer, grid: Grid, matrix: np.ndarray) -> np.ndarray:
     one addition, so M + P is bitwise P + M (IEEE addition commutes) and no
     n x n P is allocated.
     """
-    diagonal, off = penalty_bands(stab, grid)
-    n = grid.n
+    return add_bands(matrix, *penalty_bands(stab, grid))
+
+
+def add_bands(matrix: np.ndarray, diagonal: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """``matrix`` + the symmetric tridiagonal with these bands, in place;
+    returns ``matrix``."""
+    n = matrix.shape[0]
     matrix.flat[::n + 1] += diagonal
     matrix.flat[1::n + 1] += off
     matrix.flat[n::n + 1] += off

@@ -44,7 +44,12 @@ outer loop stops, and its root find starts from the previous step's lambda
 end t = -inf included; a linear A is solved to ROOT_TOL from lam = 1.  Every
 solve of a sweep starts Gauss-Newton from the same profile, so its first
 Jacobian and pencil are decomposed once per start point and shared, as the
-one path of a linear A is.
+one path of a linear A is.  A later step's root find evaluates a handful of
+points, too few to pay for a decomposition, so it runs on a
+:class:`FactoredPath`: each :class:`FactoredPoint` solves N + lam P
+directly, once for u and once more for its exact slopes.  The pencil still
+solves a step that starts at lam = 0, a step whose root find reaches the
+factored floor, and a step whose system is singular or overflows.
 """
 
 from __future__ import annotations
@@ -56,11 +61,11 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, SingularSystemError, SolverFailureError
+from .errors import SingularSystemError, SolverFailureError
 from .grids import check_vec, l2_norm
 from .operators import (OperatorSpec, apply, dense_operator, jacobian,
                         normal_matrix, weighted_product, weighted_transpose)
-from .stabilizers import Stabilizer, add_penalty, phi_value
+from .stabilizers import Stabilizer, add_bands, add_penalty, penalty_bands, phi_value
 
 EPS = float(np.finfo(float).eps)
 FLOAT_MAX = float(np.finfo(float).max)
@@ -156,13 +161,6 @@ class TikhonovPath:
         """c = V^T A^T W f_d, the only part of the path that depends on the data."""
         return self.spectrum[1].T @ weighted_transpose(self.op, f_delta)
 
-    def point(self, lam: float, coef: np.ndarray) -> np.ndarray:
-        """u_lam of the data with coefficients ``coef``."""
-        if lam < 0.0:
-            raise InvalidParameterError(f"lambda must be nonnegative, got {lam}")
-        theta, vectors = self.spectrum
-        return vectors @ (coef / (theta + lam * (1.0 - theta)))
-
 
 class PathData:
     """One data vector on a :class:`TikhonovPath`: its coefficients c, and
@@ -194,6 +192,10 @@ class PathData:
         self.y_scale, self.r_scale = (min(float(b) or 1.0, FLOAT_MAX) for b in bounds)
         self.y_coef = self.coef / self.y_scale
         self.r_coef = self.coef / root / self.r_scale
+
+    def point(self, t: float) -> PathPoint:
+        """The direct point at t."""
+        return PathPoint(self, t, True)
 
 
 class PathPoint:
@@ -260,6 +262,99 @@ class PathPoint:
         return 2.0 * float((q * q) @ (self.w * of.rest)) * of.y_scale * of.y_scale
 
 
+class FactoredPath:
+    """The points of one linearization J of a nonlinear A, for one root find,
+    each by a dense solve of N + lam P instead of a decomposition of the pencil.
+
+    A Gauss-Newton step after the first starts its root find at the previous
+    step's lambda and evaluates a handful of points, too few to pay for the
+    decomposition of ``pencil``, the :class:`TikhonovPath` of J, which is
+    only decomposed where a step falls back to it.  N = J^T W J is formed
+    once; each point adds lam times P's bands to a copy of it.
+
+    ``t_floor`` is the log of lam_f = (n eps / GN_RTOL) max(1, |N| / |P|),
+    with |.| the largest diagonal entry, and holds two conditions.  The
+    pencil drops the directions with theta below n eps times the largest, so
+    below n eps; above n eps / GN_RTOL the filter factor theta / (theta + lam
+    (1 - theta)) of each such direction is under GN_RTOL, so a dense point,
+    which keeps them, departs from the truncated path by less than a step's
+    own tolerance.  And N carries a round-off of about n eps |N|, which lam P
+    must exceed by 1 / GN_RTOL for the solve to resolve the directions that
+    only P regularizes, as where P is tiny beside N.  Where P's diagonal is
+    zero no lam P regularizes N, and the floor is +inf.  A point at or below
+    the floor, a singular system and a value past the float range raise
+    :class:`Unresolved`, and :func:`path_solve` solves the step on
+    ``pencil`` instead.
+    """
+
+    def __init__(self, pencil: TikhonovPath):
+        self.pencil, self.op, self.stab = pencil, pencil.op, pencil.stab
+        self.normal = normal_matrix(self.op)
+        self.bands = penalty_bands(self.stab, self.op.grid)
+        top, scale = float(self.normal.diagonal().max()), float(self.bands[0].max())
+        # max(1, |N| / |P|) as a difference of logs, as |N| / |P| may overflow
+        self.t_floor = (math.log(self.op.grid.n * EPS / GN_RTOL) + math.log(max(top, scale))
+                        - math.log(scale) if 0.0 < scale < math.inf else math.inf)
+
+    def data(self, f_delta: np.ndarray) -> FactoredData:
+        return FactoredData(self, f_delta)
+
+
+class FactoredData:
+    """One data vector on a :class:`FactoredPath`, and b = J^T W f_d."""
+
+    def __init__(self, path: FactoredPath, data: np.ndarray):
+        self.path, self.op, self.stab, self.data = path, path.op, path.stab, data
+        self.rhs = weighted_transpose(self.op, data)
+
+    def point(self, t: float) -> FactoredPoint:
+        """The point at t; raises :class:`Unresolved` at or below the floor."""
+        if t <= self.path.t_floor:
+            raise Unresolved(f"t = {t:g} is at or below the floor")
+        return FactoredPoint(self, t)
+
+
+class FactoredPoint(PathPoint):
+    """The point u_lam at t = log(lam) of :class:`FactoredData`: u solves
+    (N + lam P) u = b, and q = (P u)^T (N + lam P)^-1 (P u) gives the exact
+    slopes, as du/dlam = -(N + lam P)^-1 P u: d r^2 / dt = 2 lam^2 q and
+    -d phi / dt = 2 lam q.  Like a direct :class:`PathPoint` it measures its
+    ``image``, ``r`` and ``phi`` on u on first read; it has no ``values``
+    or ``w``.  Raises :class:`Unresolved` where the system is singular or a
+    value leaves the float range.
+    """
+
+    __slots__ = ("q",)
+
+    def __init__(self, of: FactoredData, t: float):
+        self.t, self.lam, self.direct, self.of = t, math.exp(t), True, of
+        self.values = self.w = self._image = self._r = self._phi = None
+        diagonal, off = of.path.bands
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                system = add_bands(of.path.normal.copy(), self.lam * diagonal,
+                                   self.lam * off)
+                self.u = np.linalg.solve(system, of.rhs)
+                pu = diagonal * self.u   # P u, from P's bands
+                pu[1:] += off * self.u[:-1]
+                pu[:-1] += off * self.u[1:]
+                self.q = float(pu @ np.linalg.solve(system, pu))
+        except (FloatingPointError, np.linalg.LinAlgError) as exc:
+            raise Unresolved(f"no factored point at t = {t:g}: {exc}") from exc
+        if not 0.0 <= self.q < math.inf:   # nan fails it too
+            raise Unresolved(f"no factored point at t = {t:g}: q = {self.q}")
+
+    def drift(self) -> float:
+        return 2.0 * self.lam * (self.lam * self.q)
+
+    def shrink(self) -> float:
+        return 2.0 * self.lam * self.q
+
+
+class Unresolved(Exception):
+    """A :class:`FactoredPath` cannot give this point; its pencil can."""
+
+
 # gap(point): a method's scalar equation at a PathPoint, nondecreasing in t, as
 # (value, slope in t or None); it reads r or phi, and drift() or shrink()
 Gap = Callable[[PathPoint], Tuple[float, Optional[float]]]
@@ -284,7 +379,7 @@ def lower_inverse(low: np.ndarray) -> np.ndarray:
 
 
 def solve(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: Gap,
-          objective: Callable[[np.ndarray], float],
+          objective: Callable[[np.ndarray, np.ndarray], float],
           project: Callable[[np.ndarray], np.ndarray],
           path: Optional[TikhonovPath] = None) -> Solution:
     """The :class:`Solution` at the root of ``gap``, which is nondecreasing in lam.
@@ -293,50 +388,62 @@ def solve(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: Gap,
     across data, or a new one, and the solution reads its residual, its image
     A u and phi from the point found; a nonlinear A is solved by
     :func:`gauss_newton` on ``path``, whose first linearization is shared the
-    same way, and A is applied once to the point for both its residual and
-    its image.
+    same way, and the solution reads its residual from the image of A that
+    the line search measured at the point returned.  Either way A meets the
+    returned point once.
     """
     f_delta = check_vec(op.grid, f_delta, "data")
     path = path or TikhonovPath(op, stab)
     if op.is_linear:
         point = path_solve(path, f_delta, gap)
         return Solution(point.u, point.r, point.phi, point.lam, image=point.image)
-    u = gauss_newton(path, f_delta, gap, objective, project)
-    image = apply(op, u)
+    u, image = gauss_newton(path, f_delta, gap, objective, project)
     return Solution(u, l2_norm(op.grid, image - f_delta), phi_value(stab, op.grid, u),
                     math.nan, image=image)
 
 
-def path_solve(path: TikhonovPath, f_delta: np.ndarray, gap: Gap, *,
+def path_solve(path: TikhonovPath | FactoredPath, f_delta: np.ndarray, gap: Gap, *,
                tol: float = ROOT_TOL, start: float = 0.0) -> PathPoint:
     """The direct :class:`PathPoint` on ``path`` for ``f_delta`` at the root of ``gap``.
 
-    :func:`path_root` finds the root on O(k) points to max(``tol``,
-    COARSE_TOL) from t = ``start``, then from there on direct points to
-    ``tol``, so a root find takes one or two direct points where the O(k)
-    values are good to COARSE_TOL.  Where the direct values are round-off,
-    the finish cannot resolve the root better than the O(k) values did, and
-    the point is the O(k) root: once the direct gap's rise across its bracket
-    departs from what its slope predicts by more than that prediction, or
-    where the bracket closes at float resolution with its gap above ``tol``.
-    t = -inf (lam = 0) when the gap is nonnegative along the whole path.  A
-    pencil that cannot be decomposed fails the solve like a root find that
-    does not converge.  The data's :class:`PathData` comes from
-    ``path.data``, so a solve of bitwise equal data right after another on
-    the same path, the other method at the same noise level, reuses its
+    On a :class:`TikhonovPath`, :func:`path_root` finds the root on O(k)
+    points to max(``tol``, COARSE_TOL) from t = ``start``, then from there on
+    direct points to ``tol``, so a root find takes one or two direct points
+    where the O(k) values are good to COARSE_TOL.  Where the direct values
+    are round-off, the finish cannot resolve the root better than the O(k)
+    values did, and the point is the O(k) root: once the direct gap's rise
+    across its bracket departs from what its slope predicts by more than
+    that prediction, or where the bracket closes at float resolution with its
+    gap above ``tol``.  t = -inf (lam = 0) when the gap is nonnegative along
+    the whole path.  A pencil that cannot be decomposed fails the solve like
+    a root find that does not converge.  The data's :class:`PathData` comes
+    from ``path.data``, so a solve of bitwise equal data right after another
+    on the same path, the other method at the same noise level, reuses its
     coefficients, their scales and r0; the first solve pays for them.
+
+    On a :class:`FactoredPath` the root is found in one phase, on
+    :class:`FactoredPoint` values to ``tol`` from ``start``; where that find
+    reaches the floor, meets a point it cannot solve or fails, the solve
+    starts again from ``start`` on the path's pencil, as above.
     """
+    found = {}   # t -> its direct point
+
+    def direct(t: float) -> Tuple[float, Optional[float]]:
+        found[t] = data.point(t)
+        return gap(found[t])
+
     try:
-        data, found = path.data(f_delta), {}   # found: t -> its direct point
+        if isinstance(path, FactoredPath):
+            data = path.data(f_delta)
+            try:
+                return found[path_root(direct, path.t_floor, tol=tol, start=start)]
+            except (Unresolved, SolverFailureError):
+                path = path.pencil
+        data = path.data(f_delta)
         coarse = path_root(lambda t: gap(PathPoint(data, t, False)), path.t_floor,
                            tol=max(tol, COARSE_TOL), start=start)
-
-        def direct(t: float) -> Tuple[float, Optional[float]]:
-            found[t] = PathPoint(data, t, True)
-            return gap(found[t])
-
         t = path_root(direct, path.t_floor, tol=tol, start=coarse, fallback=coarse)
-        return found.get(t) or PathPoint(data, t, True)
+        return found.get(t) or data.point(t)
     except SingularSystemError as exc:
         raise SolverFailureError(str(exc)) from exc
 
@@ -406,49 +513,57 @@ def path_root(fn: Callable[[float], Tuple[float, Optional[float]]], t_floor: flo
 
 
 def gauss_newton(path: TikhonovPath, f_delta: np.ndarray, gap: Gap,
-                 objective: Callable[[np.ndarray], float],
-                 project: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+                 objective: Callable[[np.ndarray, np.ndarray], float],
+                 project: Callable[[np.ndarray], np.ndarray]
+                 ) -> Tuple[np.ndarray, np.ndarray]:
     """Damped Gauss-Newton for the nonlinear A of ``path``, from the constant
-    profile 1.
+    profile 1; returns the last iterate u and its image A(u).
 
     At the iterate u the operator builds its Jacobian matrix J = A'(u) once,
     and the method's own linear problem for J with data f_d - A(u) + J u is
     solved by :func:`path_solve` with ``gap``, to GN_RTOL and from the t =
     log(lam) where the previous step's root find ended (lam = 1 at the first
     step; the floor of the path after a step at lam = 0).  The iterate moves
-    toward that point, halving the step until ``objective`` drops, then
-    ``project``s.  It stops when a step lowers the objective by less than
-    GN_RTOL of its value, or when no step of length fraction at least
-    GN_RTOL lowers it; after GN_MAX_ITER steps it raises
+    toward that point, halving the step until ``objective(u, A(u))`` drops,
+    then ``project``s; the image of each trial is measured once and kept with
+    the iterate it becomes.  It stops when a step lowers the objective by
+    less than GN_RTOL of its value, or when no step of length fraction at
+    least GN_RTOL lowers it; after GN_MAX_ITER steps it raises
     :class:`SolverFailureError` carrying the iterate.
 
     The first step's linearization, J at the start point project(1) and its
     path, is kept in ``path.starts`` under the start point's bytes: a solve on
     the same ``path`` from a bitwise equal start reuses J and the decomposed
     pencil, which a new decomposition would reproduce bit for bit, and only
-    its data, f_d - A(u) + J u, and its root find are its own.  Later steps
-    are linearized and decomposed anew.
+    its data, f_d - A(u) + J u, and its root find are its own.  Every later
+    step evaluates the handful of points of its root find on a
+    :class:`FactoredPath`, one dense solve each, and decomposes its pencil
+    only where it starts at lam = 0 or the factored find falls back.
     """
     u = project(np.ones(path.op.grid.n))
-    value, t, start = objective(u), 0.0, u.tobytes()
+    image = apply(path.op, u)
+    value, t, start = objective(u, image), 0.0, u.tobytes()
     if start not in path.starts:
         path.starts[start] = path.linearized(u)
     for k in range(GN_MAX_ITER):
         lin = path.starts[start] if k == 0 else path.linearized(u)
-        data = f_delta - apply(path.op, u) + lin.op.matrix @ u
+        if k > 0 and t != -math.inf:   # lam = 0 is a point of the truncated pencil
+            lin = FactoredPath(lin)
+        data = f_delta - image + lin.op.matrix @ u
         point = path_solve(lin, data, gap, tol=GN_RTOL, start=t)
         t, target = point.t, point.u
         step = 1.0
         while True:
             trial = project(u + step * (target - u))
-            trial_value = objective(trial)
+            trial_image = apply(path.op, trial)
+            trial_value = objective(trial, trial_image)
             if trial_value < value:
                 break
             step *= 0.5
             if step < GN_RTOL:
-                return u
-        decrease, u, value = value - trial_value, trial, trial_value
+                return u, image
+        decrease, u, image, value = value - trial_value, trial, trial_image, trial_value
         if decrease <= GN_RTOL * value:
-            return u
+            return u, image
     raise SolverFailureError(f"Gauss-Newton did not converge in {GN_MAX_ITER} steps",
                              best_point=u, best_value=value)

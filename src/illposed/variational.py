@@ -39,11 +39,15 @@ class VariationalResult(Solution):
 
 
 def f_functional(op: OperatorSpec, f_delta: np.ndarray, delta: float,
-                 stab: Stabilizer, u: np.ndarray) -> float:
-    """F(u) = ||A(u) - f_delta|| + delta * phi(u); the residual is not squared."""
+                 stab: Stabilizer, u: np.ndarray,
+                 image: Optional[np.ndarray] = None) -> float:
+    """F(u) = ||A(u) - f_delta|| + delta * phi(u); the residual is not squared.
+
+    ``image`` is A(u) where the caller has measured it, else A is applied.
+    """
     if delta <= 0.0:
         raise InvalidParameterError(f"delta must be positive, got {delta}")
-    residual = apply(op, u) - f_delta
+    residual = (apply(op, u) if image is None else image) - f_delta
     return l2_norm(op.grid, residual) + delta * phi_value(stab, op.grid, u)
 
 
@@ -71,7 +75,7 @@ def minimize_variational(op: OperatorSpec, f_delta: np.ndarray, delta: float,
         return point.t - math.log(2.0 * delta) - math.log(r), slope
 
     sol = solve(op, stab, f_delta, gap,
-                lambda v: f_functional(op, f_delta, delta, stab, v),
+                lambda v, image: f_functional(op, f_delta, delta, stab, v, image),
                 lambda v: domain_project(op, v), path)
     return VariationalResult(**vars(sol), F_value=sol.residual_noisy + delta * sol.phi_u)
 

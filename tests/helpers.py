@@ -1,14 +1,21 @@
-"""Shared batched objectives for the brute-force oracle checks, and a recorder
-of the path root finds a solve runs."""
+"""Shared batched objectives for the brute-force oracle checks, a recorder
+of the path root finds a solve runs, and the path point at a given lambda."""
 
 import inspect
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
 
 from illposed import as_matrix, phi_batch, tikhonov
-from illposed.tikhonov import TikhonovPath
+from illposed.tikhonov import FactoredPoint, PathPoint, TikhonovPath
+
+
+def lam_point(path, f_delta, lam):
+    """u_lam of ``f_delta`` on ``path``: its direct point at t = log(lam)."""
+    t = math.log(lam) if lam > 0.0 else -math.inf
+    return PathPoint(path.data(f_delta), t, True).u
 
 
 def weighted_residual_batch(problem, f_delta):
@@ -54,8 +61,8 @@ def constrained_residual_batch(problem, K, f_delta, infeasible_value=1e30):
 @dataclass
 class RootFind:
     """One path root find: its path, data, gap, tol and start, the t of its
-    O(k) and of its direct evaluations, in order, and the t it returned (None
-    when it raised)."""
+    factored, its O(k) and its direct evaluations, in order, and the t it
+    returned (None when it raised)."""
 
     path: TikhonovPath
     data: np.ndarray
@@ -64,12 +71,14 @@ class RootFind:
     start: float
     coarse: List[float] = field(default_factory=list)
     direct: List[float] = field(default_factory=list)
+    factored: List[float] = field(default_factory=list)
     root: Optional[float] = None
 
     @property
     def points(self):
-        """The t of every evaluation, in order: the O(k) phase comes first."""
-        return self.coarse + self.direct
+        """The t of every evaluation, in order: factored points come first, then
+        the pencil's O(k) phase and its direct finish."""
+        return self.factored + self.coarse + self.direct
 
     @property
     def t_floor(self):
@@ -89,7 +98,9 @@ def recorded_root_finds(monkeypatch):
         finds.append(find)
 
         def counted(point):
-            (find.direct if point.direct else find.coarse).append(point.t)
+            kind = (find.factored if isinstance(point, FactoredPoint)
+                    else find.direct if point.direct else find.coarse)
+            kind.append(point.t)
             return gap(point)
 
         point = path_solve(path, data, counted, **kwargs)

@@ -21,7 +21,7 @@ from illposed import (Compactum, SearchBox, Stabilizer, SweepConfig, apply,
                       run_sweep, variational_certificate, weighted_transpose)
 from illposed.tikhonov import TikhonovPath
 
-from helpers import constrained_residual_batch, f_objective_batch
+from helpers import constrained_residual_batch, f_objective_batch, lam_point
 
 MATRIX = ("diag-unbounded", "volterra-int", "fredholm-gauss")
 DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -201,10 +201,9 @@ def test_criterion_8_structural_invariants():
         f_delta = inject_noise(problem.grid, problem.f_exact, delta,
                                int(rng.integers(1 << 30)))
         path = TikhonovPath(problem.op, stab)
-        coef = path.coefficients(f_delta)
         prev_r, prev_p = -np.inf, np.inf
         for lam in lams:
-            u = path.point(lam, coef)
+            u = lam_point(path, f_delta, lam)
             r = l2_norm(problem.grid, apply(problem.op, u) - f_delta)
             p = phi_value(stab, problem.grid, u)
             assert r >= prev_r * (1 - 1e-9)

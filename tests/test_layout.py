@@ -92,9 +92,10 @@ def test_only_gauss_newton_loosens_a_root_find():
     """Linear solves find their root to ROOT_TOL from lam = 1.
 
     Only tikhonov.gauss_newton passes ``tol`` or ``start``, and only to
-    ``path_solve``, which hands its own two on to ``path_root`` in two
-    phases: on O(k) points to max(tol, COARSE_TOL) from ``start``, then on
-    direct points to ``tol`` from the O(k) root.
+    ``path_solve``, which hands its own two on to ``path_root``: on factored
+    points to ``tol`` from ``start``, and on a pencil in two phases, on O(k)
+    points to max(tol, COARSE_TOL) from ``start``, then on direct points to
+    ``tol`` from the O(k) root.
     """
     passes = []
     for path in MODULES:
@@ -105,6 +106,8 @@ def test_only_gauss_newton_loosens_a_root_find():
             if callee in {"solve", "path_solve", "path_root"} and given:
                 passes.append((path.name, where, callee, given))
     through = [("tikhonov.py", "path_solve", "path_root",
+                (("tol", "tol"), ("start", "start"))),
+               ("tikhonov.py", "path_solve", "path_root",
                 (("tol", "max(tol, COARSE_TOL)"), ("start", "start"))),
                ("tikhonov.py", "path_solve", "path_root",
                 (("tol", "tol"), ("start", "coarse")))]

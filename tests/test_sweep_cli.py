@@ -2,6 +2,7 @@ import gc
 import importlib.util
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -361,6 +362,9 @@ def test_gn_probe_script_runs_and_counts_failing_cells(capsys):
     assert "== round-off twins: 16 cells, 0 failing" in proc.stdout
     assert "worst twin error_l2 change: " in proc.stdout
     assert "; pencil decompositions: " in proc.stdout
+    assert "; pencil fallbacks: " in proc.stdout
+    assert re.search(r"root finds: \d+, path evaluations: O\(k\) \d+, direct \d+, "
+                     r"factored [1-9]", proc.stdout)
     assert "quasi       delta=0.0001   error_l2 gmean " in proc.stdout
     assert proc.stdout.endswith("failing cells: 0\n")
     # a solver error or a false verdict is a failing cell
@@ -594,8 +598,17 @@ def test_one_decomposition_per_sweep(name, monkeypatch):
     assert len(calls) == 2
 
 
+def pencil_steps(finds):
+    """The Gauss-Newton steps among ``finds`` solved on a pencil: each has an
+    O(k) phase, and a factored find has none unless it fell back."""
+    return [find for find in finds if find.coarse]
+
+
 def test_gauss_newton_decomposes_once_per_step(monkeypatch):
+    # every step linearizes once; a later step decomposes its pencil only
+    # where it starts at lam = 0 or its factored root find falls back
     calls = count_decompositions(monkeypatch)
+    finds = recorded_root_finds(monkeypatch)
     steps, jacobians = [], []
     dense_operator, jacobian = tikhonov.dense_operator, tikhonov.jacobian
 
@@ -612,14 +625,15 @@ def test_gauss_newton_decomposes_once_per_step(monkeypatch):
     report = run_sweep(SweepConfig(problem="autoconv", n=16, deltas=(1e-1, 1e-2)))
     assert all(row.solver_error is None for row in report.rows)
     assert len(steps) > len(report.rows)
-    assert len(calls) == len(steps)
+    assert len(finds) == len(steps) + len(report.rows) - 1   # one shared first step
     assert len(jacobians) == len(steps)
+    assert len(calls) == 1 + len(pencil_steps(finds)) - len(report.rows) == 1
 
 
 # (rho_factor, deltas, distinct start points, decompositions of the autoconv sweep
 # at n=64): at rho_factor 0.3 the profile 1 lies outside K, so the quasi cells
 # start from its projection and the variational ones from the profile itself
-SHARED_FIRST_PENCILS = [(1.5, (0.2, 0.02), 1, 8), (0.3, (1e-1, 1e-2, 1e-3, 1e-4), 2, 16)]
+SHARED_FIRST_PENCILS = [(1.5, (0.2, 0.02), 1, 1), (0.3, (1e-1, 1e-2, 1e-3, 1e-4), 2, 2)]
 
 
 @pytest.mark.parametrize("rho_factor, deltas, starts, decompositions",
@@ -627,8 +641,9 @@ SHARED_FIRST_PENCILS = [(1.5, (0.2, 0.02), 1, 8), (0.3, (1e-1, 1e-2, 1e-3, 1e-4)
 def test_gauss_newton_shares_the_first_pencil_of_each_start_point(
         rho_factor, deltas, starts, decompositions, monkeypatch):
     # every cell of a sweep starts Gauss-Newton from project(1), so each distinct
-    # start point is linearized and decomposed once per sweep and every later
-    # step decomposes its own pencil; the rows are those of cells that share
+    # start point is linearized and decomposed once per sweep, and a later step
+    # decomposes its own pencil only where it starts at lam = 0 or falls back
+    # from its factored root find; the rows are those of cells that share
     # nothing, as the shared first step is the same arithmetic
     config = SweepConfig(problem="autoconv", n=64, rho_factor=rho_factor, deltas=deltas)
     problem = build_problem(config.problem, config.n)
@@ -640,7 +655,9 @@ def test_gauss_newton_shares_the_first_pencil_of_each_start_point(
     steps = recorded_root_finds(monkeypatch)   # one root find per Gauss-Newton step
     shared = run_sweep(config)
     assert all(row.solver_error is None for row in shared.rows)
-    assert len(calls) == starts + len(steps) - len(shared.rows) == decompositions
+    assert len(steps) > len(shared.rows)
+    assert len(calls) == starts + len(pencil_steps(steps)) - len(shared.rows)
+    assert len(calls) == decompositions
     apart = [run_sweep(replace(config, method=method)).rows for method in config.methods]
     assert rows_to_csv(shared.rows) == rows_to_csv(
         [row for cells in zip(*apart) for row in cells])
@@ -651,6 +668,40 @@ def test_gauss_newton_shares_the_first_pencil_of_each_start_point(
         fresh += [solve_one(problem, method, delta, f_delta, stab, K, None)
                   for method in config.methods]
     assert rows_to_csv(shared.rows) == rows_to_csv(fresh)
+
+
+# autoconv sweeps at n=16: the defaults; two whose quasi rows move by 33% and
+# 40% where factored points reach below n eps / GN_RTOL into the directions the
+# pencil truncates; and two whose P is so small beside N that below the floor's
+# |N| / |P| factor the dense solve does not resolve lam P against N's round-off
+FACTORED_SWEEPS = [*({"seed": seed} for seed in (1, 2, 3)),
+                   {"alpha0": 0.1, "alpha1": 0.1, "rho_factor": 3.0, "seed": 2},
+                   {"alpha0": 10.0, "alpha1": 0.1, "rho_factor": 1.5, "seed": 2},
+                   {"alpha0": 1e-10, "alpha1": 0.0, "seed": 1},
+                   {"alpha0": 3.5e-12, "alpha1": 0.0, "rho_factor": 6.4, "seed": 1}]
+
+
+@pytest.mark.parametrize("settings", FACTORED_SWEEPS,
+                         ids=["seed1", "seed2", "seed3", "rho-factor-3", "alpha0-10",
+                              "alpha0-1e-10", "alpha0-3.5e-12"])
+def test_factored_steps_keep_the_rows_of_pencil_steps(settings, monkeypatch):
+    # a later step's root find accepts its own point within GN_RTOL, so the
+    # rows may move on that scale, and their verdicts may not move at all
+    config = SweepConfig(problem="autoconv", n=16, **settings)
+    factored = run_sweep(config).rows
+
+    def unresolved(data, t):   # every factored step falls back to its pencil
+        raise tikhonov.Unresolved(f"no factored point at t = {t:g}")
+
+    monkeypatch.setattr(tikhonov.FactoredData, "point", unresolved)
+    pencil = run_sweep(config).rows
+    assert len(factored) == len(pencil) == 8
+    for a, b in zip(factored, pencil):
+        assert a.solver_error == b.solver_error
+        assert [getattr(a, c) for c in CERT_COLUMNS] == [getattr(b, c) for c in CERT_COLUMNS]
+        for name in ("error_l2", "residual_noisy", "residual_exact", "phi_u"):
+            assert getattr(a, name) == pytest.approx(getattr(b, name), rel=2e-3), name
+    assert sum(row.solver_error is None for row in factored) >= 4
 
 
 def test_gauss_newton_steps_are_solved_to_the_outer_tolerance(monkeypatch):
@@ -682,9 +733,13 @@ def test_gauss_newton_restarts_at_the_floor_after_lam_zero(monkeypatch):
     after_zero = [later for first, end in zip(firsts, ends)
                   for earlier, later in zip(calls[first:end - 1], calls[first + 1:end])
                   if earlier.root == -math.inf]
-    # a step at lam = 0 is followed by a search that starts at the new floor
+    # a step at lam = 0 is followed by a search that starts at the new floor,
+    # on the pencil, as lam = 0 is the truncated pencil's least-squares point
     assert after_zero
     assert all(call.points[0] == call.t_floor for call in after_zero)
+    assert all(isinstance(call.path, TikhonovPath) and not call.factored
+               for call in after_zero)
+    assert all(call.coarse for call in calls if call.root == -math.inf)
     assert sum(len(call.points) for call in calls) <= 300
 
 

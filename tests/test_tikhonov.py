@@ -1,5 +1,5 @@
 """The pencil decomposition of tikhonov.TikhonovPath, checked by its contract,
-and the root find on its path."""
+the factored points of a Gauss-Newton step, and the root find on a path."""
 
 import math
 
@@ -11,7 +11,9 @@ from illposed import (Compactum, Grid, SingularSystemError, SolverFailureError,
                       diagonal_operator, inject_noise, jacobian, l2_norm,
                       minimize_on_compactum, minimize_variational, normal_matrix,
                       penalty_matrix, phi_value, tikhonov)
-from illposed.tikhonov import EPS, ROOT_TOL, T_CEIL, TikhonovPath, lower_inverse, path_root
+from illposed import operators, variational
+from illposed.tikhonov import (EPS, GN_RTOL, ROOT_TOL, T_CEIL, FactoredPath, TikhonovPath,
+                               lower_inverse, path_root, path_solve)
 
 LINEAR = ("diag-unbounded", "volterra-int", "fredholm-gauss")
 
@@ -293,3 +295,112 @@ def test_path_keeps_the_last_data_by_its_bytes():
     assert data.data.tobytes() != f_delta.tobytes()
     zero = np.zeros(16)
     assert path.data(-zero) is not path.data(zero)   # -0.0 == 0.0, but not bitwise
+
+
+def linearization(n, at):
+    """(J's pencil path, the Gauss-Newton data f_d - A(u) + J u) of autoconv at
+    n, linearized at the profile 1 or at the true solution."""
+    problem = build_problem("autoconv", n)
+    u = np.ones(n) if at == "ones" else problem.y_true
+    lin = TikhonovPath(problem.op, Stabilizer()).linearized(u)
+    f_delta = inject_noise(problem.grid, problem.f_exact, 1e-2, 3)
+    return lin, f_delta - apply(problem.op, u) + lin.op.matrix @ u
+
+
+@pytest.mark.parametrize("at", ["ones", "truth"])
+@pytest.mark.parametrize("n", [16, 64])
+def test_factored_point_matches_the_pencil_direct_point(n, at):
+    # above the floor a factored point and a direct pencil point are the same
+    # u_lam: they part by the filter factors n eps / lam of the directions the
+    # pencil truncates, which the floor keeps under GN_RTOL, plus the pencil's
+    # own round-off; its slopes are the exact t-derivatives, as the pencil's are
+    lin, data = linearization(n, at)
+    factored = FactoredPath(lin)
+    assert factored.t_floor == math.log(n * EPS / GN_RTOL)
+    on_pencil, on_factored = lin.data(data), factored.data(data)
+    exact = 0
+    for t in np.linspace(factored.t_floor + 0.5, 20.0, 12):
+        a, b = on_factored.point(t), on_pencil.point(t)
+        tol = n * EPS / a.lam + 1e-9
+        pairs = [(a.r, b.r), (a.phi, b.phi), (a.drift(), b.drift()), (a.shrink(), b.shrink()),
+                 (l2_norm(lin.op.grid, a.u - b.u) / l2_norm(lin.op.grid, b.u), 0.0)]
+        assert a.image.tobytes() == apply(lin.op, a.u).tobytes()
+        changes = [abs(x - y) / max(abs(x), abs(y)) if y else x for x, y in pairs]
+        assert max(changes) <= tol, (t, changes)
+        exact += max(changes) <= 1e-9
+    assert exact >= 6
+
+
+def slack(rho):
+    """A quasi-like gap, log(rho / phi) with its slope shrink / phi."""
+    return lambda point: (math.log(rho / point.phi), point.shrink() / point.phi)
+
+
+def discrepancy(delta):
+    """The variational gap, log(lam / (2 delta r)) with its slope."""
+    return lambda point: (point.t - math.log(2.0 * delta) - math.log(point.r),
+                          1.0 - 0.5 * point.drift() / point.r / point.r)
+
+
+@pytest.mark.parametrize("case", ["floor", "overflow", "zero bands", "singular"])
+def test_factored_root_find_falls_back_to_its_pencil(case, monkeypatch):
+    # a find that reaches the floor, a lam P past the float range, a P with no
+    # band and a singular system are solved on the pencil, from the same start
+    # and with the same arithmetic as a find that starts there
+    problem = build_problem("volterra-int", 32)
+    stab = Stabilizer(5e-324, 0.0) if case == "zero bands" else Stabilizer()
+    data = inject_noise(problem.grid, problem.f_exact, 1e-2, 3)
+    factored = FactoredPath(TikhonovPath(problem.op, stab))
+    start = {"floor": factored.t_floor - 1.0, "overflow": T_CEIL}.get(case, 0.0)
+    if case == "singular":
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+    reference, gap = TikhonovPath(problem.op, stab), discrepancy(1e-2)
+    expected = path_solve(reference, data, gap, tol=GN_RTOL, start=start)
+    kinds = []
+
+    def counted(point):
+        kinds.append(type(point).__name__ + (" direct" if point.direct else ""))
+        return gap(point)
+
+    point = path_solve(factored, data, counted, tol=GN_RTOL, start=start)
+    assert point.t == expected.t and point.u.tobytes() == expected.u.tobytes()
+    assert kinds and "FactoredPoint direct" not in kinds
+
+
+def test_factored_root_find_ends_on_a_factored_point():
+    lin, data = linearization(64, "ones")
+    gap = slack(lin.data(data).point(-3.0).phi)
+    expected = path_solve(lin, data, gap, tol=GN_RTOL, start=0.0)
+    point = path_solve(FactoredPath(lin), data, gap, tol=GN_RTOL, start=0.0)
+    assert type(point).__name__ == "FactoredPoint"
+    assert 0.0 <= gap(point)[0] <= GN_RTOL
+    assert abs(point.t - expected.t) <= 1e-3
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_a_nonlinear_solution_meets_a_once(shared, monkeypatch):
+    # the line search measured A at the iterate it accepted; the solution
+    # takes that image, and A is applied to the returned point once
+    problem = build_problem("autoconv", 32)
+    stab = Stabilizer()
+    K = Compactum(stab, 1.5 * phi_value(stab, problem.grid, problem.y_true))
+    f_delta = inject_noise(problem.grid, problem.f_exact, 1e-2, 5)
+    path = TikhonovPath(problem.op, stab) if shared else None
+    applied, apply_once = [], operators.apply
+
+    def recorded(op, u):   # products with A, not with a linearization J
+        if op is problem.op:
+            applied.append(np.array(u))
+        return apply_once(op, u)
+
+    for module in (operators, tikhonov, variational):
+        monkeypatch.setattr(module, "apply", recorded)
+    for solve in (lambda: minimize_variational(problem.op, f_delta, 1e-2, stab, path),
+                  lambda: minimize_on_compactum(problem.op, f_delta, K, path)):
+        applied.clear()
+        sol = solve()
+        assert sum(np.array_equal(u, sol.u_delta) for u in applied) == 1
+        assert sol.image.tobytes() == apply_once(problem.op, sol.u_delta).tobytes()

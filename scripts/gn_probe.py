@@ -47,6 +47,8 @@ WIDE_NS = (16, 32, 64, 128)
 WIDE_WEIGHTS = (0.1, 1.0, 10.0)
 WIDE_RHO_FACTORS = (1.1, 1.5, 3.0)
 WIDE_SEEDS = (1, 2)
+KINDS = {tikhonov.CoarsePoint: "O(k)", tikhonov.DirectPoint: "direct",
+         tikhonov.FactoredPoint: "factored"}   # each point kind by its exact class
 
 
 class Tally:
@@ -69,8 +71,8 @@ class Tally:
         """Count through ``sweep.solve_one`` (one cell), ``np.linalg.eigh`` (one
         pencil decomposition) and ``tikhonov.path_solve`` (one Gauss-Newton
         step's root find, whose gap sees every path point it evaluates, O(k),
-        direct or factored; a find on a factored path that evaluates an O(k)
-        point has fallen back to the pencil)."""
+        direct or factored; a find on a provider with a fallback that evaluates
+        an O(k) point has fallen back to the pencil)."""
         solve_one, eigh = sweep.solve_one, np.linalg.eigh
         path_solve = tikhonov.path_solve
 
@@ -90,8 +92,7 @@ class Tally:
             kinds = set()
 
             def counted_gap(point):
-                kind = ("factored" if isinstance(point, tikhonov.FactoredPoint)
-                        else "direct" if point.direct else "O(k)")
+                kind = KINDS[type(point)]
                 kinds.add(kind)
                 self.evaluations[(self.method, kind)] += 1
                 return gap(point)
@@ -99,7 +100,7 @@ class Tally:
             try:
                 return path_solve(path, data, counted_gap, **kwargs)
             finally:
-                if isinstance(path, tikhonov.FactoredPath) and "O(k)" in kinds:
+                if path.fallback is not None and "O(k)" in kinds:
                     self.fallbacks += 1
 
         sweep.solve_one = counted_cell

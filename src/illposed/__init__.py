@@ -14,17 +14,17 @@ from .errors import (BudgetExceededError, ConfigurationError, GridMismatchError,
                      UnsupportedOperatorError)
 from .gallery import (ConditionReport, ProblemInstance, build_problem,
                       condition_report)
-from .grids import Grid, inner_product, l2_norm
+from .grids import Grid, l2_norm
 from .noise import inject_noise
 from .operators import (OperatorSpec, apply, as_matrix, dense_operator,
-                        diagonal_operator, domain_project, identity_operator,
-                        jacobian, nonlinear_operator, normal_matrix,
-                        weighted_product, weighted_transpose)
+                        diagonal_operator, domain_project, jacobian,
+                        nonlinear_operator, normal_matrix, weighted_product,
+                        weighted_transpose)
 from .oracle import (SearchBox, brute_force_minimize, refine_1d,
                      refine_coordinatewise)
 from .quasisolution import minimize_on_compactum, quasi_certificate
-from .stabilizers import (Compactum, Stabilizer, contains, penalty_matrix,
-                          phi_batch, phi_value, project_onto)
+from .stabilizers import (Compactum, Stabilizer, contains, phi_value,
+                          project_onto)
 from .sweep import (SweepConfig, SweepReport, SweepRow, parse_config_file,
                     run_solve, run_sweep)
 from .tikhonov import Solution, TikhonovPath

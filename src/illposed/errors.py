@@ -26,12 +26,7 @@ class SingularSystemError(IllposedError):
 
 
 class SolverFailureError(IllposedError):
-    """An iterative solver did not converge; carries the best iterate found."""
-
-    def __init__(self, message, best_point=None, best_value=None):
-        super().__init__(message)
-        self.best_point = best_point
-        self.best_value = best_value
+    """An iterative solver did not converge."""
 
 
 class ConfigurationError(IllposedError, ValueError):

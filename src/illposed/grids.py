@@ -75,10 +75,3 @@ def l2_norm(grid: Grid, v: np.ndarray) -> float:
     v = check_vec(grid, v)
     return float(np.sqrt(np.sum(grid.gram_diagonal * v * v)))
 
-
-def inner_product(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
-    """Trapezoid-weighted L2 inner product h * sum_i w_i u_i v_i."""
-    u = check_vec(grid, u, "u")
-    v = check_vec(grid, v, "v")
-    return float(np.sum(grid.gram_diagonal * u * v))
-

@@ -69,10 +69,6 @@ def diagonal_operator(grid: Grid, diagonal: np.ndarray) -> OperatorSpec:
     return OperatorSpec(LINEAR_DIAGONAL, grid, diagonal=np.asarray(diagonal, dtype=float))
 
 
-def identity_operator(grid: Grid) -> OperatorSpec:
-    return diagonal_operator(grid, np.ones(grid.n))
-
-
 def nonlinear_operator(grid, apply_fn, jacobian_fn,
                        domain_project_fn=None) -> OperatorSpec:
     return OperatorSpec(

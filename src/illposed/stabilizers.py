@@ -72,18 +72,9 @@ def phi_value(stab: Stabilizer, grid: Grid, u: np.ndarray) -> float:
     return value
 
 
-def phi_batch(stab: Stabilizer, grid: Grid, pts: np.ndarray) -> np.ndarray:
-    """Vectorized ``phi`` over points stacked along the leading axis."""
-    pts = np.asarray(pts, dtype=float)
-    value = stab.alpha0 * np.sum(grid.gram_diagonal * pts * pts, axis=-1)
-    if stab.alpha1 != 0.0:
-        d = np.diff(pts, axis=-1) / grid.h
-        value = value + stab.alpha1 * np.sum(_cell_gram_diagonal(grid) * d * d, axis=-1)
-    return value
-
-
 def penalty_bands(stab: Stabilizer, grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
-    """(diagonal, off-diagonal) of the tridiagonal P of :func:`penalty_matrix`.
+    """(diagonal, off-diagonal) of the symmetric PSD tridiagonal P with phi(u)
+    = u^T P u (plain coordinates), positive definite when alpha0 > 0.
 
     The slope term D^T C D (C the cell weights) is summed cell by cell,
     rounded exactly as the dense product rounds it.
@@ -95,16 +86,6 @@ def penalty_bands(stab: Stabilizer, grid: Grid) -> Tuple[np.ndarray, np.ndarray]
         diagonal = diagonal + stab.alpha1 * (np.append(c, 0.0) + np.append(0.0, c))
         off = stab.alpha1 * -c
     return diagonal, off
-
-
-def penalty_matrix(stab: Stabilizer, grid: Grid) -> np.ndarray:
-    """Symmetric PSD matrix P with phi(u) = u^T P u (plain coordinates).
-
-    P is positive definite when alpha0 > 0.  In the weighted geometry the
-    Gram operator of phi is W^{-1} P, self-adjoint for the grid inner
-    product.  P is tridiagonal, filled from :func:`penalty_bands`.
-    """
-    return add_penalty(stab, grid, np.zeros((grid.n, grid.n)))
 
 
 def add_penalty(stab: Stabilizer, grid: Grid, matrix: np.ndarray) -> np.ndarray:

@@ -20,36 +20,30 @@ and the path keeps its last data vector's c (:class:`PathData`), so the two
 methods at one noise level compute it once.
 
 Both methods state their scalar equation as a :data:`Gap` ``gap(point)``:
-it reads the residual ``r`` or ``phi`` of a :class:`PathPoint` at t =
+it reads the residual ``r`` or ``phi`` of a :data:`PathPoint` at t =
 log(lam), and ``drift()`` or ``shrink()`` for the slope, and returns its
-value and its slope in t, or None for the slope.  A point's values are
-either O(k) sums over the pencil, as Hansen's ``discrep`` and ``lsqi`` get
-both norms from filter factors, or direct, measured on u_lam (an n x k
+value and its slope in t, or None for the slope.  :func:`path_solve` finds
+the root on a point provider.  On the pencil an O(k) point sums r and phi
+over the pencil, as Hansen's ``discrep`` and ``lsqi`` get both norms from
+filter factors, and a direct point measures them on u_lam (an n x k
 product, and one more for r).  The O(k) values take V^T N V = diag(theta)
 and V^T P V = I - diag(theta) as exact and so miss the direct ones by the
 decomposition's round-off, up to 2.7e-5 in the variational gap (n = 512);
-``drift`` and ``shrink`` are their exact t-derivatives.  So
-:func:`path_solve` finds each root in two phases, Newton steps on O(k)
-points to COARSE_TOL and then on direct points to the solve's own
-tolerance, and :func:`solve`, the one place that chooses the road, reads
-the residual, the image A u and phi of a linear solution from the point it
+``drift`` and ``shrink`` are their exact t-derivatives.  So the root is
+found in two phases, Newton steps on O(k) points to COARSE_TOL and then on
+direct points to the solve's own tolerance.  :func:`solve` reads the
+residual, the image A u and phi of a linear solution from the point it
 returns, so A is applied to that point once.
 
 A nonlinear A is solved by damped Gauss-Newton whose steps are these linear
 problems for the Jacobian (Kaltenbacher, Neubauer & Scherzer, *Iterative
-Regularization Methods for Nonlinear Ill-Posed Problems*, 2008).  Each step's
-linear problem is solved only to GN_RTOL, the relative accuracy at which the
-outer loop stops, and its root find starts from the previous step's lambda
-(an inexact Newton method: Dembo, Eisenstat & Steihaug, 1982), the lam = 0
-end t = -inf included; a linear A is solved to ROOT_TOL from lam = 1.  Every
-solve of a sweep starts Gauss-Newton from the same profile, so its first
-Jacobian and pencil are decomposed once per start point and shared, as the
-one path of a linear A is.  A later step's root find evaluates a handful of
-points, too few to pay for a decomposition, so it runs on a
-:class:`FactoredPath`: each :class:`FactoredPoint` solves N + lam P
-directly, once for u and once more for its exact slopes.  The pencil still
-solves a step that starts at lam = 0, a step whose root find reaches the
-factored floor, and a step whose system is singular or overflows.
+Regularization Methods for Nonlinear Ill-Posed Problems*, 2008), each solved
+only to GN_RTOL from the previous step's lambda (an inexact Newton method:
+Dembo, Eisenstat & Steihaug, 1982); a linear A is solved to ROOT_TOL from
+lam = 1.  :func:`gauss_newton` chooses each step's provider: the first
+step's pencil, shared by every solve from the same start point, a
+:class:`FactoredPath` with the pencil of J as its fallback for a later step,
+and that pencil alone for a step that starts at lam = 0.
 """
 
 from __future__ import annotations
@@ -57,7 +51,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -109,6 +103,8 @@ class TikhonovPath:
     first linearization of :func:`gauss_newton` by the bytes of its start
     point, one entry per distinct start, for every solve on this path.
     """
+
+    fallback = None   # as a point provider, it has none
 
     def __init__(self, op: OperatorSpec, stab: Stabilizer):
         self.op, self.stab = op, stab
@@ -193,61 +189,23 @@ class PathData:
         self.y_coef = self.coef / self.y_scale
         self.r_coef = self.coef / root / self.r_scale
 
-    def point(self, t: float) -> PathPoint:
-        """The direct point at t."""
-        return PathPoint(self, t, True)
+    def coarse(self, t: float) -> CoarsePoint:
+        return CoarsePoint(self, t)
+
+    def point(self, t: float) -> DirectPoint:
+        return DirectPoint(self, t)
 
 
-class PathPoint:
-    """The point u_lam at t = log(lam) of :class:`PathData`, with its
-    ``values`` = theta + lam (1 - theta) and weights ``w`` = lam (1 - theta) /
-    values in [0, 1].
+class PencilPoint:
+    """A point of :class:`PathData`, with ``values`` = theta + lam (1 - theta)
+    and weights ``w`` = lam (1 - theta) / values in [0, 1], and the slopes of
+    the O(k) sums of a :class:`CoarsePoint`, for points of either kind."""
 
-    A direct point holds ``u`` = V (c / values), and measures its ``image``
-    = lin u, its residual ``r`` = ||image - data|| and ``phi`` = phi(u) on
-    first read.  An O(k) point has no u, and sums r and phi over the pencil
-    with y = c / values: phi = sum((1 - theta) y^2) and r^2 = r_0^2 +
-    sum(w^2 c^2 / theta).  The slopes ``drift()`` and ``shrink()`` are the
-    exact t-derivatives of those sums, for points of either kind.
-    """
-
-    __slots__ = ("t", "lam", "direct", "of", "values", "w", "u", "_image", "_r", "_phi")
-
-    def __init__(self, of: PathData, t: float, direct: bool):
-        self.t, self.lam, self.direct, self.of = t, math.exp(t), direct, of
+    def __init__(self, of: PathData, t: float):
+        self.t, self.lam, self.of = t, math.exp(t), of
         scaled = self.lam * of.rest
         self.values = of.theta + scaled
-        self.w, self._image, self._r, self._phi = scaled / self.values, None, None, None
-        self.u = of.vectors @ (of.coef / self.values) if direct else None
-
-    @property
-    def image(self) -> np.ndarray:
-        """lin u of a direct point, the one product with lin that it measures."""
-        if self._image is None:
-            self._image = apply(self.of.op, self.u)
-        return self._image
-
-    @property
-    def r(self) -> float:
-        of = self.of
-        if self._r is None and self.direct:
-            self._r = l2_norm(of.op.grid, self.image - of.data)
-        elif self._r is None:
-            if of.r0 is None:
-                of.r0 = PathPoint(of, -math.inf, True).r
-            z = self.w * of.r_coef
-            self._r = math.hypot(of.r0, of.r_scale * math.sqrt(float(z @ z)))
-        return self._r
-
-    @property
-    def phi(self) -> float:
-        of = self.of
-        if self._phi is None and self.direct:
-            self._phi = phi_value(of.stab, of.op.grid, self.u)
-        elif self._phi is None:
-            q = of.y_coef / self.values
-            self._phi = float((q * q) @ of.rest) * of.y_scale * of.y_scale
-        return self._phi
+        self.w = scaled / self.values
 
     def drift(self) -> float:
         """d r^2 / dt = 2 sum(w^2 c^2 / values), overflowing only where r^2 does."""
@@ -262,15 +220,65 @@ class PathPoint:
         return 2.0 * float((q * q) @ (self.w * of.rest)) * of.y_scale * of.y_scale
 
 
+class CoarsePoint(PencilPoint):
+    """An O(k) point: it has no u, and sums r and phi over the pencil on each
+    read, with y = c / values: phi = sum((1 - theta) y^2) and r^2 = r_0^2 +
+    sum(w^2 c^2 / theta)."""
+
+    @property
+    def r(self) -> float:
+        of = self.of
+        if of.r0 is None:
+            of.r0 = of.point(-math.inf).r
+        z = self.w * of.r_coef
+        return math.hypot(of.r0, of.r_scale * math.sqrt(float(z @ z)))
+
+    @property
+    def phi(self) -> float:
+        q = self.of.y_coef / self.values
+        return float((q * q) @ self.of.rest) * self.of.y_scale * self.of.y_scale
+
+
+class Measured:
+    """A direct point's values, measured on its ``u`` on first read: its
+    ``image`` = lin u, the one product with lin that it makes, its residual
+    ``r`` = ||image - data|| and ``phi`` = phi(u)."""
+
+    _image = _r = _phi = None   # until first read
+
+    @property
+    def image(self) -> np.ndarray:
+        if self._image is None:
+            self._image = apply(self.of.op, self.u)
+        return self._image
+
+    @property
+    def r(self) -> float:
+        if self._r is None:
+            self._r = l2_norm(self.of.op.grid, self.image - self.of.data)
+        return self._r
+
+    @property
+    def phi(self) -> float:
+        if self._phi is None:
+            self._phi = phi_value(self.of.stab, self.of.op.grid, self.u)
+        return self._phi
+
+
+class DirectPoint(Measured, PencilPoint):
+    """A direct point of :class:`PathData`, ``u`` = V (c / values)."""
+
+    def __init__(self, of: PathData, t: float):
+        super().__init__(of, t)
+        self.u = of.vectors @ (of.coef / self.values)
+
+
 class FactoredPath:
     """The points of one linearization J of a nonlinear A, for one root find,
-    each by a dense solve of N + lam P instead of a decomposition of the pencil.
-
-    A Gauss-Newton step after the first starts its root find at the previous
-    step's lambda and evaluates a handful of points, too few to pay for the
-    decomposition of ``pencil``, the :class:`TikhonovPath` of J, which is
-    only decomposed where a step falls back to it.  N = J^T W J is formed
-    once; each point adds lam times P's bands to a copy of it.
+    each by a dense solve of N + lam P instead of a decomposition of the pencil,
+    ``fallback``, the :class:`TikhonovPath` of J, which is only decomposed
+    where a step falls back to it.  N = J^T W J is formed once; each point
+    adds lam times P's bands to a copy of it.
 
     ``t_floor`` is the log of lam_f = (n eps / GN_RTOL) max(1, |N| / |P|),
     with |.| the largest diagonal entry, and holds two conditions.  The
@@ -281,14 +289,11 @@ class FactoredPath:
     own tolerance.  And N carries a round-off of about n eps |N|, which lam P
     must exceed by 1 / GN_RTOL for the solve to resolve the directions that
     only P regularizes, as where P is tiny beside N.  Where P's diagonal is
-    zero no lam P regularizes N, and the floor is +inf.  A point at or below
-    the floor, a singular system and a value past the float range raise
-    :class:`Unresolved`, and :func:`path_solve` solves the step on
-    ``pencil`` instead.
+    zero no lam P regularizes N, and the floor is +inf.
     """
 
     def __init__(self, pencil: TikhonovPath):
-        self.pencil, self.op, self.stab = pencil, pencil.op, pencil.stab
+        self.fallback, self.op, self.stab = pencil, pencil.op, pencil.stab
         self.normal = normal_matrix(self.op)
         self.bands = penalty_bands(self.stab, self.op.grid)
         top, scale = float(self.normal.diagonal().max()), float(self.bands[0].max())
@@ -303,32 +308,29 @@ class FactoredPath:
 class FactoredData:
     """One data vector on a :class:`FactoredPath`, and b = J^T W f_d."""
 
+    coarse = None   # it has no O(k) points
+
     def __init__(self, path: FactoredPath, data: np.ndarray):
         self.path, self.op, self.stab, self.data = path, path.op, path.stab, data
         self.rhs = weighted_transpose(self.op, data)
 
     def point(self, t: float) -> FactoredPoint:
-        """The point at t; raises :class:`Unresolved` at or below the floor."""
-        if t <= self.path.t_floor:
-            raise Unresolved(f"t = {t:g} is at or below the floor")
         return FactoredPoint(self, t)
 
 
-class FactoredPoint(PathPoint):
-    """The point u_lam at t = log(lam) of :class:`FactoredData`: u solves
-    (N + lam P) u = b, and q = (P u)^T (N + lam P)^-1 (P u) gives the exact
-    slopes, as du/dlam = -(N + lam P)^-1 P u: d r^2 / dt = 2 lam^2 q and
-    -d phi / dt = 2 lam q.  Like a direct :class:`PathPoint` it measures its
-    ``image``, ``r`` and ``phi`` on u on first read; it has no ``values``
-    or ``w``.  Raises :class:`Unresolved` where the system is singular or a
-    value leaves the float range.
+class FactoredPoint(Measured):
+    """The direct point of :class:`FactoredData` at t: u solves (N + lam P) u
+    = b, and q = (P u)^T (N + lam P)^-1 (P u) gives the exact slopes, as
+    du/dlam = -(N + lam P)^-1 P u: d r^2 / dt = 2 lam^2 q and -d phi / dt =
+    2 lam q.  At or below the floor, where the system is singular and where a
+    value leaves the float range, it raises :class:`Unresolved`, and
+    :func:`path_solve` solves the step on the path's ``fallback`` instead.
     """
 
-    __slots__ = ("q",)
-
     def __init__(self, of: FactoredData, t: float):
-        self.t, self.lam, self.direct, self.of = t, math.exp(t), True, of
-        self.values = self.w = self._image = self._r = self._phi = None
+        if t <= of.path.t_floor:
+            raise Unresolved(f"t = {t:g} is at or below the floor")
+        self.t, self.lam, self.of = t, math.exp(t), of
         diagonal, off = of.path.bands
         try:
             with np.errstate(over="raise", invalid="raise"):
@@ -352,9 +354,13 @@ class FactoredPoint(PathPoint):
 
 
 class Unresolved(Exception):
-    """A :class:`FactoredPath` cannot give this point; its pencil can."""
+    """A point provider cannot give this point; its fallback can."""
 
 
+# a point u_lam at t = log(lam), with lam and ``of``, the data of its provider: r,
+# phi, their t-slopes drift() = d r^2 / dt and shrink() = -d phi / dt, and for a
+# direct point u and its image; no kind of point derives from another
+PathPoint = Union[CoarsePoint, DirectPoint, FactoredPoint]
 # gap(point): a method's scalar equation at a PathPoint, nondecreasing in t, as
 # (value, slope in t or None); it reads r or phi, and drift() or shrink()
 Gap = Callable[[PathPoint], Tuple[float, Optional[float]]]
@@ -402,48 +408,45 @@ def solve(op: OperatorSpec, stab: Stabilizer, f_delta: np.ndarray, gap: Gap,
                     math.nan, image=image)
 
 
-def path_solve(path: TikhonovPath | FactoredPath, f_delta: np.ndarray, gap: Gap, *,
-               tol: float = ROOT_TOL, start: float = 0.0) -> PathPoint:
-    """The direct :class:`PathPoint` on ``path`` for ``f_delta`` at the root of ``gap``.
+def path_solve(path, f_delta: np.ndarray, gap: Gap, *, tol: float = ROOT_TOL,
+               start: float = 0.0) -> PathPoint:
+    """The direct point of the point provider ``path`` for ``f_delta`` at the
+    root of ``gap``.
 
-    On a :class:`TikhonovPath`, :func:`path_root` finds the root on O(k)
-    points to max(``tol``, COARSE_TOL) from t = ``start``, then from there on
-    direct points to ``tol``, so a root find takes one or two direct points
-    where the O(k) values are good to COARSE_TOL.  Where the direct values
-    are round-off, the finish cannot resolve the root better than the O(k)
-    values did, and the point is the O(k) root: once the direct gap's rise
-    across its bracket departs from what its slope predicts by more than
-    that prediction, or where the bracket closes at float resolution with its
-    gap above ``tol``.  t = -inf (lam = 0) when the gap is nonnegative along
-    the whole path.  A pencil that cannot be decomposed fails the solve like
-    a root find that does not converge.  The data's :class:`PathData` comes
-    from ``path.data``, so a solve of bitwise equal data right after another
-    on the same path, the other method at the same noise level, reuses its
-    coefficients, their scales and r0; the first solve pays for them.
-
-    On a :class:`FactoredPath` the root is found in one phase, on
-    :class:`FactoredPoint` values to ``tol`` from ``start``; where that find
-    reaches the floor, meets a point it cannot solve or fails, the solve
-    starts again from ``start`` on the path's pencil, as above.
+    A provider has ``t_floor``, ``fallback`` (a provider or None) and
+    ``data(f_d)``, whose data give the direct point ``point(t)`` and, where
+    they have O(k) values, ``coarse(t)`` (else ``coarse`` is None).  On O(k)
+    points :func:`path_root` finds the root to max(``tol``, COARSE_TOL) from
+    t = ``start``, then from there on direct points to ``tol`` with the O(k)
+    root as its fallback, so a root find takes one or two direct points where
+    the O(k) values are good to COARSE_TOL, and ends at the O(k) root where
+    the direct values are round-off.  Other data are searched on direct
+    points alone, to ``tol`` from ``start``.  A find that meets a point its
+    provider cannot give (:class:`Unresolved`), or that fails, starts again
+    from ``start`` on the provider's ``fallback`` where it has one.  t = -inf
+    (lam = 0) when the gap is nonnegative along the whole path.  A pencil
+    that cannot be decomposed fails the solve like a root find that does not
+    converge.
     """
-    found = {}   # t -> its direct point
-
     def direct(t: float) -> Tuple[float, Optional[float]]:
         found[t] = data.point(t)
         return gap(found[t])
 
     try:
-        if isinstance(path, FactoredPath):
-            data = path.data(f_delta)
+        while True:
+            found = {}   # t -> its direct point
             try:
-                return found[path_root(direct, path.t_floor, tol=tol, start=start)]
+                data, coarse = path.data(f_delta), None
+                if data.coarse is not None:
+                    coarse = path_root(lambda t: gap(data.coarse(t)), path.t_floor,
+                                       tol=max(tol, COARSE_TOL), start=start)
+                t = path_root(direct, path.t_floor, tol=tol,
+                              start=start if coarse is None else coarse, fallback=coarse)
+                return found.get(t) or data.point(t)
             except (Unresolved, SolverFailureError):
-                path = path.pencil
-        data = path.data(f_delta)
-        coarse = path_root(lambda t: gap(PathPoint(data, t, False)), path.t_floor,
-                           tol=max(tol, COARSE_TOL), start=start)
-        t = path_root(direct, path.t_floor, tol=tol, start=coarse, fallback=coarse)
-        return found.get(t) or data.point(t)
+                if path.fallback is None:
+                    raise
+                path = path.fallback
     except SingularSystemError as exc:
         raise SolverFailureError(str(exc)) from exc
 
@@ -529,16 +532,16 @@ def gauss_newton(path: TikhonovPath, f_delta: np.ndarray, gap: Gap,
     the iterate it becomes.  It stops when a step lowers the objective by
     less than GN_RTOL of its value, or when no step of length fraction at
     least GN_RTOL lowers it; after GN_MAX_ITER steps it raises
-    :class:`SolverFailureError` carrying the iterate.
+    :class:`SolverFailureError`.
 
     The first step's linearization, J at the start point project(1) and its
     path, is kept in ``path.starts`` under the start point's bytes: a solve on
     the same ``path`` from a bitwise equal start reuses J and the decomposed
     pencil, which a new decomposition would reproduce bit for bit, and only
     its data, f_d - A(u) + J u, and its root find are its own.  Every later
-    step evaluates the handful of points of its root find on a
-    :class:`FactoredPath`, one dense solve each, and decomposes its pencil
-    only where it starts at lam = 0 or the factored find falls back.
+    step that starts above lam = 0 evaluates the handful of points of its
+    root find on a :class:`FactoredPath`, one dense solve each, whose
+    fallback is the step's pencil; a step from lam = 0 runs on the pencil.
     """
     u = project(np.ones(path.op.grid.n))
     image = apply(path.op, u)
@@ -565,5 +568,4 @@ def gauss_newton(path: TikhonovPath, f_delta: np.ndarray, gap: Gap,
         decrease, u, image, value = value - trial_value, trial, trial_image, trial_value
         if decrease <= GN_RTOL * value:
             return u, image
-    raise SolverFailureError(f"Gauss-Newton did not converge in {GN_MAX_ITER} steps",
-                             best_point=u, best_value=value)
+    raise SolverFailureError(f"Gauss-Newton did not converge in {GN_MAX_ITER} steps")

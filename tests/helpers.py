@@ -1,5 +1,7 @@
 """Shared batched objectives for the brute-force oracle checks, a recorder
-of the path root finds a solve runs, and the path point at a given lambda."""
+of the path root finds a solve runs, the path point at a given lambda, and
+plain references the package does not need: the dense P, a batched phi, the
+identity operator and the grid inner product."""
 
 import inspect
 import math
@@ -8,14 +10,50 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from illposed import as_matrix, phi_batch, tikhonov
-from illposed.tikhonov import FactoredPoint, PathPoint, TikhonovPath
+from illposed import as_matrix, diagonal_operator, tikhonov
+from illposed.grids import check_vec, trapezoid_weights
+from illposed.stabilizers import add_penalty
+from illposed.tikhonov import CoarsePoint, DirectPoint, FactoredPoint, TikhonovPath
+
+KINDS = {CoarsePoint: "coarse", DirectPoint: "direct", FactoredPoint: "factored"}
+
+
+def penalty_matrix(stab, grid):
+    """Symmetric PSD matrix P with phi(u) = u^T P u (plain coordinates).
+
+    P is positive definite when alpha0 > 0.  In the weighted geometry the
+    Gram operator of phi is W^{-1} P, self-adjoint for the grid inner
+    product.  P is tridiagonal, filled from ``stabilizers.penalty_bands``.
+    """
+    return add_penalty(stab, grid, np.zeros((grid.n, grid.n)))
+
+
+def phi_batch(stab, grid, pts):
+    """Vectorized ``phi`` over points stacked along the leading axis."""
+    pts = np.asarray(pts, dtype=float)
+    value = stab.alpha0 * np.sum(grid.gram_diagonal * pts * pts, axis=-1)
+    if stab.alpha1 != 0.0:
+        d = np.diff(pts, axis=-1) / grid.h
+        cells = grid.h * trapezoid_weights(grid.n - 1)
+        value = value + stab.alpha1 * np.sum(cells * d * d, axis=-1)
+    return value
+
+
+def identity_operator(grid):
+    return diagonal_operator(grid, np.ones(grid.n))
+
+
+def inner_product(grid, u, v):
+    """Trapezoid-weighted L2 inner product h * sum_i w_i u_i v_i."""
+    u = check_vec(grid, u, "u")
+    v = check_vec(grid, v, "v")
+    return float(np.sum(grid.gram_diagonal * u * v))
 
 
 def lam_point(path, f_delta, lam):
     """u_lam of ``f_delta`` on ``path``: its direct point at t = log(lam)."""
     t = math.log(lam) if lam > 0.0 else -math.inf
-    return PathPoint(path.data(f_delta), t, True).u
+    return path.data(f_delta).point(t).u
 
 
 def weighted_residual_batch(problem, f_delta):
@@ -97,10 +135,8 @@ def recorded_root_finds(monkeypatch):
         find = RootFind(path, data, gap, given.arguments["tol"], given.arguments["start"])
         finds.append(find)
 
-        def counted(point):
-            kind = (find.factored if isinstance(point, FactoredPoint)
-                    else find.direct if point.direct else find.coarse)
-            kind.append(point.t)
+        def counted(point):   # each point by its exact class; a new kind fails here
+            getattr(find, KINDS[type(point)]).append(point.t)
             return gap(point)
 
         point = path_solve(path, data, counted, **kwargs)

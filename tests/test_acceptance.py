@@ -15,13 +15,14 @@ import pytest
 
 from illposed import (Compactum, SearchBox, Stabilizer, SweepConfig, apply,
                       brute_force_minimize, build_problem, contains,
-                      inject_noise, inner_product, jacobian, l2_norm,
+                      inject_noise, jacobian, l2_norm,
                       minimize_on_compactum, minimize_variational, phi_value,
                       project_onto, quasi_certificate, refine_coordinatewise,
                       run_sweep, variational_certificate, weighted_transpose)
 from illposed.tikhonov import TikhonovPath
 
-from helpers import constrained_residual_batch, f_objective_batch, lam_point
+from helpers import (constrained_residual_batch, f_objective_batch, inner_product,
+                     lam_point)
 
 MATRIX = ("diag-unbounded", "volterra-int", "fredholm-gauss")
 DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)

@@ -3,9 +3,10 @@ import pytest
 
 from illposed import (ConfigurationError, ProblemInstance,
                       UnsupportedOperatorError, apply, as_matrix,
-                      build_problem, condition_report, identity_operator,
-                      l2_norm)
+                      build_problem, condition_report, l2_norm)
 from illposed.gallery import PROBLEM_NAMES, autoconvolve_jacobian
+
+from helpers import identity_operator
 
 
 def test_unknown_name_lists_valid_ones():

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from illposed import Grid, GridMismatchError, NonFiniteError, inner_product, l2_norm
+from illposed import Grid, GridMismatchError, NonFiniteError, l2_norm
+
+from helpers import inner_product
 
 
 def test_grid_validation():

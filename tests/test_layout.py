@@ -92,10 +92,10 @@ def test_only_gauss_newton_loosens_a_root_find():
     """Linear solves find their root to ROOT_TOL from lam = 1.
 
     Only tikhonov.gauss_newton passes ``tol`` or ``start``, and only to
-    ``path_solve``, which hands its own two on to ``path_root``: on factored
-    points to ``tol`` from ``start``, and on a pencil in two phases, on O(k)
-    points to max(tol, COARSE_TOL) from ``start``, then on direct points to
-    ``tol`` from the O(k) root.
+    ``path_solve``, which hands its own two on to ``path_root``: on O(k)
+    points, where a provider has them, to max(tol, COARSE_TOL) from
+    ``start``, then on direct points to ``tol`` from the O(k) root, or from
+    ``start`` where there is none.
     """
     passes = []
     for path in MODULES:
@@ -106,15 +106,28 @@ def test_only_gauss_newton_loosens_a_root_find():
             if callee in {"solve", "path_solve", "path_root"} and given:
                 passes.append((path.name, where, callee, given))
     through = [("tikhonov.py", "path_solve", "path_root",
-                (("tol", "tol"), ("start", "start"))),
-               ("tikhonov.py", "path_solve", "path_root",
                 (("tol", "max(tol, COARSE_TOL)"), ("start", "start"))),
                ("tikhonov.py", "path_solve", "path_root",
-                (("tol", "tol"), ("start", "coarse")))]
+                (("tol", "tol"), ("start", "start if coarse is None else coarse")))]
     loosened = [entry[:3] for entry in passes if entry not in through]
     assert [entry for entry in passes if entry in through] == through
     assert loosened == [("tikhonov.py", "gauss_newton", "path_solve")], (
         f"root finds loosened outside gauss_newton: {passes}")
+
+
+def test_the_path_seam_is_its_protocol():
+    """tikhonov.path_solve reads a point provider through its protocol alone:
+    tikhonov.py asks no object for its class, and path_solve names none of
+    the module's classes but the ``Unresolved`` it catches."""
+    tree = parse(Path(illposed.__file__).parent / "tikhonov.py")
+    asked = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in {"isinstance", "type"}]
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    solve = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "path_solve")
+    named = {node.id for node in ast.walk(solve) if isinstance(node, ast.Name)}
+    assert not asked, f"tikhonov.py asks for a class at lines {asked}"
+    assert "Unresolved" in classes and named & classes == {"Unresolved"}, named & classes
 
 
 def dotted(node):

@@ -3,9 +3,10 @@ import pytest
 
 from illposed import (Grid, NonFiniteError, UnsupportedOperatorError,
                       apply, as_matrix, dense_operator, diagonal_operator,
-                      identity_operator, inner_product, jacobian, l2_norm,
-                      nonlinear_operator, normal_matrix, weighted_product,
-                      weighted_transpose)
+                      jacobian, l2_norm, nonlinear_operator, normal_matrix,
+                      weighted_product, weighted_transpose)
+
+from helpers import identity_operator, inner_product
 
 
 def test_identity_returns_input(rng):

@@ -6,13 +6,12 @@ import pytest
 
 from illposed import (Compactum, Grid, Solution, SolverFailureError,
                       Stabilizer, SweepConfig, apply, build_problem, dense_operator,
-                      identity_operator, inject_noise, l2_norm,
-                      minimize_on_compactum, penalty_matrix, phi_value,
+                      inject_noise, l2_norm, minimize_on_compactum, phi_value,
                       quasi_certificate, run_sweep)
 from illposed import tikhonov
-from illposed.tikhonov import EPS, PathData, PathPoint
+from illposed.tikhonov import EPS, PathData
 
-from helpers import recorded_root_finds
+from helpers import identity_operator, penalty_matrix, recorded_root_finds
 
 DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -142,13 +141,13 @@ def check_slack_slope(find, h=1e-4):
     n, k = vectors.shape
     resolved = 0
     for t in np.linspace(find.t_floor + 0.5, 5.0, 12):
-        value, slope = find.gap(PathPoint(data, t, False))
-        difference = (find.gap(PathPoint(data, t + h, False))[0]
-                      - find.gap(PathPoint(data, t - h, False))[0]) / (2.0 * h)
+        value, slope = find.gap(data.coarse(t))
+        difference = (find.gap(data.coarse(t + h))[0]
+                      - find.gap(data.coarse(t - h))[0]) / (2.0 * h)
         roundoff = 4.0 * k * EPS / h
         assert abs(slope - difference) <= 1e-6 * abs(difference) + roundoff, t
         resolved += roundoff <= 1e-7 * abs(difference)
-        direct = PathPoint(data, t, True)
+        direct = data.point(t)
         y = data.coef / direct.values
         allowance = 2.0 * error * (y @ y) / direct.phi + n * n * EPS
         assert abs(value - find.gap(direct)[0]) <= allowance, t

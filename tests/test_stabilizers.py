@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from illposed import (Compactum, Grid, InvalidParameterError, Stabilizer,
-                      contains, l2_norm, penalty_matrix, phi_batch, phi_value,
-                      project_onto)
+                      contains, l2_norm, phi_value, project_onto)
 from illposed.stabilizers import penalty_bands
+
+from helpers import penalty_matrix, phi_batch
 
 
 def test_weight_validation():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from illposed import (Compactum, ConfigurationError, InvalidParameterError,
                       Stabilizer, SweepConfig, VariationalResult, build_problem,
                       domain_project, inject_noise, operators, parse_config_file,
-                      penalty_matrix, phi_value, project_onto, quasi_certificate,
+                      phi_value, project_onto, quasi_certificate,
                       quasisolution, run_solve, run_sweep, sweep, tikhonov,
                       variational, variational_certificate)
 from illposed.cli import main
@@ -25,7 +25,7 @@ from illposed.sweep import (CERT_COLUMNS, CSV_COLUMNS, SETTINGS, SweepRow,
                             delta_seed, resolve_rho, rows_to_csv, solve_one)
 from illposed.tikhonov import TikhonovPath
 
-from helpers import recorded_root_finds
+from helpers import penalty_matrix, recorded_root_finds
 
 # subprocesses import the package from this checkout
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -10,10 +10,13 @@ from illposed import (Compactum, Grid, SingularSystemError, SolverFailureError,
                       Stabilizer, apply, build_problem, dense_operator,
                       diagonal_operator, inject_noise, jacobian, l2_norm,
                       minimize_on_compactum, minimize_variational, normal_matrix,
-                      penalty_matrix, phi_value, tikhonov)
+                      phi_value, tikhonov)
 from illposed import operators, variational
-from illposed.tikhonov import (EPS, GN_RTOL, ROOT_TOL, T_CEIL, FactoredPath, TikhonovPath,
-                               lower_inverse, path_root, path_solve)
+from illposed.tikhonov import (EPS, GN_RTOL, ROOT_TOL, T_CEIL, CoarsePoint, DirectPoint,
+                               FactoredPath, TikhonovPath, lower_inverse, path_root,
+                               path_solve)
+
+from helpers import penalty_matrix
 
 LINEAR = ("diag-unbounded", "volterra-int", "fredholm-gauss")
 
@@ -362,12 +365,12 @@ def test_factored_root_find_falls_back_to_its_pencil(case, monkeypatch):
     kinds = []
 
     def counted(point):
-        kinds.append(type(point).__name__ + (" direct" if point.direct else ""))
+        kinds.append(type(point))
         return gap(point)
 
     point = path_solve(factored, data, counted, tol=GN_RTOL, start=start)
     assert point.t == expected.t and point.u.tobytes() == expected.u.tobytes()
-    assert kinds and "FactoredPoint direct" not in kinds
+    assert kinds and set(kinds) <= {CoarsePoint, DirectPoint}
 
 
 def test_factored_root_find_ends_on_a_factored_point():
@@ -378,6 +381,40 @@ def test_factored_root_find_ends_on_a_factored_point():
     assert type(point).__name__ == "FactoredPoint"
     assert 0.0 <= gap(point)[0] <= GN_RTOL
     assert abs(point.t - expected.t) <= 1e-3
+
+
+class Unresolving:
+    """A point provider with no O(k) points, none of whose points resolves,
+    and ``fallback`` as its fallback: the protocol of path_solve, and nothing
+    more."""
+
+    t_floor, coarse = -math.inf, None
+
+    def __init__(self, fallback):
+        self.fallback = fallback
+
+    def data(self, f_delta):
+        return self
+
+    def point(self, t):
+        raise tikhonov.Unresolved(f"no point at t = {t:g}")
+
+
+@pytest.mark.parametrize("start", [0.0, -8.0])
+@pytest.mark.parametrize("method", ["variational", "quasi"])
+def test_a_provider_is_its_protocol(method, start):
+    # a find that meets an Unresolved point moves to the fallback and runs
+    # there as a find that starts on it, bit for bit
+    problem = build_problem("volterra-int", 32)
+    stab = Stabilizer()
+    data = inject_noise(problem.grid, problem.f_exact, 1e-2, 3)
+    path = TikhonovPath(problem.op, stab)
+    gap = discrepancy(1e-2) if method == "variational" else slack(
+        0.5 * path.data(data).point(0.0).phi)
+    expected = path_solve(path, data, gap, start=start)
+    point = path_solve(Unresolving(TikhonovPath(problem.op, stab)), data, gap, start=start)
+    assert type(point) is DirectPoint and point.t == expected.t
+    assert point.u.tobytes() == expected.u.tobytes()
 
 
 @pytest.mark.parametrize("shared", [False, True])

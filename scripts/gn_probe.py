@@ -18,11 +18,13 @@ For each part it prints the failing cells (a solver error or a false
 verdict), the most and the total Gauss-Newton steps of a cell, the pencil
 decompositions (a sweep decomposes the first step's pencil once per start
 point, and a later step only where it starts at lam = 0 or falls back), the
-pencil fallbacks (later steps whose factored root find handed the step to
-the pencil), the root finds and their O(k), direct and factored path
-evaluations per method, and the geometric-mean ``error_l2`` per (method,
-delta); for the twins also the worst relative change of ``error_l2``.  It
-exits 1 when a cell fails, else 0.
+pencil fallbacks (later steps whose factored root find, started above lam =
+0, handed the step to the pencil), the lam = 0 starts (later steps that
+start at lam = 0, below the factored floor, and so go to the pencil at
+once), the root finds and their O(k), direct and factored path evaluations
+per method, and the geometric-mean ``error_l2`` per (method, delta); for
+the twins also the worst relative change of ``error_l2``.  It exits 1 when
+a cell fails, else 0.
 
     PYTHONPATH=src python scripts/gn_probe.py [--seeds K] [--wide]
 """
@@ -52,9 +54,9 @@ KINDS = {tikhonov.CoarsePoint: "O(k)", tikhonov.DirectPoint: "direct",
 
 
 class Tally:
-    """Gauss-Newton steps of each cell, pencil decompositions and fallbacks,
-    and root finds with their O(k), direct and factored path evaluations by
-    method."""
+    """Gauss-Newton steps of each cell, pencil decompositions, fallbacks and
+    lam = 0 starts, and root finds with their O(k), direct and factored path
+    evaluations by method."""
 
     def __init__(self):
         self.reset()
@@ -63,6 +65,7 @@ class Tally:
         self.steps = []   # one entry per cell
         self.decompositions = 0
         self.fallbacks = 0
+        self.lam_zero_starts = 0
         self.method = None   # the method of the current cell
         self.root_finds = defaultdict(int)
         self.evaluations = defaultdict(int)   # (method, "O(k)", "direct" or "factored")
@@ -71,8 +74,9 @@ class Tally:
         """Count through ``sweep.solve_one`` (one cell), ``np.linalg.eigh`` (one
         pencil decomposition) and ``tikhonov.path_solve`` (one Gauss-Newton
         step's root find, whose gap sees every path point it evaluates, O(k),
-        direct or factored; a find on a provider with a fallback that evaluates
-        an O(k) point has fallen back to the pencil)."""
+        direct or factored; a find from lam = 0 is a lam = 0 start, and any
+        other find on a provider with a fallback that evaluates an O(k) point
+        has fallen back to the pencil)."""
         solve_one, eigh = sweep.solve_one, np.linalg.eigh
         path_solve = tikhonov.path_solve
 
@@ -100,7 +104,9 @@ class Tally:
             try:
                 return path_solve(path, data, counted_gap, **kwargs)
             finally:
-                if path.fallback is not None and "O(k)" in kinds:
+                if kwargs.get("start") == -math.inf:
+                    self.lam_zero_starts += 1
+                elif path.fallback is not None and "O(k)" in kinds:
                     self.fallbacks += 1
 
         sweep.solve_one = counted_cell
@@ -172,7 +178,8 @@ def summarize(name, cells, tally):
         print(f"   FAIL {label} delta={row.delta:g} {row.method}: {reason}")
     print(f"   Gauss-Newton steps: most {max(tally.steps, default=0)}, "
           f"total {sum(tally.steps)}; pencil decompositions: {tally.decompositions}; "
-          f"pencil fallbacks: {tally.fallbacks}")
+          f"pencil fallbacks: {tally.fallbacks}; "
+          f"lam = 0 starts: {tally.lam_zero_starts}")
     for method in sorted(tally.root_finds):
         print(f"   {method:<11s} root finds: {tally.root_finds[method]}, path "
               f"evaluations: O(k) {tally.evaluations[(method, 'O(k)')]}, "

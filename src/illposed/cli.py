@@ -1,10 +1,12 @@
-"""Command-line interface: ``illposed solve`` and ``illposed sweep``.
+"""Command-line interface: ``illposed sweep``, its one subcommand.
 
-Both subcommands take ``--config`` plus one flag per key of
-``sweep.SETTINGS``; flags override config-file keys.  Flags must be spelled
-in full: argparse's prefix matching is off.
+It takes ``--config`` plus one flag per key of ``sweep.SETTINGS``; flags
+override config-file keys.  Flags must be spelled in full: argparse's prefix
+matching is off.  A single solve is a sweep at one noise level,
+``illposed sweep --deltas 1e-2``.
 
-Exit codes: 0 all certificates pass (and errors decrease, for sweeps);
+Exit codes: 0 all certificates pass (and errors decrease, where a sweep has
+two levels or more);
 1 configuration, usage or I/O error; 2 a certificate or convergence verdict
 failed.
 """
@@ -17,7 +19,7 @@ from typing import List, Optional
 
 from .errors import ConfigurationError, IllposedError
 from .sweep import (EXIT_CONFIG, SETTINGS, SweepConfig, parse_config_file,
-                    print_summary, run_solve, run_sweep)
+                    print_summary, run_sweep)
 
 
 class Parser(argparse.ArgumentParser):
@@ -47,14 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regularized solvers for operator equations with noisy data",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, help_text in (("solve", "single solve at the first noise level"),
-                               ("sweep", "convergence study over noise levels")):
-        cmd = sub.add_parser(command, help=help_text, allow_abbrev=False)
-        cmd.add_argument("--config", help="flat key = value configuration file")
-        for key, (parse, key_help) in SETTINGS.items():
-            cmd.add_argument("--" + key.replace("_", "-"), dest=key,
-                             type=_flag_type(parse), help=key_help)
+    cmd = parser.add_subparsers(dest="command", required=True).add_parser(
+        "sweep", help="convergence study over noise levels", allow_abbrev=False)
+    cmd.add_argument("--config", help="flat key = value configuration file")
+    for key, (parse, key_help) in SETTINGS.items():
+        cmd.add_argument("--" + key.replace("_", "-"), dest=key,
+                         type=_flag_type(parse), help=key_help)
     return parser
 
 
@@ -71,7 +71,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _build_config(args)
-        report = run_solve(config) if args.command == "solve" else run_sweep(config)
+        report = run_sweep(config)
     except (IllposedError, OSError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

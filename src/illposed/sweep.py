@@ -27,14 +27,6 @@ from .stabilizers import Compactum, Stabilizer, penalty_bands, phi_value
 from .tikhonov import TikhonovPath
 from .variational import minimize_variational, variational_certificate
 
-# verdicts of (1.8), (1.9), (1.10) for the variational method, (2.4), (2.6) for quasi
-CERT_COLUMNS = ("cert_18", "cert_19", "cert_110", "cert_24", "cert_26")
-
-CSV_COLUMNS = (
-    "delta", "method", "error_l2", "residual_noisy", "residual_exact",
-    "phi_u", "F_value", *CERT_COLUMNS, "lambda_star", "wall_ms",
-)
-
 METHOD_VARIATIONAL = "variational"
 METHOD_QUASI = "quasi"
 METHOD_BOTH = "both"
@@ -91,6 +83,9 @@ class SweepConfig:
 
 @dataclass
 class SweepRow:
+    """One (delta, method) cell; its fields but ``solver_error`` are the CSV
+    columns, in order."""
+
     delta: float
     method: str
     error_l2: Optional[float] = None
@@ -98,6 +93,7 @@ class SweepRow:
     residual_exact: Optional[float] = None
     phi_u: Optional[float] = None
     F_value: Optional[float] = None
+    # verdicts of (1.8), (1.9), (1.10) for the variational method, (2.4), (2.6) for quasi
     cert_18: Optional[bool] = None
     cert_19: Optional[bool] = None
     cert_110: Optional[bool] = None
@@ -113,6 +109,11 @@ class SweepRow:
             return False
         verdicts = (getattr(self, name) for name in CERT_COLUMNS)
         return all(ok for ok in verdicts if ok is not None)
+
+
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow)
+                    if f.name != "solver_error")
+CERT_COLUMNS = tuple(name for name in CSV_COLUMNS if name.startswith("cert_"))
 
 
 @dataclass
@@ -212,7 +213,9 @@ def solve_one(problem: ProblemInstance, method: str, delta: float,
 
 
 def run_solve(config: SweepConfig) -> SweepReport:
-    """Single-level run: one row per selected method at the first noise level."""
+    """:func:`run_sweep` at the first noise level alone.  Only the benchmark's
+    ``linear-solve-n64`` workload calls it; ``illposed sweep --deltas 1e-2``
+    is the same run from the command line."""
     return run_sweep(dataclasses.replace(config, deltas=config.deltas[:1]))
 
 

@@ -40,10 +40,10 @@ problems for the Jacobian (Kaltenbacher, Neubauer & Scherzer, *Iterative
 Regularization Methods for Nonlinear Ill-Posed Problems*, 2008), each solved
 only to GN_RTOL from the previous step's lambda (an inexact Newton method:
 Dembo, Eisenstat & Steihaug, 1982); a linear A is solved to ROOT_TOL from
-lam = 1.  :func:`gauss_newton` chooses each step's provider: the first
-step's pencil, shared by every solve from the same start point, a
-:class:`FactoredPath` with the pencil of J as its fallback for a later step,
-and that pencil alone for a step that starts at lam = 0.
+lam = 1.  :func:`gauss_newton` solves its first step on the pencil of J,
+shared by every solve from the same start point, and every later step on a
+:class:`FactoredPath` with the pencil of J as its fallback, which also takes
+each step that starts at lam = 0, below the factored floor.
 """
 
 from __future__ import annotations
@@ -105,6 +105,7 @@ class TikhonovPath:
     """
 
     fallback = None   # as a point provider, it has none
+    normal: Optional[np.ndarray] = None   # N = A^T W A, where a FactoredPath formed it
 
     def __init__(self, op: OperatorSpec, stab: Stabilizer):
         self.op, self.stab = op, stab
@@ -114,7 +115,8 @@ class TikhonovPath:
     @functools.cached_property
     def spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
         """(theta, V); raises :class:`SingularSystemError` where B is singular."""
-        pencil = add_penalty(self.stab, self.op.grid, normal_matrix(self.op))
+        pencil = add_penalty(self.stab, self.op.grid, normal_matrix(self.op)
+                             if self.normal is None else self.normal.copy())
         try:
             # B = L L^T turns the pencil into the symmetric L^-1 N L^-T = G^T G
             factor = np.linalg.cholesky(pencil)
@@ -277,8 +279,9 @@ class FactoredPath:
     """The points of one linearization J of a nonlinear A, for one root find,
     each by a dense solve of N + lam P instead of a decomposition of the pencil,
     ``fallback``, the :class:`TikhonovPath` of J, which is only decomposed
-    where a step falls back to it.  N = J^T W J is formed once; each point
-    adds lam times P's bands to a copy of it.
+    where a step falls back to it.  N = J^T W J is formed once, and handed
+    to the pencil as its ``normal``: each point adds lam times P's bands to a
+    copy of it, and the pencil decomposes N + P from a copy of it too.
 
     ``t_floor`` is the log of lam_f = (n eps / GN_RTOL) max(1, |N| / |P|),
     with |.| the largest diagonal entry, and holds two conditions.  The
@@ -294,7 +297,7 @@ class FactoredPath:
 
     def __init__(self, pencil: TikhonovPath):
         self.fallback, self.op, self.stab = pencil, pencil.op, pencil.stab
-        self.normal = normal_matrix(self.op)
+        self.normal = pencil.normal = normal_matrix(self.op)
         self.bands = penalty_bands(self.stab, self.op.grid)
         top, scale = float(self.normal.diagonal().max()), float(self.bands[0].max())
         # max(1, |N| / |P|) as a difference of logs, as |N| / |P| may overflow
@@ -539,9 +542,11 @@ def gauss_newton(path: TikhonovPath, f_delta: np.ndarray, gap: Gap,
     the same ``path`` from a bitwise equal start reuses J and the decomposed
     pencil, which a new decomposition would reproduce bit for bit, and only
     its data, f_d - A(u) + J u, and its root find are its own.  Every later
-    step that starts above lam = 0 evaluates the handful of points of its
-    root find on a :class:`FactoredPath`, one dense solve each, whose
-    fallback is the step's pencil; a step from lam = 0 runs on the pencil.
+    step evaluates the handful of points of its root find on a
+    :class:`FactoredPath`, one dense solve each, whose fallback is the step's
+    pencil.  A step from lam = 0 starts at the factored floor, which is
+    :class:`Unresolved`, and so runs on the pencil from the pencil's floor:
+    lam = 0 is the truncated pencil's least-squares point.
     """
     u = project(np.ones(path.op.grid.n))
     image = apply(path.op, u)
@@ -549,9 +554,7 @@ def gauss_newton(path: TikhonovPath, f_delta: np.ndarray, gap: Gap,
     if start not in path.starts:
         path.starts[start] = path.linearized(u)
     for k in range(GN_MAX_ITER):
-        lin = path.starts[start] if k == 0 else path.linearized(u)
-        if k > 0 and t != -math.inf:   # lam = 0 is a point of the truncated pencil
-            lin = FactoredPath(lin)
+        lin = path.starts[start] if k == 0 else FactoredPath(path.linearized(u))
         data = f_delta - image + lin.op.matrix @ u
         point = path_solve(lin, data, gap, tol=GN_RTOL, start=t)
         t, target = point.t, point.u

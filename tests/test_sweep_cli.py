@@ -86,7 +86,7 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
         path.write_text(f"problem = diag-unbounded\n{key} = 0.3\n")
         with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
             parse_config_file(path)
-        assert main(["solve", "--config", str(path)]) == 1
+        assert main(["sweep", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -102,7 +102,7 @@ def test_config_file_that_is_not_utf8_is_a_named_error(tmp_path, capsys):
     path.write_bytes(b"problem = volterra-int\n# \xff\n")
     with pytest.raises(ConfigurationError, match="latin.cfg: not a UTF-8 text file"):
         parse_config_file(path)
-    assert main(["solve", "--config", str(path)]) == 1
+    assert main(["sweep", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -121,6 +121,21 @@ def test_single_solve_passes_certificates():
     assert row.cert_18 and row.cert_19 and row.cert_110
     assert row.cert_24 is None and row.cert_26 is None
     assert report.exit_code == 0
+
+
+def test_csv_header_is_the_readme_column_block(tmp_path):
+    # the header comes from SweepRow's fields, so it is pinned to the literal
+    # column block users read, not to itself
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("The sweep CSV has the fixed column order", 1)[1]
+    block = block.split("```\n", 2)[1]
+    header = block.replace("\n", "")
+    assert ",".join(CSV_COLUMNS) == header
+    assert CERT_COLUMNS == ("cert_18", "cert_19", "cert_110", "cert_24", "cert_26")
+    out = tmp_path / "one.csv"
+    run_sweep(SweepConfig(problem="diag-unbounded", n=8, deltas=(1e-2,), out=str(out)))
+    assert out.read_text().splitlines()[0] == header
 
 
 def test_sweep_row_and_column_contract(tmp_path):
@@ -186,26 +201,26 @@ def test_single_solve_negative_control_exit_two():
 
 
 def test_cli_solve_exit_zero(capsys):
-    code = main(["solve", "--problem", "diag-unbounded", "--n", "32",
+    code = main(["sweep", "--problem", "diag-unbounded", "--n", "32",
                  "--method", "variational", "--deltas", "1e-2", "--seed", "42"])
     assert code == 0
     out = capsys.readouterr().out
     assert "all-certificates-pass: True" in out
     # the variational lambda is about 2e240 here, far beyond the doubling bracket
     for name in LINEAR:
-        assert main(["solve", "--problem", name, "--n", "16", "--deltas", "1e120"]) == 0
+        assert main(["sweep", "--problem", name, "--n", "16", "--deltas", "1e120"]) == 0
         assert "all-certificates-pass: True" in capsys.readouterr().out
     # subnormal noise levels, where 2*delta*r underflows to 0
     for delta in ("1e-320", "5e-324"):
         for name in LINEAR + ("autoconv",):
-            assert main(["solve", "--problem", name, "--n", "16", "--deltas", delta]) == 0
+            assert main(["sweep", "--problem", name, "--n", "16", "--deltas", delta]) == 0
             assert "all-certificates-pass: True" in capsys.readouterr().out
 
 
 def test_cli_solve_writes_out(tmp_path, capsys):
     out = tmp_path / "solve.csv"
-    code = main(["solve", "--problem", "diag-unbounded", "--n", "32",
-                 "--deltas", "1e-2,1e-3", "--out", str(out)])
+    code = main(["sweep", "--problem", "diag-unbounded", "--n", "32",
+                 "--deltas", "1e-2", "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -215,25 +230,27 @@ def test_cli_solve_writes_out(tmp_path, capsys):
 
 
 def test_cli_rejects_bad_config(capsys):
-    assert main(["solve", "--problem", "no-such-problem", "--deltas", "1e-2"]) == 1
-    assert main(["solve", "--problem", "diag-unbounded", "--deltas", "-1"]) == 1
+    assert main(["sweep", "--problem", "no-such-problem", "--deltas", "1e-2"]) == 1
+    assert main(["sweep", "--problem", "diag-unbounded", "--deltas", "-1"]) == 1
     assert main(["sweep", "--deltas", "1e-1"]) == 1  # problem missing
     assert main(["sweep", "--problem", "volterra-int", "--deltas", "1e-1,abc"]) == 1
-    assert main(["solve", "--problem", "volterra-int", "--deltas", "1e-2",
+    assert main(["sweep", "--problem", "volterra-int", "--deltas", "1e-2",
                  "--alpha1", "nan"]) == 1
-    assert main(["solve", "--problem", "volterra-int", "--deltas", "1e-2",
+    assert main(["sweep", "--problem", "volterra-int", "--deltas", "1e-2",
                  "--alpha0", "nan"]) == 1
     # usage errors exit 1 as well; argparse's own code 2 means a failed verdict
-    assert main(["solve", "--problem", "volterra-int", "--n", "abc"]) == 1
-    assert main(["solve", "--problem", "volterra-int", "--method", "bayes"]) == 1
+    assert main(["sweep", "--problem", "volterra-int", "--deltas", "1e-2",
+                 "--n", "abc"]) == 1
+    assert main(["sweep", "--problem", "volterra-int", "--deltas", "1e-2",
+                 "--method", "bayes"]) == 1
     assert main(["sweep", "--problem", "volterra-int", "--seed", "-1"]) == 1
     assert main(["sweep", "--problem", "volterra-int", "--no-such-flag", "1"]) == 1
     assert main(["sweep", "--problem", "volterra-int", "--deltas", "1e-1,1e200"]) == 1
     # a bad kernel width fails before the kernel is built, so before any
     # RuntimeWarning of numpy
     for sigma in ("-1", "0", "1e-200", "nan", "inf"):
-        assert main(["solve", "--problem", "fredholm-gauss", "--n", "16",
-                     "--sigma=" + sigma]) == 1, sigma
+        assert main(["sweep", "--problem", "fredholm-gauss", "--n", "16",
+                     "--deltas", "1e-2", "--sigma=" + sigma]) == 1, sigma
     err = capsys.readouterr().err
     assert err.count("error:") == 16
     assert "could not convert string to float: 'abc'" in err
@@ -243,6 +260,13 @@ def test_cli_rejects_bad_config(capsys):
         assert main(["sweep", "--problem", "diag-unbounded", *flags]) == 1
         assert capsys.readouterr().err == (
             f"error: unrecognized arguments: {' '.join(flags)}\n")
+
+
+def test_cli_has_no_solve_subcommand(capsys):
+    # a single solve is a sweep at one noise level
+    assert main(["solve", "--problem", "diag-unbounded", "--deltas", "1e-2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "invalid choice: 'solve'" in err
 
 
 def test_cli_unwritable_output_is_io_error(tmp_path, capsys):
@@ -267,7 +291,7 @@ def test_cli_flags_override_config_file(tmp_path, capsys):
 
 def test_module_entrypoint_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "illposed", "solve", "--problem",
+        [sys.executable, "-m", "illposed", "sweep", "--problem",
          "diag-unbounded", "--n", "32", "--method", "quasi", "--deltas", "1e-2"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -363,6 +387,7 @@ def test_gn_probe_script_runs_and_counts_failing_cells(capsys):
     assert "worst twin error_l2 change: " in proc.stdout
     assert "; pencil decompositions: " in proc.stdout
     assert "; pencil fallbacks: " in proc.stdout
+    assert "; lam = 0 starts: " in proc.stdout
     assert re.search(r"root finds: \d+, path evaluations: O\(k\) \d+, direct \d+, "
                      r"factored [1-9]", proc.stdout)
     assert "quasi       delta=0.0001   error_l2 gmean " in proc.stdout
@@ -704,6 +729,30 @@ def test_factored_steps_keep_the_rows_of_pencil_steps(settings, monkeypatch):
     assert sum(row.solver_error is None for row in factored) >= 4
 
 
+def test_gauss_newton_forms_each_normal_matrix_once(monkeypatch):
+    # a factored step hands its N = J^T W J to its fallback pencil, so each
+    # linearization forms N once, where its step falls back too
+    finds = recorded_root_finds(monkeypatch)
+    normals, jacobians = [], []
+    normal_matrix, jacobian = tikhonov.normal_matrix, tikhonov.jacobian
+
+    def counted_normal(*args, **kwargs):
+        normals.append(1)
+        return normal_matrix(*args, **kwargs)
+
+    def counted_jacobian(*args, **kwargs):
+        jacobians.append(1)
+        return jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(tikhonov, "normal_matrix", counted_normal)
+    monkeypatch.setattr(tikhonov, "jacobian", counted_jacobian)
+    report = run_sweep(SweepConfig(problem="autoconv", n=16, seed=1))
+    assert all(row.solver_error is None for row in report.rows)
+    # seed 1 has a step whose factored root find falls back to the pencil
+    assert any(find.factored and find.coarse for find in finds)
+    assert len(normals) == len(jacobians) > len(report.rows)
+
+
 def test_gauss_newton_steps_are_solved_to_the_outer_tolerance(monkeypatch):
     calls = recorded_root_finds(monkeypatch)
     report = run_sweep(SweepConfig(problem="autoconv", n=16, deltas=(1e-1, 1e-2)))
@@ -733,12 +782,13 @@ def test_gauss_newton_restarts_at_the_floor_after_lam_zero(monkeypatch):
     after_zero = [later for first, end in zip(firsts, ends)
                   for earlier, later in zip(calls[first:end - 1], calls[first + 1:end])
                   if earlier.root == -math.inf]
-    # a step at lam = 0 is followed by a search that starts at the new floor,
-    # on the pencil, as lam = 0 is the truncated pencil's least-squares point
+    # a step at lam = 0 is followed by a search from lam = 0 on a factored path,
+    # whose floor it cannot give, so the search runs on the fallback pencil from
+    # the pencil's floor, as lam = 0 is the truncated pencil's least-squares point
     assert after_zero
-    assert all(call.points[0] == call.t_floor for call in after_zero)
-    assert all(isinstance(call.path, TikhonovPath) and not call.factored
-               for call in after_zero)
+    assert all(isinstance(call.path, tikhonov.FactoredPath) for call in after_zero)
+    assert all(call.points[0] == call.path.fallback.t_floor for call in after_zero)
+    assert all(call.coarse and not call.factored for call in after_zero)
     assert all(call.coarse for call in calls if call.root == -math.inf)
     assert sum(len(call.points) for call in calls) <= 300
 

@@ -22,11 +22,17 @@ class InvalidParameterError(IllposedError, ValueError):
 
 
 class SingularSystemError(IllposedError):
-    """A regularized normal-equations system could not be factorized."""
+    """A regularized normal-equations system could not be factorized.
+
+    The package raises it nowhere: a singular pencil is a
+    :class:`SolverFailureError`.  It stays only because the benchmark's
+    self-test injects it as a failure that ends a whole sweep.
+    """
 
 
 class SolverFailureError(IllposedError):
-    """An iterative solver did not converge."""
+    """A solve failed: a root find or Gauss-Newton did not converge, a pencil
+    could not be decomposed, or a point provider cannot give a point."""
 
 
 class ConfigurationError(IllposedError, ValueError):

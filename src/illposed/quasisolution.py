@@ -42,13 +42,16 @@ def minimize_on_compactum(op: OperatorSpec, f_delta: np.ndarray, K: Compactum,
         # log(rho / phi(u_lam)) is nonnegative exactly on the feasible side, so
         # lam = 0 (an inactive constraint) when the least-squares point is feasible;
         # a phi past the float range, O(k) or direct, is on the infeasible side.
-        # Its slope is -d log(phi)/dt = shrink / phi
+        # Two logs where rho / phi underflows to 0.  Its slope is
+        # -d log(phi)/dt = shrink / phi
         phi = point.phi
         if phi == math.inf:
             return -math.inf, None
         if phi == 0.0:
             return math.inf, None
-        return math.log(K.rho / phi), point.shrink() / phi
+        ratio = K.rho / phi
+        value = math.log(ratio) if ratio > 0.0 else math.log(K.rho) - math.log(phi)
+        return value, point.shrink() / phi
 
     return solve(op, K.stab, f_delta, slack,
                  lambda v, image: l2_norm(op.grid, image - f_delta),

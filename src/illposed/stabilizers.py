@@ -88,19 +88,14 @@ def penalty_bands(stab: Stabilizer, grid: Grid) -> Tuple[np.ndarray, np.ndarray]
     return diagonal, off
 
 
-def add_penalty(stab: Stabilizer, grid: Grid, matrix: np.ndarray) -> np.ndarray:
-    """``matrix`` + P, in place from :func:`penalty_bands`; returns ``matrix``.
-
-    Only the three bands of the n x n ``matrix`` are touched, each entry by
-    one addition, so M + P is bitwise P + M (IEEE addition commutes) and no
-    n x n P is allocated.
-    """
-    return add_bands(matrix, *penalty_bands(stab, grid))
-
-
 def add_bands(matrix: np.ndarray, diagonal: np.ndarray, off: np.ndarray) -> np.ndarray:
     """``matrix`` + the symmetric tridiagonal with these bands, in place;
-    returns ``matrix``."""
+    returns ``matrix``.
+
+    Only the three bands of the n x n ``matrix`` are touched, each entry by
+    one addition, so with the bands of :func:`penalty_bands` M + P is
+    bitwise P + M (IEEE addition commutes) and no n x n P is allocated.
+    """
     n = matrix.shape[0]
     matrix.flat[::n + 1] += diagonal
     matrix.flat[1::n + 1] += off

@@ -23,17 +23,20 @@ Both methods state their scalar equation as a :data:`Gap` ``gap(point)``:
 it reads the residual ``r`` or ``phi`` of a :data:`PathPoint` at t =
 log(lam), and ``drift()`` or ``shrink()`` for the slope, and returns its
 value and its slope in t, or None for the slope.  :func:`path_solve` finds
-the root on a point provider.  On the pencil an O(k) point sums r and phi
-over the pencil, as Hansen's ``discrep`` and ``lsqi`` get both norms from
-filter factors, and a direct point measures them on u_lam (an n x k
-product, and one more for r).  The O(k) values take V^T N V = diag(theta)
-and V^T P V = I - diag(theta) as exact and so miss the direct ones by the
-decomposition's round-off, up to 2.7e-5 in the variational gap (n = 512);
-``drift`` and ``shrink`` are their exact t-derivatives.  So the root is
-found in two phases, Newton steps on O(k) points to COARSE_TOL and then on
-direct points to the solve's own tolerance.  :func:`solve` reads the
-residual, the image A u and phi of a linear solution from the point it
-returns, so A is applied to that point once.
+the root on a point provider, and every failure on the path is one
+:class:`SolverFailureError`: a point the provider cannot give, a pencil
+that cannot be decomposed, a root find that does not converge.  On the
+pencil an O(k) point sums r and phi over the pencil, as Hansen's
+``discrep`` and ``lsqi`` get both norms from filter factors, and a direct
+point measures them on u_lam (an n x k product, and one more for r).  The
+O(k) values take V^T N V = diag(theta) and V^T P V = I - diag(theta) as
+exact and so miss the direct ones by the decomposition's round-off, up to
+2.7e-5 in the variational gap (n = 512); ``drift`` and ``shrink`` are their
+exact t-derivatives.  So the root is found in two phases, Newton steps on
+O(k) points to COARSE_TOL and then on direct points to the solve's own
+tolerance.  :func:`solve` reads the residual, the image A u and phi of a
+linear solution from the point it returns, so A is applied to that point
+once.
 
 A nonlinear A is solved by damped Gauss-Newton whose steps are these linear
 problems for the Jacobian (Kaltenbacher, Neubauer & Scherzer, *Iterative
@@ -42,8 +45,9 @@ only to GN_RTOL from the previous step's lambda (an inexact Newton method:
 Dembo, Eisenstat & Steihaug, 1982); a linear A is solved to ROOT_TOL from
 lam = 1.  :func:`gauss_newton` solves its first step on the pencil of J,
 shared by every solve from the same start point, and every later step on a
-:class:`FactoredPath` with the pencil of J as its fallback, which also takes
-each step that starts at lam = 0, below the factored floor.
+:class:`FactoredPath` with the pencil of J as its fallback, which takes each
+step whose factored points fail, as each step from lam = 0, below the
+factored floor, does.
 """
 
 from __future__ import annotations
@@ -55,11 +59,11 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import SingularSystemError, SolverFailureError
+from .errors import NonFiniteError, SolverFailureError
 from .grids import check_vec, l2_norm
 from .operators import (OperatorSpec, apply, dense_operator, jacobian,
                         normal_matrix, weighted_product, weighted_transpose)
-from .stabilizers import Stabilizer, add_bands, add_penalty, penalty_bands, phi_value
+from .stabilizers import Stabilizer, add_bands, penalty_bands, phi_value
 
 EPS = float(np.finfo(float).eps)
 FLOAT_MAX = float(np.finfo(float).max)
@@ -114,16 +118,16 @@ class TikhonovPath:
 
     @functools.cached_property
     def spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(theta, V); raises :class:`SingularSystemError` where B is singular."""
-        pencil = add_penalty(self.stab, self.op.grid, normal_matrix(self.op)
-                             if self.normal is None else self.normal.copy())
+        """(theta, V); raises :class:`SolverFailureError` where B is singular."""
+        pencil = add_bands(normal_matrix(self.op) if self.normal is None else
+                           self.normal.copy(), *penalty_bands(self.stab, self.op.grid))
         try:
             # B = L L^T turns the pencil into the symmetric L^-1 N L^-T = G^T G
             factor = np.linalg.cholesky(pencil)
             del pencil
             inv_l = lower_inverse(factor)
         except np.linalg.LinAlgError as exc:
-            raise SingularSystemError("N + lam P is singular at every lambda") from exc
+            raise SolverFailureError("N + lam P is singular at every lambda") from exc
         del factor
         g = weighted_product(self.op, inv_l.T)   # G = W^1/2 A L^-T
         gram = g.T @ g                           # one symmetric product (syrk)
@@ -155,10 +159,6 @@ class TikhonovPath:
             self.last = PathData(self, f_delta)
         return self.last
 
-    def coefficients(self, f_delta: np.ndarray) -> np.ndarray:
-        """c = V^T A^T W f_d, the only part of the path that depends on the data."""
-        return self.spectrum[1].T @ weighted_transpose(self.op, f_delta)
-
 
 class PathData:
     """One data vector on a :class:`TikhonovPath`: its coefficients c, and
@@ -180,10 +180,10 @@ class PathData:
     """
 
     def __init__(self, path: TikhonovPath, data: np.ndarray):
-        self.op, self.stab, self.coef = path.op, path.stab, path.coefficients(data)
-        self.key = data.tobytes()
+        self.op, self.stab, self.key = path.op, path.stab, data.tobytes()
         self.data = np.frombuffer(self.key)
         (self.theta, self.vectors), self.r0 = path.spectrum, None
+        self.coef = self.vectors.T @ weighted_transpose(self.op, data)   # V^T A^T W f_d
         self.rest, root = 1.0 - self.theta, np.sqrt(self.theta)
         with np.errstate(over="ignore"):   # a scale past the float range is clipped
             bounds = [np.abs(self.coef / x).max(initial=0.0) for x in (self.theta, root)]
@@ -325,14 +325,15 @@ class FactoredPoint(Measured):
     """The direct point of :class:`FactoredData` at t: u solves (N + lam P) u
     = b, and q = (P u)^T (N + lam P)^-1 (P u) gives the exact slopes, as
     du/dlam = -(N + lam P)^-1 P u: d r^2 / dt = 2 lam^2 q and -d phi / dt =
-    2 lam q.  At or below the floor, where the system is singular and where a
-    value leaves the float range, it raises :class:`Unresolved`, and
-    :func:`path_solve` solves the step on the path's ``fallback`` instead.
+    2 lam q.  At or below the floor, where the system is singular or a value
+    leaves the float range, and where q falls outside [0, inf), it raises
+    :class:`SolverFailureError`, and :func:`path_solve` solves the step on the
+    path's ``fallback`` instead.
     """
 
     def __init__(self, of: FactoredData, t: float):
         if t <= of.path.t_floor:
-            raise Unresolved(f"t = {t:g} is at or below the floor")
+            raise SolverFailureError(f"t = {t:g} is at or below the floor")
         self.t, self.lam, self.of = t, math.exp(t), of
         diagonal, off = of.path.bands
         try:
@@ -345,19 +346,15 @@ class FactoredPoint(Measured):
                 pu[:-1] += off * self.u[1:]
                 self.q = float(pu @ np.linalg.solve(system, pu))
         except (FloatingPointError, np.linalg.LinAlgError) as exc:
-            raise Unresolved(f"no factored point at t = {t:g}: {exc}") from exc
+            raise SolverFailureError(f"no factored point at t = {t:g}: {exc}") from exc
         if not 0.0 <= self.q < math.inf:   # nan fails it too
-            raise Unresolved(f"no factored point at t = {t:g}: q = {self.q}")
+            raise SolverFailureError(f"no factored point at t = {t:g}: q = {self.q}")
 
     def drift(self) -> float:
         return 2.0 * self.lam * (self.lam * self.q)
 
     def shrink(self) -> float:
         return 2.0 * self.lam * self.q
-
-
-class Unresolved(Exception):
-    """A point provider cannot give this point; its fallback can."""
 
 
 # a point u_lam at t = log(lam), with lam and ``of``, the data of its provider: r,
@@ -424,34 +421,31 @@ def path_solve(path, f_delta: np.ndarray, gap: Gap, *, tol: float = ROOT_TOL,
     root as its fallback, so a root find takes one or two direct points where
     the O(k) values are good to COARSE_TOL, and ends at the O(k) root where
     the direct values are round-off.  Other data are searched on direct
-    points alone, to ``tol`` from ``start``.  A find that meets a point its
-    provider cannot give (:class:`Unresolved`), or that fails, starts again
-    from ``start`` on the provider's ``fallback`` where it has one.  t = -inf
-    (lam = 0) when the gap is nonnegative along the whole path.  A pencil
-    that cannot be decomposed fails the solve like a root find that does not
-    converge.
+    points alone, to ``tol`` from ``start``.  A provider fails one way, by
+    :class:`SolverFailureError`: where it cannot give a point, where its
+    pencil cannot be decomposed, or where the root find fails.  The find
+    then starts again from ``start`` on the provider's ``fallback``, or the
+    error is raised where it has none.  t = -inf (lam = 0) when the gap is
+    nonnegative along the whole path.
     """
     def direct(t: float) -> Tuple[float, Optional[float]]:
         found[t] = data.point(t)
         return gap(found[t])
 
-    try:
-        while True:
-            found = {}   # t -> its direct point
-            try:
-                data, coarse = path.data(f_delta), None
-                if data.coarse is not None:
-                    coarse = path_root(lambda t: gap(data.coarse(t)), path.t_floor,
-                                       tol=max(tol, COARSE_TOL), start=start)
-                t = path_root(direct, path.t_floor, tol=tol,
-                              start=start if coarse is None else coarse, fallback=coarse)
-                return found.get(t) or data.point(t)
-            except (Unresolved, SolverFailureError):
-                if path.fallback is None:
-                    raise
-                path = path.fallback
-    except SingularSystemError as exc:
-        raise SolverFailureError(str(exc)) from exc
+    while True:
+        found = {}   # t -> its direct point
+        try:
+            data, coarse = path.data(f_delta), None
+            if data.coarse is not None:
+                coarse = path_root(lambda t: gap(data.coarse(t)), path.t_floor,
+                                   tol=max(tol, COARSE_TOL), start=start)
+            t = path_root(direct, path.t_floor, tol=tol,
+                          start=start if coarse is None else coarse, fallback=coarse)
+            return found.get(t) or data.point(t)
+        except SolverFailureError:
+            if path.fallback is None:
+                raise
+            path = path.fallback
 
 
 def path_root(fn: Callable[[float], Tuple[float, Optional[float]]], t_floor: float, *,
@@ -532,10 +526,11 @@ def gauss_newton(path: TikhonovPath, f_delta: np.ndarray, gap: Gap,
     step; the floor of the path after a step at lam = 0).  The iterate moves
     toward that point, halving the step until ``objective(u, A(u))`` drops,
     then ``project``s; the image of each trial is measured once and kept with
-    the iterate it becomes.  It stops when a step lowers the objective by
-    less than GN_RTOL of its value, or when no step of length fraction at
-    least GN_RTOL lowers it; after GN_MAX_ITER steps it raises
-    :class:`SolverFailureError`.
+    the iterate it becomes, and a trial whose image or objective leaves the
+    float range counts as worse, with the value inf.  It stops when a step
+    lowers the objective by less than GN_RTOL of its value, or when no step
+    of length fraction at least GN_RTOL lowers it; after GN_MAX_ITER steps it
+    raises :class:`SolverFailureError`.
 
     The first step's linearization, J at the start point project(1) and its
     path, is kept in ``path.starts`` under the start point's bytes: a solve on
@@ -544,8 +539,8 @@ def gauss_newton(path: TikhonovPath, f_delta: np.ndarray, gap: Gap,
     its data, f_d - A(u) + J u, and its root find are its own.  Every later
     step evaluates the handful of points of its root find on a
     :class:`FactoredPath`, one dense solve each, whose fallback is the step's
-    pencil.  A step from lam = 0 starts at the factored floor, which is
-    :class:`Unresolved`, and so runs on the pencil from the pencil's floor:
+    pencil.  A step from lam = 0 starts at the factored floor, where the
+    factored point fails, and so runs on the pencil from the pencil's floor:
     lam = 0 is the truncated pencil's least-squares point.
     """
     u = project(np.ones(path.op.grid.n))
@@ -561,8 +556,12 @@ def gauss_newton(path: TikhonovPath, f_delta: np.ndarray, gap: Gap,
         step = 1.0
         while True:
             trial = project(u + step * (target - u))
-            trial_image = apply(path.op, trial)
-            trial_value = objective(trial, trial_image)
+            try:
+                with np.errstate(over="ignore"):   # an overflow gives inf, a worse trial
+                    trial_image = apply(path.op, trial)
+                    trial_value = objective(trial, trial_image)
+            except NonFiniteError:
+                trial_value = math.inf
             if trial_value < value:
                 break
             step *= 0.5

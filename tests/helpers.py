@@ -12,7 +12,7 @@ import numpy as np
 
 from illposed import as_matrix, diagonal_operator, tikhonov
 from illposed.grids import check_vec, trapezoid_weights
-from illposed.stabilizers import add_penalty
+from illposed.stabilizers import add_bands, penalty_bands
 from illposed.tikhonov import CoarsePoint, DirectPoint, FactoredPoint, TikhonovPath
 
 KINDS = {CoarsePoint: "coarse", DirectPoint: "direct", FactoredPoint: "factored"}
@@ -25,7 +25,7 @@ def penalty_matrix(stab, grid):
     Gram operator of phi is W^{-1} P, self-adjoint for the grid inner
     product.  P is tridiagonal, filled from ``stabilizers.penalty_bands``.
     """
-    return add_penalty(stab, grid, np.zeros((grid.n, grid.n)))
+    return add_bands(np.zeros((grid.n, grid.n)), *penalty_bands(stab, grid))
 
 
 def phi_batch(stab, grid, pts):

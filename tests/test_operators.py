@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from illposed import (Grid, NonFiniteError, UnsupportedOperatorError,
-                      apply, as_matrix, dense_operator, diagonal_operator,
+from illposed import (Grid, NonFiniteError, OperatorSpec, UnsupportedOperatorError,
+                      apply, as_matrix, dense_operator, diagonal_operator, domain_project,
                       jacobian, l2_norm, nonlinear_operator, normal_matrix,
                       weighted_product, weighted_transpose)
+from illposed.operators import LINEAR_DENSE, LINEAR_DIAGONAL, NONLINEAR
 
 from helpers import identity_operator, inner_product
 
@@ -90,6 +91,25 @@ def test_adjoint_rejected_for_nonlinear():
         weighted_product(op, np.eye(6))
     with pytest.raises(UnsupportedOperatorError):
         as_matrix(op)
+
+
+@pytest.mark.parametrize("kind, payload, message", [
+    ("sparse", {}, "unknown operator kind"),
+    (LINEAR_DENSE, {"matrix": np.eye(5)}, r"needs an \(6, 6\) matrix"),
+    (LINEAR_DENSE, {}, r"needs an \(6, 6\) matrix"),
+    (LINEAR_DIAGONAL, {"diagonal": np.ones(5)}, "needs 6 diagonal entries"),
+    (NONLINEAR, {"apply_fn": np.sin}, "needs apply_fn and jacobian_fn"),
+])
+def test_operator_spec_rejects_a_payload_that_does_not_fit_its_kind(kind, payload, message):
+    with pytest.raises(ValueError, match=message):
+        OperatorSpec(kind, Grid(6), **payload)
+
+
+def test_domain_projection_without_a_projection_is_the_identity(rng):
+    u = rng.standard_normal(6)
+    op = nonlinear_operator(Grid(6), lambda v: v**2, lambda v: np.diag(2 * v))
+    assert domain_project(op, u) is u
+    assert domain_project(identity_operator(Grid(6)), u) is u
 
 
 def test_jacobian_rejected_for_linear():

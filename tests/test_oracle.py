@@ -50,6 +50,27 @@ def test_box_validation():
         SearchBox((1.0,), (0.0,), 5)
     with pytest.raises(InvalidParameterError):
         SearchBox((0.0,), (1.0,), 2)
+    for lower, upper in (((0.0, 0.0), (1.0,)), ((), ())):
+        with pytest.raises(InvalidParameterError, match="equal nonzero length"):
+            SearchBox(lower, upper, 5)
+
+
+def test_brute_force_rejects_nan_and_a_box_with_no_finite_value():
+    box = SearchBox((0.0,), (1.0,), 5)
+
+    def nan_at_half(p):
+        return np.where(p[:, 0] == 0.5, np.nan, p[:, 0])
+
+    with pytest.raises(NonFiniteError, match=r"NaN at \[0.5\]"):
+        brute_force_minimize(nan_at_half, box)
+    with pytest.raises(NonFiniteError, match="no finite value"):
+        brute_force_minimize(lambda p: np.full(len(p), np.inf), box)
+
+
+@pytest.mark.parametrize("bracket", [(1.0, 0.0), (1.0, 1.0), (0.0, float("nan"))])
+def test_refine_rejects_a_bracket_that_is_not_increasing(bracket):
+    with pytest.raises(InvalidParameterError, match="invalid bracket"):
+        refine_1d(lambda x: x, bracket)
 
 
 def test_brute_force_deterministic(rng):

@@ -15,15 +15,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from illposed import (Compactum, ConfigurationError, InvalidParameterError,
-                      Stabilizer, SweepConfig, VariationalResult, build_problem,
-                      domain_project, inject_noise, operators, parse_config_file,
-                      phi_value, project_onto, quasi_certificate,
+                      SolverFailureError, Stabilizer, SweepConfig, VariationalResult,
+                      build_problem, domain_project, inject_noise, operators,
+                      parse_config_file, phi_value, project_onto, quasi_certificate,
                       quasisolution, run_solve, run_sweep, sweep, tikhonov,
                       variational, variational_certificate)
 from illposed.cli import main
 from illposed.sweep import (CERT_COLUMNS, CSV_COLUMNS, SETTINGS, SweepRow,
                             delta_seed, resolve_rho, rows_to_csv, solve_one)
-from illposed.tikhonov import TikhonovPath
+from illposed.tikhonov import PathData, TikhonovPath
 
 from helpers import penalty_matrix, recorded_root_finds
 
@@ -94,6 +94,10 @@ def test_config_file_rejects_bad_value(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("n = many\n")
     with pytest.raises(ConfigurationError):
+        parse_config_file(path)
+    # a line without '=' is named by its number
+    path.write_text("# a comment line is fine\nproblem diag-unbounded\n")
+    with pytest.raises(ConfigurationError, match=r":2: expected 'key = value'"):
         parse_config_file(path)
 
 
@@ -499,6 +503,9 @@ def sweep_config(name, n, alpha0, alpha1, deltas, rho_factor, seed):
 # the slope weight overflows the matrix of phi, but not phi(y) or the radius
 @example(name="volterra-int", n=12, alpha0=1.0, alpha1=1e307, deltas=[0.1, 0.01],
          rho_factor=1.5, seed=0)
+# rho / phi underflows to 0 in the quasi slack, which takes two logs there
+@example(name="volterra-int", n=16, alpha0=1e-250, alpha1=0.0, deltas=[1e66],
+         rho_factor=1.5, seed=0)
 @given(name=st.sampled_from(LINEAR),
        n=st.integers(4, 48),
        alpha0=WEIGHTS,
@@ -516,6 +523,14 @@ def test_linear_cells_end_in_a_row_or_a_named_failure(name, n, alpha0, alpha1,
 # the slope weight overflows the matrix of phi
 @example(n=12, alpha0=2.65e222, alpha1=4.55e307, deltas=[0.1, 0.01], rho_factor=1.5,
          seed=0)
+# Gauss-Newton trials whose image or objective overflows count as worse trials
+@example(n=8, alpha0=3.704863832194004e-176, alpha1=0.0,
+         deltas=[3.32394461547222e+116, 8.273290143598097e+26],
+         rho_factor=52.62107434883611, seed=102)
+@example(n=4, alpha0=0.0, alpha1=1.0,
+         deltas=[1.3932615067974016e+60, 4.644104924088823e+128],
+         rho_factor=0.0031160044623296497, seed=519)
+@example(n=4, alpha0=0.0, alpha1=1.0, deltas=[1.0, 1e154], rho_factor=1.0, seed=11)
 @given(n=st.integers(4, 24),
        alpha0=WEIGHTS,
        alpha1=WEIGHTS,
@@ -716,7 +731,7 @@ def test_factored_steps_keep_the_rows_of_pencil_steps(settings, monkeypatch):
     factored = run_sweep(config).rows
 
     def unresolved(data, t):   # every factored step falls back to its pencil
-        raise tikhonov.Unresolved(f"no factored point at t = {t:g}")
+        raise SolverFailureError(f"no factored point at t = {t:g}")
 
     monkeypatch.setattr(tikhonov.FactoredData, "point", unresolved)
     pencil = run_sweep(config).rows
@@ -870,12 +885,11 @@ def count_path_work(monkeypatch):
     """(data vectors whose coefficients are computed, the argument of every
     product with A, the point of every path solve), each in call order."""
     coefficients, applied, points = [], [], []
-    compute, apply, path_solve = (TikhonovPath.coefficients, operators.apply,
-                                  tikhonov.path_solve)
+    compute, apply, path_solve = PathData.__init__, operators.apply, tikhonov.path_solve
 
-    def counted(path, f_delta):
+    def counted(data, path, f_delta):
         coefficients.append(f_delta)
-        return compute(path, f_delta)
+        compute(data, path, f_delta)
 
     def recorded(op, u):
         applied.append(u)
@@ -885,7 +899,7 @@ def count_path_work(monkeypatch):
         points.append(path_solve(*args, **kwargs))
         return points[-1]
 
-    monkeypatch.setattr(TikhonovPath, "coefficients", counted)
+    monkeypatch.setattr(PathData, "__init__", counted)
     for module in (operators, tikhonov, sweep, variational, quasisolution):
         monkeypatch.setattr(module, "apply", recorded, raising=False)
     monkeypatch.setattr(tikhonov, "path_solve", solved)

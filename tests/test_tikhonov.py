@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from illposed import (Compactum, Grid, SingularSystemError, SolverFailureError,
+from illposed import (Compactum, Grid, SolverFailureError,
                       Stabilizer, apply, build_problem, dense_operator,
                       diagonal_operator, inject_noise, jacobian, l2_norm,
                       minimize_on_compactum, minimize_variational, normal_matrix,
@@ -58,7 +58,7 @@ def test_pencil_is_assembled_from_the_penalty_bands(n, weights, rng, monkeypatch
     monkeypatch.setattr(np.linalg, "cholesky", recorded)
     for op in (diagonal_operator(grid, rng.standard_normal(n)),
                dense_operator(grid, rng.standard_normal((n, n)))):
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(SolverFailureError, match="singular at every lambda"):
             TikhonovPath(op, stab).spectrum
         expected = penalty_matrix(stab, grid) + normal_matrix(op)
         assert np.array_equal(factored.pop(), expected)
@@ -345,11 +345,12 @@ def discrepancy(delta):
                           1.0 - 0.5 * point.drift() / point.r / point.r)
 
 
-@pytest.mark.parametrize("case", ["floor", "overflow", "zero bands", "singular"])
+@pytest.mark.parametrize("case", ["floor", "overflow", "zero bands", "singular",
+                                  "negative q"])
 def test_factored_root_find_falls_back_to_its_pencil(case, monkeypatch):
     # a find that reaches the floor, a lam P past the float range, a P with no
-    # band and a singular system are solved on the pencil, from the same start
-    # and with the same arithmetic as a find that starts there
+    # band, a singular system and a q outside [0, inf) are solved on the pencil,
+    # from the same start and with the same arithmetic as a find that starts there
     problem = build_problem("volterra-int", 32)
     stab = Stabilizer(5e-324, 0.0) if case == "zero bands" else Stabilizer()
     data = inject_noise(problem.grid, problem.f_exact, 1e-2, 3)
@@ -360,6 +361,13 @@ def test_factored_root_find_falls_back_to_its_pencil(case, monkeypatch):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
+    solves, solve = [], np.linalg.solve
+    if case == "negative q":
+        def negated(system, rhs):   # the second solve of a point, for q, is negated
+            solves.append(rhs)
+            return solve(system, rhs) * (-1.0 if len(solves) % 2 == 0 else 1.0)
+
+        monkeypatch.setattr(np.linalg, "solve", negated)
     reference, gap = TikhonovPath(problem.op, stab), discrepancy(1e-2)
     expected = path_solve(reference, data, gap, tol=GN_RTOL, start=start)
     kinds = []
@@ -371,6 +379,10 @@ def test_factored_root_find_falls_back_to_its_pencil(case, monkeypatch):
     point = path_solve(factored, data, counted, tol=GN_RTOL, start=start)
     assert point.t == expected.t and point.u.tobytes() == expected.u.tobytes()
     assert kinds and set(kinds) <= {CoarsePoint, DirectPoint}
+    if case == "negative q":   # one factored point made both its solves, then failed
+        assert len(solves) == 2
+        with pytest.raises(SolverFailureError, match=r"q = -"):
+            factored.data(data).point(0.0)
 
 
 def test_factored_root_find_ends_on_a_factored_point():
@@ -384,9 +396,9 @@ def test_factored_root_find_ends_on_a_factored_point():
 
 
 class Unresolving:
-    """A point provider with no O(k) points, none of whose points resolves,
-    and ``fallback`` as its fallback: the protocol of path_solve, and nothing
-    more."""
+    """A point provider with no O(k) points, each of whose points fails with
+    SolverFailureError, and ``fallback`` as its fallback: the protocol of
+    path_solve, and nothing more."""
 
     t_floor, coarse = -math.inf, None
 
@@ -397,13 +409,13 @@ class Unresolving:
         return self
 
     def point(self, t):
-        raise tikhonov.Unresolved(f"no point at t = {t:g}")
+        raise SolverFailureError(f"no point at t = {t:g}")
 
 
 @pytest.mark.parametrize("start", [0.0, -8.0])
 @pytest.mark.parametrize("method", ["variational", "quasi"])
 def test_a_provider_is_its_protocol(method, start):
-    # a find that meets an Unresolved point moves to the fallback and runs
+    # a find that meets a failing point moves to the fallback and runs
     # there as a find that starts on it, bit for bit
     problem = build_problem("volterra-int", 32)
     stab = Stabilizer()

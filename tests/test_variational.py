@@ -104,6 +104,15 @@ def test_point_at_lambda_zero_drops_unresolved_directions(rng):
     assert np.allclose(u[kept], f_delta[kept] / a[kept], rtol=1e-12, atol=0.0)
 
 
+def test_zero_data_give_the_zero_residual_end(default_stab):
+    # every path point of f_d = 0 is 0, with r = 0: the gap is +inf all the way
+    # down, so the root is lam = 0 and F is 0
+    problem = build_problem("volterra-int", 16)
+    res = minimize_variational(problem.op, np.zeros(16), 1e-2, default_stab)
+    assert res.lambda_star == 0.0 and res.residual_noisy == 0.0 and res.F_value == 0.0
+    assert not res.u_delta.any()
+
+
 def test_path_without_a_resolved_direction_is_zero(default_stab):
     # A = 0 resolves no direction: V is n x 0, and every point, the solution
     # included, is 0

@@ -24,7 +24,8 @@ start at lam = 0, below the factored floor, and so go to the pencil at
 once), the root finds and their O(k), direct and factored path evaluations
 per method, and the geometric-mean ``error_l2`` per (method, delta); for
 the twins also the worst relative change of ``error_l2``.  It exits 1 when
-a cell fails, else 0.
+a cell fails, else 0.  It counts through the recorders of the test suite's
+``tests/helpers.py``, patched in for each part and undone after it.
 
     PYTHONPATH=src python scripts/gn_probe.py [--seeds K] [--wide]
 """
@@ -32,15 +33,21 @@ a cell fails, else 0.
 import argparse
 import itertools
 import math
+import os
 import random
 import sys
 from collections import defaultdict
 
 import numpy as np
+import pytest
 
 from illposed import (Compactum, Stabilizer, SweepConfig, build_problem,
-                      inject_noise, run_sweep, sweep, tikhonov)
+                      inject_noise, quasisolution, run_sweep, sweep, variational)
 from illposed.sweep import delta_seed, resolve_rho
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tests"))   # the test suite's recorders
+from helpers import by_solve, calls, recorded_root_finds  # noqa: E402
 
 PROBE_NS = (16, 64)
 TWIN_N = 16
@@ -49,69 +56,18 @@ WIDE_NS = (16, 32, 64, 128)
 WIDE_WEIGHTS = (0.1, 1.0, 10.0)
 WIDE_RHO_FACTORS = (1.1, 1.5, 3.0)
 WIDE_SEEDS = (1, 2)
-KINDS = {tikhonov.CoarsePoint: "O(k)", tikhonov.DirectPoint: "direct",
-         tikhonov.FactoredPoint: "factored"}   # each point kind by its exact class
+# the method of a root find, by the module whose gap it reads
+METHODS = {variational.__name__: sweep.METHOD_VARIATIONAL,
+           quasisolution.__name__: sweep.METHOD_QUASI}
 
 
-class Tally:
-    """Gauss-Newton steps of each cell, pencil decompositions, fallbacks and
-    lam = 0 starts, and root finds with their O(k), direct and factored path
-    evaluations by method."""
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self):
-        self.steps = []   # one entry per cell
-        self.decompositions = 0
-        self.fallbacks = 0
-        self.lam_zero_starts = 0
-        self.method = None   # the method of the current cell
-        self.root_finds = defaultdict(int)
-        self.evaluations = defaultdict(int)   # (method, "O(k)", "direct" or "factored")
-
-    def install(self):
-        """Count through ``sweep.solve_one`` (one cell), ``np.linalg.eigh`` (one
-        pencil decomposition) and ``tikhonov.path_solve`` (one Gauss-Newton
-        step's root find, whose gap sees every path point it evaluates, O(k),
-        direct or factored; a find from lam = 0 is a lam = 0 start, and any
-        other find on a provider with a fallback that evaluates an O(k) point
-        has fallen back to the pencil)."""
-        solve_one, eigh = sweep.solve_one, np.linalg.eigh
-        path_solve = tikhonov.path_solve
-
-        def counted_cell(problem, method, *args):
-            self.steps.append(0)
-            self.method = method
-            return solve_one(problem, method, *args)
-
-        def counted_eigh(*args, **kwargs):
-            self.decompositions += 1
-            return eigh(*args, **kwargs)
-
-        def counted_solve(path, data, gap, **kwargs):
-            self.steps[-1] += 1
-            self.root_finds[self.method] += 1
-
-            kinds = set()
-
-            def counted_gap(point):
-                kind = KINDS[type(point)]
-                kinds.add(kind)
-                self.evaluations[(self.method, kind)] += 1
-                return gap(point)
-
-            try:
-                return path_solve(path, data, counted_gap, **kwargs)
-            finally:
-                if kwargs.get("start") == -math.inf:
-                    self.lam_zero_starts += 1
-                elif path.fallback is not None and "O(k)" in kinds:
-                    self.fallbacks += 1
-
-        sweep.solve_one = counted_cell
-        np.linalg.eigh = counted_eigh
-        tikhonov.path_solve = counted_solve
+def recorded(part, *args):
+    """``part(*args)``, the root finds it ran (one per Gauss-Newton step) and
+    its pencil decompositions, the calls of ``np.linalg.eigh``."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        decompositions = calls(monkeypatch, np.linalg, "eigh")
+        finds = recorded_root_finds(monkeypatch)
+        return part(*args), finds, len(decompositions)
 
 
 def relative_change(a, b):
@@ -167,8 +123,11 @@ def wide():
     return cells
 
 
-def summarize(name, cells, tally):
-    """Print one part's summary; return its number of failing cells."""
+def summarize(name, cells, finds, decompositions):
+    """Print one part's summary; return its number of failing cells.  A root
+    find from lam = 0 is a lam = 0 start, and any other find on a provider
+    with a fallback that evaluates an O(k) point has fallen back to the
+    pencil."""
     failing = [(label, row) for label, row in cells if not row.certificates_ok]
     print(f"== {name}: {len(cells)} cells, {len(failing)} failing")
     for label, row in failing:
@@ -176,15 +135,20 @@ def summarize(name, cells, tally):
                     if getattr(row, column) is False]
         reason = row.solver_error or "false " + ",".join(verdicts)
         print(f"   FAIL {label} delta={row.delta:g} {row.method}: {reason}")
-    print(f"   Gauss-Newton steps: most {max(tally.steps, default=0)}, "
-          f"total {sum(tally.steps)}; pencil decompositions: {tally.decompositions}; "
-          f"pencil fallbacks: {tally.fallbacks}; "
-          f"lam = 0 starts: {tally.lam_zero_starts}")
-    for method in sorted(tally.root_finds):
-        print(f"   {method:<11s} root finds: {tally.root_finds[method]}, path "
-              f"evaluations: O(k) {tally.evaluations[(method, 'O(k)')]}, "
-              f"direct {tally.evaluations[(method, 'direct')]}, "
-              f"factored {tally.evaluations[(method, 'factored')]}")
+    starts = sum(find.start == -math.inf for find in finds)
+    fallbacks = sum(find.start != -math.inf and find.path.fallback is not None
+                    and bool(find.coarse) for find in finds)
+    print(f"   Gauss-Newton steps: most {max(map(len, by_solve(finds)), default=0)}, "
+          f"total {len(finds)}; pencil decompositions: {decompositions}; "
+          f"pencil fallbacks: {fallbacks}; lam = 0 starts: {starts}")
+    methods = defaultdict(list)
+    for find in finds:
+        methods[METHODS[find.gap.__module__]].append(find)
+    for method, found in sorted(methods.items()):
+        print(f"   {method:<11s} root finds: {len(found)}, path evaluations: O(k) "
+              f"{sum(len(find.coarse) for find in found)}, "
+              f"direct {sum(len(find.direct) for find in found)}, "
+              f"factored {sum(len(find.factored) for find in found)}")
     logs = defaultdict(list)
     for _, row in cells:
         if row.error_l2 is not None and row.error_l2 > 0.0:
@@ -206,19 +170,15 @@ def main():
     args = parser.parse_args()
     if args.seeds < 1:
         parser.error(f"--seeds must be at least 1, got {args.seeds}")
-    tally = Tally()
-    tally.install()
-    failing = summarize("probe", probe(args.seeds), tally)
+    failing = summarize("probe", *recorded(probe, args.seeds))
 
-    tally.reset()
-    cells, (change, where) = twins(args.seeds)
-    failing += summarize("round-off twins", cells, tally)
+    (cells, (change, where)), *record = recorded(twins, args.seeds)
+    failing += summarize("round-off twins", cells, *record)
     print(f"   worst twin error_l2 change: {change:.2e}"
           + (f" ({where})" if where else ""))
 
     if args.wide:
-        tally.reset()
-        failing += summarize("wide grid", wide(), tally)
+        failing += summarize("wide grid", *recorded(wide))
     print(f"failing cells: {failing}")
     return 1 if failing else 0
 

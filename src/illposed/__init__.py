@@ -10,8 +10,7 @@ oracles to validate the solvers at small scale.
 
 from .errors import (BudgetExceededError, ConfigurationError, GridMismatchError,
                      IllposedError, InvalidParameterError, NonFiniteError,
-                     SingularSystemError, SolverFailureError,
-                     UnsupportedOperatorError)
+                     SolverFailureError, UnsupportedOperatorError)
 from .gallery import (ConditionReport, ProblemInstance, build_problem,
                       condition_report)
 from .grids import Grid, l2_norm
@@ -26,7 +25,7 @@ from .quasisolution import minimize_on_compactum, quasi_certificate
 from .stabilizers import (Compactum, Stabilizer, contains, phi_value,
                           project_onto)
 from .sweep import (SweepConfig, SweepReport, SweepRow, parse_config_file,
-                    run_solve, run_sweep)
+                    run_sweep)
 from .tikhonov import Solution, TikhonovPath
 from .variational import (VariationalResult, f_functional, minimize_variational,
                           variational_certificate)

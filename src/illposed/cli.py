@@ -72,7 +72,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         config = _build_config(args)
         report = run_sweep(config)
-    except (IllposedError, OSError, TypeError) as exc:
+    except (IllposedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print_summary(report)

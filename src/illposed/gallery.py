@@ -76,7 +76,6 @@ def _volterra_matrix(grid: Grid) -> np.ndarray:
     M = np.tril(np.full((n, n), h))
     M[:, 0] = h / 2.0
     np.fill_diagonal(M, h / 2.0)
-    M[0, 0] = h / 2.0
     return M
 
 

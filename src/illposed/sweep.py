@@ -38,21 +38,39 @@ EXIT_VERDICT = 2
 MAX_N = 4096  # the largest grid of the dense road: an n x n float array is 134 MB
 
 
+def parse_deltas(text: str) -> Tuple[float, ...]:
+    """Comma-separated noise levels, for the config key and the CLI flag."""
+    try:
+        return tuple(float(x) for x in text.split(",") if x.strip())
+    except ValueError as exc:
+        raise ConfigurationError(f"bad noise levels {text!r}: {exc}") from exc
+
+
+def setting(parse: Callable[[str], object], help_text: str,
+            default: object = dataclasses.MISSING):
+    """A ``SweepConfig`` field that is a config key and a CLI flag: ``parse``
+    reads its text value, and ``help_text`` is the flag's help."""
+    return field(default=default, metadata={"parse": parse, "help": help_text})
+
+
 @dataclass
 class SweepConfig:
-    """Configuration of a solve or sweep run; ``SETTINGS`` parses each field."""
+    """Configuration of a solve or sweep run; each field is a :func:`setting`."""
 
-    problem: str
-    n: int = 64
-    sigma: float = 0.1
-    method: str = METHOD_BOTH
-    deltas: Tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4)
-    seed: int = 42
-    noise_mode: str = EXACT_NORM
-    alpha0: float = 1.0
-    alpha1: float = 1.0
-    rho_factor: float = 1.5
-    out: Optional[str] = None
+    problem: str = setting(str, "gallery problem name")
+    n: int = setting(int, "number of grid nodes", default=64)
+    sigma: float = setting(float, "kernel width for fredholm-gauss", default=0.1)
+    method: str = setting(str, "variational | quasi | both", default=METHOD_BOTH)
+    deltas: Tuple[float, ...] = setting(parse_deltas, "comma-separated noise levels",
+                                        default=(1e-1, 1e-2, 1e-3, 1e-4))
+    seed: int = setting(int, "base seed for noise draws", default=42)
+    noise_mode: str = setting(str, "exact-norm | bounded", default=EXACT_NORM)
+    alpha0: float = setting(float, "stabilizer weight on the value term", default=1.0)
+    alpha1: float = setting(float, "stabilizer weight on the slope term", default=1.0)
+    rho_factor: float = setting(
+        float, "radius as a multiple of the true solution's stabilizer value",
+        default=1.5)
+    out: Optional[str] = setting(str, "CSV output path", default=None)
 
     def __post_init__(self):
         if self.method not in (METHOD_VARIATIONAL, METHOD_QUASI, METHOD_BOTH):
@@ -73,6 +91,8 @@ class SweepConfig:
             raise ConfigurationError("noise levels must not repeat")
         if not 4 <= self.n <= MAX_N:
             raise ConfigurationError(f"n must be between 4 and {MAX_N}, got {self.n}")
+        if self.out is not None and "\0" in self.out:   # open() would raise ValueError
+            raise ConfigurationError(f"output path {self.out!r} has a NUL character")
 
     @property
     def methods(self) -> List[str]:
@@ -294,29 +314,10 @@ def print_summary(report: SweepReport) -> None:
 
 # --- settings: config-file keys and CLI flags -------------------------------
 
-def parse_deltas(text: str) -> Tuple[float, ...]:
-    """Comma-separated noise levels, for the config key and the CLI flag."""
-    try:
-        return tuple(float(x) for x in text.split(",") if x.strip())
-    except ValueError as exc:
-        raise ConfigurationError(f"bad noise levels {text!r}: {exc}") from exc
-
-
-# key -> (parser of its text value, help); one key per ``SweepConfig`` field
+# key -> (parser of its text value, help), one per ``SweepConfig`` field in order
 SETTINGS: Dict[str, Tuple[Callable[[str], object], str]] = {
-    "problem": (str, "gallery problem name"),
-    "n": (int, "number of grid nodes"),
-    "sigma": (float, "kernel width for fredholm-gauss"),
-    "method": (str, "variational | quasi | both"),
-    "deltas": (parse_deltas, "comma-separated noise levels"),
-    "seed": (int, "base seed for noise draws"),
-    "noise_mode": (str, "exact-norm | bounded"),
-    "alpha0": (float, "stabilizer weight on the value term"),
-    "alpha1": (float, "stabilizer weight on the slope term"),
-    "rho_factor": (float,
-                   "radius as a multiple of the true solution's stabilizer value"),
-    "out": (str, "CSV output path"),
-}
+    f.name: (f.metadata["parse"], f.metadata["help"])
+    for f in dataclasses.fields(SweepConfig)}
 
 
 def parse_config_file(path: str) -> Dict[str, object]:

@@ -1,9 +1,12 @@
-"""Shared batched objectives for the brute-force oracle checks, a recorder
-of the path root finds a solve runs, the path point at a given lambda, and
-plain references the package does not need: the dense P, a batched phi, the
-identity operator and the grid inner product."""
+"""Shared batched objectives for the brute-force oracle checks, the one
+recorder of the calls of a function and the one of the path root finds a
+solve runs, the check of a gap's slope, the path point at a given lambda,
+and plain references the package does not need: the dense P, a batched phi,
+the identity operator and the grid inner product.  ``scripts/gn_probe.py``
+counts solver work through these recorders too."""
 
 import inspect
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
@@ -13,8 +16,10 @@ import numpy as np
 from illposed import as_matrix, diagonal_operator, tikhonov
 from illposed.grids import check_vec, trapezoid_weights
 from illposed.stabilizers import add_bands, penalty_bands
-from illposed.tikhonov import CoarsePoint, DirectPoint, FactoredPoint, TikhonovPath
+from illposed.tikhonov import (EPS, CoarsePoint, DirectPoint, FactoredPoint, PathData,
+                               TikhonovPath)
 
+# each path point kind by its exact class, and the RootFind list it goes to
 KINDS = {CoarsePoint: "coarse", DirectPoint: "direct", FactoredPoint: "factored"}
 
 
@@ -54,6 +59,28 @@ def lam_point(path, f_delta, lam):
     """u_lam of ``f_delta`` on ``path``: its direct point at t = log(lam)."""
     t = math.log(lam) if lam > 0.0 else -math.inf
     return path.data(f_delta).point(t).u
+
+
+def check_slope(find, allowance, h=1e-4):
+    """The slope of the O(k) gap of ``find`` against a central difference of
+    its value, from just above the floor of the path to t = 5: to 1e-6
+    relative, plus the difference's own round-off, 4 k eps / h for sums of k
+    terms.  And its value against the direct gap's, to ``allowance(find,
+    data, direct)``, the method's bound on what the decomposition's error
+    and round-off move the direct value by."""
+    data = PathData(find.path, find.data)
+    k = find.path.spectrum[1].shape[1]
+    resolved = 0
+    for t in np.linspace(find.t_floor + 0.5, 5.0, 12):
+        value, slope = find.gap(data.coarse(t))
+        difference = (find.gap(data.coarse(t + h))[0]
+                      - find.gap(data.coarse(t - h))[0]) / (2.0 * h)
+        roundoff = 4.0 * k * EPS / h
+        assert abs(slope - difference) <= 1e-6 * abs(difference) + roundoff, t
+        resolved += roundoff <= 1e-7 * abs(difference)
+        direct = data.point(t)
+        assert abs(value - find.gap(direct)[0]) <= allowance(find, data, direct), t
+    assert resolved >= 4   # points where the test is 1e-6 relative outright
 
 
 def weighted_residual_batch(problem, f_delta):
@@ -121,6 +148,39 @@ class RootFind:
     @property
     def t_floor(self):
         return self.path.t_floor
+
+
+def calls(monkeypatch, owner, name, results=False):
+    """The arguments of every call of ``owner.name``, which still runs, in call
+    order, each a dict by parameter name; with ``results``, the result of
+    each call instead, once it returns.  ``owner`` may be a tuple of the
+    modules that bind one function by their own name: one list takes the
+    calls through all of them."""
+    made = []
+    for each in owner if isinstance(owner, tuple) else (owner,):
+        original = getattr(each, name)
+        monkeypatch.setattr(each, name, _recording(original, made, results))
+    return made
+
+
+def _recording(original, made, results):
+    signature = inspect.signature(original)
+
+    def recording(*args, **kwargs):
+        if results:
+            made.append(original(*args, **kwargs))
+            return made[-1]
+        made.append(signature.bind(*args, **kwargs).arguments)
+        return original(*args, **kwargs)
+
+    return recording
+
+
+def by_solve(finds):
+    """The root finds of each solve among ``finds``, in order: every root find
+    of one solve reads the one gap of its method's call, and no other
+    solve's."""
+    return [list(group) for _, group in itertools.groupby(finds, key=lambda f: f.gap)]
 
 
 def recorded_root_finds(monkeypatch):

@@ -18,14 +18,14 @@ from illposed import (Compactum, ConfigurationError, InvalidParameterError,
                       SolverFailureError, Stabilizer, SweepConfig, VariationalResult,
                       build_problem, domain_project, inject_noise, operators,
                       parse_config_file, phi_value, project_onto, quasi_certificate,
-                      quasisolution, run_solve, run_sweep, sweep, tikhonov,
-                      variational, variational_certificate)
+                      run_sweep, sweep, tikhonov, variational,
+                      variational_certificate)
 from illposed.cli import main
 from illposed.sweep import (CERT_COLUMNS, CSV_COLUMNS, SETTINGS, SweepRow,
-                            delta_seed, resolve_rho, rows_to_csv, solve_one)
+                            delta_seed, resolve_rho, rows_to_csv, run_solve, solve_one)
 from illposed.tikhonov import PathData, TikhonovPath
 
-from helpers import penalty_matrix, recorded_root_finds
+from helpers import by_solve, calls, penalty_matrix, recorded_root_finds
 
 # subprocesses import the package from this checkout
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -108,6 +108,16 @@ def test_config_file_that_is_not_utf8_is_a_named_error(tmp_path, capsys):
         parse_config_file(path)
     assert main(["sweep", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_output_path_with_a_nul_is_a_named_error(tmp_path, capsys):
+    # a config file can carry a NUL, which no path may hold; it is rejected
+    # before any cell runs, not by open() after the sweep
+    path = tmp_path / "nul.cfg"
+    path.write_text("problem = diag-unbounded\nn = 8\nout = a\0b.csv\n")
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: output path 'a\\x00b.csv' has a NUL character\n")
 
 
 def test_seed_derivation_is_append_stable():
@@ -403,11 +413,24 @@ def test_gn_probe_script_runs_and_counts_failing_cells(capsys):
     cells = [("a", SweepRow(delta=0.1, method="quasi", error_l2=0.5, cert_24=True)),
              ("b", SweepRow(delta=0.1, method="quasi", solver_error="injected")),
              ("c", SweepRow(delta=0.1, method="variational", cert_18=False))]
-    assert gn_probe.summarize("cells", cells, gn_probe.Tally()) == 2
+    assert gn_probe.summarize("cells", cells, [], 0) == 2
     out = capsys.readouterr().out
     assert "== cells: 3 cells, 2 failing" in out
     assert "FAIL b delta=0.1 quasi: injected" in out
     assert "FAIL c delta=0.1 variational: false cert_18" in out
+    # its recorder counts in process, and leaves the package and numpy as they
+    # were, also where the part it records raises
+    originals = (tikhonov.path_solve, np.linalg.eigh, sweep.solve_one)
+    cells, finds, decompositions = gn_probe.recorded(gn_probe.probe, 1)
+    assert len(cells) == 16 and len(finds) > 16 and decompositions > 0
+
+    def injected():
+        raise SolverFailureError("injected")
+
+    with pytest.raises(SolverFailureError, match="injected"):
+        gn_probe.recorded(injected)
+    assert all(now is was for now, was in zip(
+        (tikhonov.path_solve, np.linalg.eigh, sweep.solve_one), originals))
 
 
 def test_nonlinear_sweep_does_not_load_scipy():
@@ -613,29 +636,17 @@ def test_failed_decomposition_fails_every_linear_cell_by_name(monkeypatch):
         assert report.exit_code == 2
 
 
-def count_decompositions(monkeypatch):
-    """Count eigendecompositions: each Tikhonov path makes exactly one."""
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(matrix):
-        calls.append(matrix.shape)
-        return eigh(matrix)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return calls
-
-
 @pytest.mark.parametrize("name", LINEAR)
 def test_one_decomposition_per_sweep(name, monkeypatch):
-    calls = count_decompositions(monkeypatch)
+    # each Tikhonov path makes exactly one eigendecomposition
+    decompositions = calls(monkeypatch, np.linalg, "eigh")
     report = run_sweep(SweepConfig(problem=name, n=32, method="both",
                                    deltas=(1e-1, 1e-2, 1e-3, 1e-4)))
     assert len(report.rows) == 8
     assert all(row.solver_error is None for row in report.rows)
-    assert len(calls) == 1
+    assert len(decompositions) == 1
     run_solve(SweepConfig(problem=name, n=32, method="both"))
-    assert len(calls) == 2
+    assert len(decompositions) == 2
 
 
 def pencil_steps(finds):
@@ -647,27 +658,17 @@ def pencil_steps(finds):
 def test_gauss_newton_decomposes_once_per_step(monkeypatch):
     # every step linearizes once; a later step decomposes its pencil only
     # where it starts at lam = 0 or its factored root find falls back
-    calls = count_decompositions(monkeypatch)
+    decompositions = calls(monkeypatch, np.linalg, "eigh")
     finds = recorded_root_finds(monkeypatch)
-    steps, jacobians = [], []
-    dense_operator, jacobian = tikhonov.dense_operator, tikhonov.jacobian
-
-    def counted(*args, **kwargs):  # one linearized operator per step not shared
-        steps.append(1)
-        return dense_operator(*args, **kwargs)
-
-    def counted_jacobian(*args, **kwargs):
-        jacobians.append(1)
-        return jacobian(*args, **kwargs)
-
-    monkeypatch.setattr(tikhonov, "dense_operator", counted)
-    monkeypatch.setattr(tikhonov, "jacobian", counted_jacobian)
+    # one linearized operator per step not shared
+    steps = calls(monkeypatch, tikhonov, "dense_operator")
+    jacobians = calls(monkeypatch, tikhonov, "jacobian")
     report = run_sweep(SweepConfig(problem="autoconv", n=16, deltas=(1e-1, 1e-2)))
     assert all(row.solver_error is None for row in report.rows)
     assert len(steps) > len(report.rows)
     assert len(finds) == len(steps) + len(report.rows) - 1   # one shared first step
     assert len(jacobians) == len(steps)
-    assert len(calls) == 1 + len(pencil_steps(finds)) - len(report.rows) == 1
+    assert len(decompositions) == 1 + len(pencil_steps(finds)) - len(report.rows) == 1
 
 
 # (rho_factor, deltas, distinct start points, decompositions of the autoconv sweep
@@ -691,13 +692,13 @@ def test_gauss_newton_shares_the_first_pencil_of_each_start_point(
     K = Compactum(stab, resolve_rho(config, problem, stab))
     ones = domain_project(problem.op, np.ones(config.n))
     assert len({ones.tobytes(), project_onto(K, problem.grid, ones).tobytes()}) == starts
-    calls = count_decompositions(monkeypatch)
+    decomposed = calls(monkeypatch, np.linalg, "eigh")
     steps = recorded_root_finds(monkeypatch)   # one root find per Gauss-Newton step
     shared = run_sweep(config)
     assert all(row.solver_error is None for row in shared.rows)
     assert len(steps) > len(shared.rows)
-    assert len(calls) == starts + len(pencil_steps(steps)) - len(shared.rows)
-    assert len(calls) == decompositions
+    assert len(decomposed) == starts + len(pencil_steps(steps)) - len(shared.rows)
+    assert len(decomposed) == decompositions
     apart = [run_sweep(replace(config, method=method)).rows for method in config.methods]
     assert rows_to_csv(shared.rows) == rows_to_csv(
         [row for cells in zip(*apart) for row in cells])
@@ -748,19 +749,8 @@ def test_gauss_newton_forms_each_normal_matrix_once(monkeypatch):
     # a factored step hands its N = J^T W J to its fallback pencil, so each
     # linearization forms N once, where its step falls back too
     finds = recorded_root_finds(monkeypatch)
-    normals, jacobians = [], []
-    normal_matrix, jacobian = tikhonov.normal_matrix, tikhonov.jacobian
-
-    def counted_normal(*args, **kwargs):
-        normals.append(1)
-        return normal_matrix(*args, **kwargs)
-
-    def counted_jacobian(*args, **kwargs):
-        jacobians.append(1)
-        return jacobian(*args, **kwargs)
-
-    monkeypatch.setattr(tikhonov, "normal_matrix", counted_normal)
-    monkeypatch.setattr(tikhonov, "jacobian", counted_jacobian)
+    normals = calls(monkeypatch, tikhonov, "normal_matrix")
+    jacobians = calls(monkeypatch, tikhonov, "jacobian")
     report = run_sweep(SweepConfig(problem="autoconv", n=16, seed=1))
     assert all(row.solver_error is None for row in report.rows)
     # seed 1 has a step whose factored root find falls back to the pencil
@@ -769,51 +759,43 @@ def test_gauss_newton_forms_each_normal_matrix_once(monkeypatch):
 
 
 def test_gauss_newton_steps_are_solved_to_the_outer_tolerance(monkeypatch):
-    calls = recorded_root_finds(monkeypatch)
+    finds = recorded_root_finds(monkeypatch)
     report = run_sweep(SweepConfig(problem="autoconv", n=16, deltas=(1e-1, 1e-2)))
     assert all(row.solver_error is None for row in report.rows)
-    assert len(calls) > len(report.rows)
-    assert {call.tol for call in calls} == {tikhonov.GN_RTOL}
+    assert len(finds) > len(report.rows)
+    assert {find.tol for find in finds} == {tikhonov.GN_RTOL}
     # after the first step of a cell, the search starts at the previous lambda
-    assert sum(call.start != 0.0 for call in calls) >= len(calls) - len(report.rows)
-    assert sum(len(call.points) for call in calls) / len(calls) <= 15
+    assert sum(find.start != 0.0 for find in finds) >= len(finds) - len(report.rows)
+    assert sum(len(find.points) for find in finds) / len(finds) <= 15
 
 
 def test_gauss_newton_restarts_at_the_floor_after_lam_zero(monkeypatch):
-    calls = recorded_root_finds(monkeypatch)
-    firsts = []  # the index of each Gauss-Newton solve's first root find
-    gauss_newton = tikhonov.gauss_newton
-
-    def counted(*args, **kwargs):
-        firsts.append(len(calls))
-        return gauss_newton(*args, **kwargs)
-
-    monkeypatch.setattr(tikhonov, "gauss_newton", counted)
+    finds = recorded_root_finds(monkeypatch)
     for seed in (1, 2, 3):
         report = run_sweep(SweepConfig(problem="autoconv", n=16, method="quasi",
                                        seed=seed))
         assert all(row.solver_error is None for row in report.rows)
-    ends = firsts[1:] + [len(calls)]
-    after_zero = [later for first, end in zip(firsts, ends)
-                  for earlier, later in zip(calls[first:end - 1], calls[first + 1:end])
+    # the steps of each Gauss-Newton solve
+    after_zero = [later for steps in by_solve(finds)
+                  for earlier, later in zip(steps, steps[1:])
                   if earlier.root == -math.inf]
     # a step at lam = 0 is followed by a search from lam = 0 on a factored path,
     # whose floor it cannot give, so the search runs on the fallback pencil from
     # the pencil's floor, as lam = 0 is the truncated pencil's least-squares point
     assert after_zero
-    assert all(isinstance(call.path, tikhonov.FactoredPath) for call in after_zero)
-    assert all(call.points[0] == call.path.fallback.t_floor for call in after_zero)
-    assert all(call.coarse and not call.factored for call in after_zero)
-    assert all(call.coarse for call in calls if call.root == -math.inf)
-    assert sum(len(call.points) for call in calls) <= 300
+    assert all(isinstance(find.path, tikhonov.FactoredPath) for find in after_zero)
+    assert all(find.points[0] == find.path.fallback.t_floor for find in after_zero)
+    assert all(find.coarse and not find.factored for find in after_zero)
+    assert all(find.coarse for find in finds if find.root == -math.inf)
+    assert sum(len(find.points) for find in finds) <= 300
 
 
 def test_linear_root_finds_keep_root_tol_from_lam_one(monkeypatch):
-    calls = recorded_root_finds(monkeypatch)
+    finds = recorded_root_finds(monkeypatch)
     report = run_sweep(SweepConfig(problem="volterra-int", n=16, method="both"))
     assert all(row.solver_error is None for row in report.rows)
-    assert len(calls) == len(report.rows)
-    assert {(call.tol, call.start) for call in calls} == {(tikhonov.ROOT_TOL, 0.0)}
+    assert len(finds) == len(report.rows)
+    assert {(find.tol, find.start) for find in finds} == {(tikhonov.ROOT_TOL, 0.0)}
 
 
 # the most path evaluations of one root find in the default n=64 linear sweeps
@@ -829,26 +811,26 @@ MOST_DIRECT_AT_RESOLUTION = 12
 def test_root_finds_take_few_evaluations(method, monkeypatch):
     # Newton on the exact slope; the bracket search and Illinois steps took about
     # 30.  Most are O(k) points, and one or two direct ones finish a find
-    calls = recorded_root_finds(monkeypatch)
+    finds = recorded_root_finds(monkeypatch)
     for name in LINEAR:
         report = run_sweep(SweepConfig(problem=name, n=64, method=method))
         assert all(row.solver_error is None for row in report.rows)
-    counts = [len(call.points) for call in calls]
+    counts = [len(find.points) for find in finds]
     assert len(counts) == 3 * len(SweepConfig(problem=LINEAR[0]).deltas)
     assert sum(counts) / len(counts) <= 10
     assert max(counts) <= MOST_EVALUATIONS[method]
-    assert sum(len(call.direct) for call in calls) / len(calls) <= 3
-    assert max(len(call.direct) for call in calls) <= MOST_DIRECT
+    assert sum(len(find.direct) for find in finds) / len(finds) <= 3
+    assert max(len(find.direct) for find in finds) <= MOST_DIRECT
     # a finish on round-off values ends at its O(k) root once their rise across
     # the bracket departs from the slope's; bisecting them to float resolution
     # took 30 to 49 direct points
-    calls.clear()
+    finds.clear()
     for name in LINEAR:
         for seed in (1, 2, 3):
             report = run_sweep(SweepConfig(problem=name, n=16, method=method, seed=seed,
                                            deltas=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)))
             assert all(row.solver_error is None for row in report.rows)
-    assert max(len(call.direct) for call in calls) <= MOST_DIRECT_AT_RESOLUTION
+    assert max(len(find.direct) for find in finds) <= MOST_DIRECT_AT_RESOLUTION
 
 
 # lambda_star of the rows of each method in the sweep below, as the bracket search
@@ -881,43 +863,21 @@ def test_huge_penalty_and_noise_keep_lambda_in_range(name):
                for row in report.rows if row.method == "quasi")
 
 
-def count_path_work(monkeypatch):
-    """(data vectors whose coefficients are computed, the argument of every
-    product with A, the point of every path solve), each in call order."""
-    coefficients, applied, points = [], [], []
-    compute, apply, path_solve = PathData.__init__, operators.apply, tikhonov.path_solve
-
-    def counted(data, path, f_delta):
-        coefficients.append(f_delta)
-        compute(data, path, f_delta)
-
-    def recorded(op, u):
-        applied.append(u)
-        return apply(op, u)
-
-    def solved(*args, **kwargs):
-        points.append(path_solve(*args, **kwargs))
-        return points[-1]
-
-    monkeypatch.setattr(PathData, "__init__", counted)
-    for module in (operators, tikhonov, sweep, variational, quasisolution):
-        monkeypatch.setattr(module, "apply", recorded, raising=False)
-    monkeypatch.setattr(tikhonov, "path_solve", solved)
-    return coefficients, applied, points
-
-
 @pytest.mark.parametrize("alpha0", [0.0, 1.0])
 @pytest.mark.parametrize("name", LINEAR)
 def test_shared_decomposition_changes_no_bit(name, alpha0, monkeypatch):
     config = SweepConfig(problem=name, n=64, alpha0=alpha0,
                          method="both" if alpha0 > 0.0 else "variational")
-    coefficients, applied, points = count_path_work(monkeypatch)
+    coefficients = calls(monkeypatch, PathData, "__init__")   # data vectors
+    applied = calls(monkeypatch, (operators, tikhonov, variational), "apply")
+    points = calls(monkeypatch, tikhonov, "path_solve", results=True)
     shared = run_sweep(config)
     # the cells of one level share its coefficients, and each returned point
     # meets A once, for its residual and for residual_exact alike
     assert len(coefficients) == len(config.deltas)
     assert len(points) == len(shared.rows)
-    assert [sum(u is point.u for u in applied) for point in points] == [1] * len(points)
+    assert [sum(call["u"] is point.u for call in applied)
+            for point in points] == [1] * len(points)
     monkeypatch.undo()
     problem = build_problem(name, 64)
     stab = Stabilizer(config.alpha0, config.alpha1)

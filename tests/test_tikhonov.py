@@ -16,7 +16,7 @@ from illposed.tikhonov import (EPS, GN_RTOL, ROOT_TOL, T_CEIL, CoarsePoint, Dire
                                FactoredPath, TikhonovPath, lower_inverse, path_root,
                                path_solve)
 
-from helpers import penalty_matrix
+from helpers import calls, penalty_matrix
 
 LINEAR = ("diag-unbounded", "volterra-int", "fredholm-gauss")
 
@@ -438,18 +438,13 @@ def test_a_nonlinear_solution_meets_a_once(shared, monkeypatch):
     K = Compactum(stab, 1.5 * phi_value(stab, problem.grid, problem.y_true))
     f_delta = inject_noise(problem.grid, problem.f_exact, 1e-2, 5)
     path = TikhonovPath(problem.op, stab) if shared else None
-    applied, apply_once = [], operators.apply
-
-    def recorded(op, u):   # products with A, not with a linearization J
-        if op is problem.op:
-            applied.append(np.array(u))
-        return apply_once(op, u)
-
-    for module in (operators, tikhonov, variational):
-        monkeypatch.setattr(module, "apply", recorded)
+    apply_once = operators.apply
+    applied = calls(monkeypatch, (operators, tikhonov, variational), "apply")
     for solve in (lambda: minimize_variational(problem.op, f_delta, 1e-2, stab, path),
                   lambda: minimize_on_compactum(problem.op, f_delta, K, path)):
         applied.clear()
         sol = solve()
-        assert sum(np.array_equal(u, sol.u_delta) for u in applied) == 1
+        # products with A, not with a linearization J
+        assert sum(call["op"] is problem.op and np.array_equal(call["u"], sol.u_delta)
+                   for call in applied) == 1
         assert sol.image.tobytes() == apply_once(problem.op, sol.u_delta).tobytes()

@@ -13,7 +13,7 @@ from illposed import (Grid, GridMismatchError,
                       tikhonov, variational_certificate)
 from illposed.tikhonov import EPS, PathData, TikhonovPath
 
-from helpers import identity_operator, lam_point, recorded_root_finds
+from helpers import check_slope, identity_operator, lam_point, recorded_root_finds
 
 DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -143,34 +143,17 @@ def test_path_monotonicity(default_stab, linear_problems):
 
 # --- the slope of the gap ----------------------------------------------------
 
-def check_gap_slope(find, h=1e-4):
-    """The slope of the O(k) gap against a central difference of its value,
-    from just above the floor of the path to t = 5: to 1e-6 relative, plus
-    the difference's own round-off, 4 k eps / h for sums of k terms.  And its
-    value against the direct gap's: the O(k) r^2 takes the decomposition's
-    error E = V^T N V - diag(theta) as 0, so the direct r^2 differs from it
-    by y'E y - y_0'E y_0, at most ||E|| (|y|^2 + |y_0|^2), plus the direct
-    residual's round-off, n^2 eps; that dominates where r^2 nears E's size
-    (r ~ 1e-12 on a path with k = n)."""
+def gap_allowance(find, data, direct):
+    """The O(k) r^2 takes the decomposition's error E = V^T N V - diag(theta)
+    as 0, so the direct r^2 differs from it by y'E y - y_0'E y_0, at most
+    ||E|| (|y|^2 + |y_0|^2), plus the direct residual's round-off, n^2 eps;
+    that dominates where r^2 nears E's size (r ~ 1e-12 on a path with k = n)."""
     theta, vectors = find.path.spectrum
-    data = PathData(find.path, find.data)
     error = np.linalg.norm(vectors.T @ normal_matrix(find.path.op) @ vectors
                            - np.diag(theta), 2)
-    y0 = data.coef / theta
-    n, k = vectors.shape
-    resolved = 0
-    for t in np.linspace(find.t_floor + 0.5, 5.0, 12):
-        value, slope = find.gap(data.coarse(t))
-        difference = (find.gap(data.coarse(t + h))[0]
-                      - find.gap(data.coarse(t - h))[0]) / (2.0 * h)
-        roundoff = 4.0 * k * EPS / h
-        assert abs(slope - difference) <= 1e-6 * abs(difference) + roundoff, t
-        resolved += roundoff <= 1e-7 * abs(difference)
-        direct = data.point(t)
-        y = data.coef / direct.values
-        allowance = error * (y @ y + y0 @ y0) / (2.0 * direct.r ** 2) + n * n * EPS
-        assert abs(value - find.gap(direct)[0]) <= allowance, t
-    assert resolved >= 4   # points where the test is 1e-6 relative outright
+    y, y0 = data.coef / direct.values, data.coef / theta
+    n = vectors.shape[0]
+    return error * (y @ y + y0 @ y0) / (2.0 * direct.r ** 2) + n * n * EPS
 
 
 @pytest.mark.parametrize("alpha0", [0.0, 1.0])
@@ -181,7 +164,7 @@ def test_gap_slope_matches_central_difference(name, alpha0, monkeypatch):
     f_delta = inject_noise(p.grid, p.f_exact, 1e-2, 7)
     minimize_variational(p.op, f_delta, 1e-2, Stabilizer(alpha0, 1.0))
     assert len(found) == 1
-    check_gap_slope(found[0])
+    check_slope(found[0], gap_allowance)
 
 
 def test_gap_slope_on_a_jacobian_path(default_stab, monkeypatch):
@@ -190,7 +173,7 @@ def test_gap_slope_on_a_jacobian_path(default_stab, monkeypatch):
     f_delta = inject_noise(p.grid, p.f_exact, 1e-2, 7)
     minimize_variational(p.op, f_delta, 1e-2, default_stab)
     assert len(found) > 1   # one per Gauss-Newton step
-    check_gap_slope(found[0])
+    check_slope(found[0], gap_allowance)
 
 
 # --- the outer minimization --------------------------------------------------

@@ -17,7 +17,8 @@ quasi rows by up to 7e-6 relative, far above the round-off this gate reads.
 
 ``compare DIR_A DIR_B`` prints, per file, the rows, verdicts, solver errors
 and exit codes that differ, the largest relative change of each numeric
-column per method, and whether the CSVs are byte-identical.  It exits 1 when
+column per method, and whether the CSVs are byte-identical; it ends with the
+count of byte-identical CSVs, ``byte-identical: K of N``.  It exits 1 when
 the BLAS thread counts of the two runs differ (a run without the file counts
 as unpinned), when a file is missing or rows, verdicts, solver errors or
 exit codes differ, else 0.
@@ -108,21 +109,22 @@ def relative_change(a, b):
 
 
 def compare_file(dir_a, dir_b, stem):
-    """Print the differences of one sweep; True when rows, verdicts, errors and
-    exit codes match."""
+    """Print the differences of one sweep; (whether rows, verdicts, errors and
+    exit codes match, whether the CSVs are byte-identical)."""
     raw_a, rows_a, errors_a, code_a = read_run(dir_a, stem)
     raw_b, rows_b, errors_b, code_b = read_run(dir_b, stem)
-    print(f"== {stem}: {'byte-identical' if raw_a == raw_b else 'differs'}")
+    identical = raw_a == raw_b
+    print(f"== {stem}: {'byte-identical' if identical else 'differs'}")
     same = code_a == code_b
     if not same:
         print(f"   exit code {code_a} against {code_b}")
-    if raw_a == raw_b and errors_a == errors_b:
-        return same
+    if identical and errors_a == errors_b:
+        return same, identical
     keys_a = [(row["delta"], row["method"]) for row in rows_a]
     keys_b = [(row["delta"], row["method"]) for row in rows_b]
     if keys_a != keys_b:
         print(f"   rows differ: {keys_a} against {keys_b}")
-        return False
+        return False, identical
     changes = {}
     for (delta, method), row_a, row_b, err_a, err_b in zip(
             keys_a, rows_a, rows_b, errors_a, errors_b):
@@ -145,7 +147,7 @@ def compare_file(dir_a, dir_b, stem):
     for (method, column), (change, delta) in sorted(changes.items()):
         print(f"   {method:<11s} {column:<14s} max rel change {change:.2e} "
               f"(delta={delta})")
-    return same
+    return same, identical
 
 
 def blas_threads(directory):
@@ -164,15 +166,18 @@ def compare(dir_a, dir_b):
     ok = threads[0] == threads[1]
     print(f"BLAS threads: {threads[0]} against {threads[1]}"
           + ("" if ok else ": the runs are not comparable"))
+    identical = 0
     for stem in stems:
         if not all(os.path.exists(os.path.join(d, stem + ext))
                    for d in (dir_a, dir_b) for ext in (".csv", ".out")):
             print(f"== {stem}: missing from one run")
             ok = False
             continue
-        ok = compare_file(dir_a, dir_b, stem) and ok
+        same, same_bytes = compare_file(dir_a, dir_b, stem)
+        ok, identical = same and ok, identical + same_bytes
     print("rows, verdicts, solver errors and exit codes: "
           + ("identical" if ok else "DIFFER"))
+    print(f"byte-identical: {identical} of {len(stems)}")
     return 0 if ok else 1
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError
 from .grids import Grid, check_vec
@@ -92,13 +93,19 @@ def autoconvolve(grid: Grid, u: np.ndarray) -> np.ndarray:
 
 
 def autoconvolve_jacobian(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """A'(u) = h (2 T(u) - u_0 I - u e_0^T), T(u)[i, j] = u[i - j] for j <= i."""
-    i = np.arange(grid.n)
-    # the negative indices above the diagonal wrap around; tril zeroes them
-    jac = 2.0 * np.tril(u[i[:, None] - i])
-    jac[i, i] -= u[0]
+    """A'(u) = h (2 T(u) - u_0 I - u e_0^T), T(u)[i, j] = u[i - j] for j <= i.
+
+    The lower-triangular Toeplitz T(u) is read as a strided view of u behind
+    n - 1 zeros: row i starts at u_i and steps back one entry per column, into
+    the zeros above the diagonal.  ``2.0 *`` copies it once, with no index
+    array and no gather.
+    """
+    n = grid.n
+    padded = np.concatenate((np.zeros(n - 1), u))
+    jac = 2.0 * as_strided(padded[n - 1:], (n, n), (padded.itemsize, -padded.itemsize))
+    jac.flat[::n + 1] -= u[0]
     jac[:, 0] -= u
-    return grid.h * jac
+    return np.multiply(grid.h, jac, out=jac)
 
 
 def build_problem(name: str, n: int, sigma: float = 0.1) -> ProblemInstance:

@@ -8,6 +8,7 @@ so ``l2_norm(g, v)`` approximates the continuum L2 norm of the function that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,7 +27,11 @@ def trapezoid_weights(m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid of ``n`` nodes on ``[a, b]`` with spacing ``h = (b-a)/(n-1)``."""
+    """Uniform grid of ``n`` nodes on ``[a, b]`` with spacing ``h = (b-a)/(n-1)``.
+
+    Its weight vectors are formed on first read and kept, as every norm, phi
+    and weighted product on the grid reads them.
+    """
 
     n: int
     a: float = 0.0
@@ -56,6 +61,17 @@ class Grid:
         """Diagonal of the Gram matrix W = h * diag(w)."""
         return self.h * self.weights
 
+    @cached_property
+    def root_gram_diagonal(self) -> np.ndarray:
+        """Diagonal of W^1/2."""
+        return np.sqrt(self.gram_diagonal)
+
+    @cached_property
+    def cell_gram_diagonal(self) -> np.ndarray:
+        """Trapezoid Gram diagonal h * w of the n - 1 cells, which phi's slope
+        term weights."""
+        return self.h * trapezoid_weights(self.n - 1)
+
 
 def check_vec(grid: Grid, v: np.ndarray, name: str = "vector") -> np.ndarray:
     """Validate that ``v`` is a finite vector on ``grid`` and return it as float64."""
@@ -64,7 +80,13 @@ def check_vec(grid: Grid, v: np.ndarray, name: str = "vector") -> np.ndarray:
         raise GridMismatchError(
             f"{name} has shape {v.shape}, expected ({grid.n},) for this grid"
         )
-    if not np.all(np.isfinite(v)):
+    return check_finite(v, name)
+
+
+def check_finite(v: np.ndarray, name: str) -> np.ndarray:
+    """``v``, or :class:`NonFiniteError` naming its first non-finite entry (in
+    C order for a matrix)."""
+    if not np.isfinite(v).all():
         bad = int(np.flatnonzero(~np.isfinite(v))[0])
         raise NonFiniteError(f"{name} has non-finite entry at index {bad}", index=bad)
     return v
@@ -73,5 +95,5 @@ def check_vec(grid: Grid, v: np.ndarray, name: str = "vector") -> np.ndarray:
 def l2_norm(grid: Grid, v: np.ndarray) -> float:
     """Trapezoid-weighted L2 norm sqrt(h * sum_i w_i v_i^2)."""
     v = check_vec(grid, v)
-    return float(np.sqrt(np.sum(grid.gram_diagonal * v * v)))
+    return math.sqrt(float((grid.gram_diagonal * v * v).sum()))
 

@@ -15,8 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonFiniteError, UnsupportedOperatorError
-from .grids import Grid, check_vec
+from .errors import UnsupportedOperatorError
+from .grids import Grid, check_finite, check_vec
 
 LINEAR_DENSE = "linear-dense"
 LINEAR_DIAGONAL = "linear-diagonal"
@@ -78,15 +78,6 @@ def nonlinear_operator(grid, apply_fn, jacobian_fn,
     )
 
 
-def _check_output(op: OperatorSpec, out: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(out)):
-        bad = int(np.flatnonzero(~np.isfinite(out))[0])
-        raise NonFiniteError(
-            f"operator produced a non-finite value at index {bad}", index=bad
-        )
-    return out
-
-
 def apply(op: OperatorSpec, u: np.ndarray) -> np.ndarray:
     """Evaluate A(u)."""
     u = check_vec(op.grid, u, "operator input")
@@ -96,12 +87,12 @@ def apply(op: OperatorSpec, u: np.ndarray) -> np.ndarray:
         out = op.diagonal * u
     else:
         out = np.asarray(op.apply_fn(u), dtype=float)
-    return _check_output(op, out)
+    return check_finite(out, "operator output")
 
 
 def weighted_product(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
     """R X with R = W^1/2 A of a linear A; for a diagonal A a row scaling of X."""
-    root_w = np.sqrt(op.grid.gram_diagonal)
+    root_w = op.grid.root_gram_diagonal
     if op.kind == LINEAR_DIAGONAL:
         return (root_w * op.diagonal)[:, None] * x
     return (root_w[:, None] * as_matrix(op)) @ x
@@ -109,7 +100,7 @@ def weighted_product(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
 
 def normal_matrix(op: OperatorSpec) -> np.ndarray:
     """N = A^T W A = R^T R of a linear A, R = W^1/2 A, as one symmetric product."""
-    root_w = np.sqrt(op.grid.gram_diagonal)
+    root_w = op.grid.root_gram_diagonal
     if op.kind == LINEAR_DIAGONAL:
         return np.diag((root_w * op.diagonal) ** 2)
     r = root_w[:, None] * as_matrix(op)
@@ -124,7 +115,7 @@ def weighted_transpose(op: OperatorSpec, v: np.ndarray) -> np.ndarray:
         out = op.diagonal * w * v
     else:
         out = as_matrix(op).T @ (w * v)
-    return _check_output(op, out)
+    return check_finite(out, "transpose output")
 
 
 def jacobian(op: OperatorSpec, u: np.ndarray) -> np.ndarray:
@@ -132,7 +123,7 @@ def jacobian(op: OperatorSpec, u: np.ndarray) -> np.ndarray:
     if op.kind != NONLINEAR:
         raise UnsupportedOperatorError("jacobian is for nonlinear operators")
     u = check_vec(op.grid, u, "base point")
-    return _check_output(op, np.asarray(op.jacobian_fn(u), dtype=float))
+    return check_finite(np.asarray(op.jacobian_fn(u), dtype=float), "Jacobian")
 
 
 def domain_project(op: OperatorSpec, u: np.ndarray) -> np.ndarray:

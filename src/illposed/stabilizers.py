@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InvalidParameterError
-from .grids import Grid, check_vec, trapezoid_weights
+from .grids import Grid, check_vec
 
 CONTAINS_RTOL = 1e-12
 
@@ -53,22 +53,17 @@ class Compactum:
             )
 
 
-def difference_quotient(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Forward differences (u_{i+1} - u_i)/h on the n-1 cells."""
-    return np.diff(u) / grid.h
-
-
-def _cell_gram_diagonal(grid: Grid) -> np.ndarray:
-    return grid.h * trapezoid_weights(grid.n - 1)
-
-
 def phi_value(stab: Stabilizer, grid: Grid, u: np.ndarray) -> float:
-    """phi(u); inf past the float range, as the weights multiply Python floats."""
+    """phi(u); inf past the float range, as the weights multiply Python floats.
+
+    Du, the forward differences (u_{i+1} - u_i) / h on the n - 1 cells, is
+    taken by slicing, the subtraction that ``np.diff`` makes.
+    """
     u = check_vec(grid, u)
-    value = stab.alpha0 * float(np.sum(grid.gram_diagonal * u * u))
+    value = stab.alpha0 * float((grid.gram_diagonal * u * u).sum())
     if stab.alpha1 != 0.0:
-        d = difference_quotient(grid, u)
-        value += stab.alpha1 * float(np.sum(_cell_gram_diagonal(grid) * d * d))
+        d = (u[1:] - u[:-1]) / grid.h
+        value += stab.alpha1 * float((grid.cell_gram_diagonal * d * d).sum())
     return value
 
 
@@ -77,14 +72,17 @@ def penalty_bands(stab: Stabilizer, grid: Grid) -> Tuple[np.ndarray, np.ndarray]
     = u^T P u (plain coordinates), positive definite when alpha0 > 0.
 
     The slope term D^T C D (C the cell weights) is summed cell by cell,
-    rounded exactly as the dense product rounds it.
+    rounded exactly as the dense product rounds it.  The bands are read-only,
+    so the one pair a :class:`~illposed.tikhonov.TikhonovPath` forms can be
+    shared by everything that reads it.
     """
     diagonal, off = stab.alpha0 * grid.gram_diagonal, np.zeros(grid.n - 1)
     if stab.alpha1 != 0.0:
         inv_h = 1.0 / grid.h
-        c = (inv_h * _cell_gram_diagonal(grid)) * inv_h
+        c = (inv_h * grid.cell_gram_diagonal) * inv_h
         diagonal = diagonal + stab.alpha1 * (np.append(c, 0.0) + np.append(0.0, c))
         off = stab.alpha1 * -c
+    diagonal.flags.writeable = off.flags.writeable = False
     return diagonal, off
 
 

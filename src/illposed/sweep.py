@@ -23,7 +23,7 @@ from .gallery import ProblemInstance, build_problem
 from .grids import l2_norm
 from .noise import BOUNDED, EXACT_NORM, inject_noise
 from .quasisolution import minimize_on_compactum, quasi_certificate
-from .stabilizers import Compactum, Stabilizer, penalty_bands, phi_value
+from .stabilizers import Compactum, Stabilizer, phi_value
 from .tikhonov import TikhonovPath
 from .variational import minimize_variational, variational_certificate
 
@@ -244,7 +244,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
     The stabilizer and the compactum are built, and so checked, before any
     cell runs, as are the bands of phi's matrix and phi(y), which must be
-    finite.  Every problem has one Tikhonov path for the whole sweep.  For a
+    finite.  Every problem has one Tikhonov path for the whole sweep, and
+    the check reads the bands that path forms for every cell.  For a
     linear problem the first cell decomposes its pencil and pays for it in its
     ``wall_ms``, and every later cell reuses the decomposition.  The path
     also keeps the last data vector's coefficients: the first cell at each
@@ -265,14 +266,14 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     problem = build_problem(config.problem, config.n, sigma=config.sigma)
     stab = Stabilizer(config.alpha0, config.alpha1)
     with np.errstate(over="ignore"):  # weights near the top of the float range
-        finite = np.isfinite(np.concatenate(penalty_bands(stab, problem.grid))).all()
+        path = TikhonovPath(problem.op, stab)
+    finite = np.isfinite(np.concatenate(path.bands)).all()
     if not (finite and math.isfinite(phi_value(stab, problem.grid, problem.y_true))):
         raise ConfigurationError(f"phi overflows at alpha0={config.alpha0:g}, "
                                  f"alpha1={config.alpha1:g}")
     K = None
     if METHOD_QUASI in config.methods:
         K = Compactum(stab, resolve_rho(config, problem, stab))
-    path = TikhonovPath(problem.op, stab)
     seeds = {delta: delta_seed(config, j) for j, delta in enumerate(config.deltas)}
     report = SweepReport(config=config)
     for delta in sorted(config.deltas, reverse=True):

@@ -102,6 +102,11 @@ class TikhonovPath:
     the :class:`PathData` of the last data vector (:meth:`data`), so the
     solves of both methods at one noise level pay for c once.
 
+    ``bands``, the read-only bands of P (:func:`penalty_bands`), are formed
+    once, when the path is built, unless they are given; a path hands them to
+    each of its linearizations, and those to their :class:`FactoredPath`, so
+    a sweep's path forms them for every step of every cell.
+
     The path of a nonlinear A is that of each of its linearizations
     (:meth:`linearized`), and has no pencil of its own; ``starts`` keeps the
     first linearization of :func:`gauss_newton` by the bytes of its start
@@ -111,16 +116,18 @@ class TikhonovPath:
     fallback = None   # as a point provider, it has none
     normal: Optional[np.ndarray] = None   # N = A^T W A, where a FactoredPath formed it
 
-    def __init__(self, op: OperatorSpec, stab: Stabilizer):
+    def __init__(self, op: OperatorSpec, stab: Stabilizer, bands=None):
         self.op, self.stab = op, stab
+        self.bands = penalty_bands(stab, op.grid) if bands is None else bands
         self.starts = {}   # a nonlinear A's first linearization at each start point
         self.last: Optional[PathData] = None   # the PathData of the last data vector
 
     @functools.cached_property
     def spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(theta, V); raises :class:`SolverFailureError` where B is singular."""
+        """(theta, V); raises :class:`SolverFailureError` where B is singular,
+        and where its eigendecomposition fails or gives a non-finite theta."""
         pencil = add_bands(normal_matrix(self.op) if self.normal is None else
-                           self.normal.copy(), *penalty_bands(self.stab, self.op.grid))
+                           self.normal.copy(), *self.bands)
         try:
             # B = L L^T turns the pencil into the symmetric L^-1 N L^-T = G^T G
             factor = np.linalg.cholesky(pencil)
@@ -132,8 +139,13 @@ class TikhonovPath:
         g = weighted_product(self.op, inv_l.T)   # G = W^1/2 A L^-T
         gram = g.T @ g                           # one symmetric product (syrk)
         del g
-        theta, vectors = np.linalg.eigh(gram)   # ascending
+        try:
+            theta, vectors = np.linalg.eigh(gram)   # ascending
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailureError(f"the pencil has no eigendecomposition: {exc}") from exc
         del gram
+        if not np.isfinite(theta).all():
+            raise SolverFailureError("the pencil has a non-finite eigenvalue")
         k = np.searchsorted(theta, self.op.grid.n * EPS * max(theta[-1], 0.0),
                             side="right")
         return np.minimum(theta[k:], 1.0), inv_l.T @ vectors[:, k:]
@@ -150,7 +162,7 @@ class TikhonovPath:
     def linearized(self, u: np.ndarray) -> TikhonovPath:
         """The path of a nonlinear A's Jacobian matrix J = A'(u), J as its operator."""
         jac = jacobian(self.op, u)
-        return TikhonovPath(dense_operator(self.op.grid, jac), self.stab)
+        return TikhonovPath(dense_operator(self.op.grid, jac), self.stab, self.bands)
 
     def data(self, f_delta: np.ndarray) -> PathData:
         """The :class:`PathData` of ``f_delta``: ``last`` again where ``f_delta``
@@ -280,8 +292,9 @@ class FactoredPath:
     each by a dense solve of N + lam P instead of a decomposition of the pencil,
     ``fallback``, the :class:`TikhonovPath` of J, which is only decomposed
     where a step falls back to it.  N = J^T W J is formed once, and handed
-    to the pencil as its ``normal``: each point adds lam times P's bands to a
-    copy of it, and the pencil decomposes N + P from a copy of it too.
+    to the pencil as its ``normal``: each point adds lam times P's bands, the
+    pencil's, to a copy of it, and the pencil decomposes N + P from a copy of
+    it too.
 
     ``t_floor`` is the log of lam_f = (n eps / GN_RTOL) max(1, |N| / |P|),
     with |.| the largest diagonal entry, and holds two conditions.  The
@@ -298,7 +311,7 @@ class FactoredPath:
     def __init__(self, pencil: TikhonovPath):
         self.fallback, self.op, self.stab = pencil, pencil.op, pencil.stab
         self.normal = pencil.normal = normal_matrix(self.op)
-        self.bands = penalty_bands(self.stab, self.op.grid)
+        self.bands = pencil.bands
         top, scale = float(self.normal.diagonal().max()), float(self.bands[0].max())
         # max(1, |N| / |P|) as a difference of logs, as |N| / |P| may overflow
         self.t_floor = (math.log(self.op.grid.n * EPS / GN_RTOL) + math.log(max(top, scale))
@@ -309,13 +322,18 @@ class FactoredPath:
 
 
 class FactoredData:
-    """One data vector on a :class:`FactoredPath`, and b = J^T W f_d."""
+    """One data vector on a :class:`FactoredPath`."""
 
     coarse = None   # it has no O(k) points
 
     def __init__(self, path: FactoredPath, data: np.ndarray):
         self.path, self.op, self.stab, self.data = path, path.op, path.stab, data
-        self.rhs = weighted_transpose(self.op, data)
+
+    @functools.cached_property
+    def rhs(self) -> np.ndarray:
+        """b = J^T W f_d, formed at the first point above the floor: a step
+        that starts below it goes to its fallback without reading b."""
+        return weighted_transpose(self.op, self.data)
 
     def point(self, t: float) -> FactoredPoint:
         return FactoredPoint(self, t)
@@ -335,12 +353,13 @@ class FactoredPoint(Measured):
         if t <= of.path.t_floor:
             raise SolverFailureError(f"t = {t:g} is at or below the floor")
         self.t, self.lam, self.of = t, math.exp(t), of
-        diagonal, off = of.path.bands
+        # b is formed outside the errstate below, which guards the system alone
+        (diagonal, off), rhs = of.path.bands, of.rhs
         try:
             with np.errstate(over="raise", invalid="raise"):
                 system = add_bands(of.path.normal.copy(), self.lam * diagonal,
                                    self.lam * off)
-                self.u = np.linalg.solve(system, of.rhs)
+                self.u = np.linalg.solve(system, rhs)
                 pu = diagonal * self.u   # P u, from P's bands
                 pu[1:] += off * self.u[:-1]
                 pu[:-1] += off * self.u[1:]

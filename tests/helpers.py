@@ -2,7 +2,9 @@
 recorder of the calls of a function and the one of the path root finds a
 solve runs, the check of a gap's slope, the path point at a given lambda,
 and plain references the package does not need: the dense P, a batched phi,
-the identity operator and the grid inner product.  ``scripts/gn_probe.py``
+the identity operator and the grid inner product, and the ``np.sum`` and
+``np.diff`` forms of the L2 norm and phi and the gather form of the
+autoconvolution Jacobian, which the package's forms must equal bit for bit.  ``scripts/gn_probe.py``
 counts solver work through these recorders too."""
 
 import inspect
@@ -39,9 +41,33 @@ def phi_batch(stab, grid, pts):
     value = stab.alpha0 * np.sum(grid.gram_diagonal * pts * pts, axis=-1)
     if stab.alpha1 != 0.0:
         d = np.diff(pts, axis=-1) / grid.h
-        cells = grid.h * trapezoid_weights(grid.n - 1)
-        value = value + stab.alpha1 * np.sum(cells * d * d, axis=-1)
+        value = value + stab.alpha1 * np.sum(grid.cell_gram_diagonal * d * d, axis=-1)
     return value
+
+
+def l2_norm_reference(grid, v):
+    """sqrt(h * sum_i w_i v_i^2) by ``np.sum`` and ``np.sqrt``."""
+    return float(np.sqrt(np.sum(grid.gram_diagonal * v * v)))
+
+
+def phi_reference(stab, grid, u):
+    """phi(u) by ``np.sum``, with the differences by ``np.diff``."""
+    value = stab.alpha0 * float(np.sum(grid.gram_diagonal * u * u))
+    if stab.alpha1 != 0.0:
+        d = np.diff(u) / grid.h
+        value += stab.alpha1 * float(np.sum(grid.h * trapezoid_weights(grid.n - 1) * d * d))
+    return value
+
+
+def autoconvolve_jacobian_reference(grid, u):
+    """A'(u) = h (2 T(u) - u_0 I - u e_0^T) of the autoconvolution, T(u) by a
+    gather through an n x n index array and ``tril``."""
+    i = np.arange(grid.n)
+    # the negative indices above the diagonal wrap around; tril zeroes them
+    jac = 2.0 * np.tril(u[i[:, None] - i])
+    jac[i, i] -= u[0]
+    jac[:, 0] -= u
+    return grid.h * jac
 
 
 def identity_operator(grid):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from illposed import (ConfigurationError, ProblemInstance,
+from illposed import (ConfigurationError, Grid, ProblemInstance,
                       UnsupportedOperatorError, apply, as_matrix,
                       build_problem, condition_report, l2_norm)
 from illposed.gallery import PROBLEM_NAMES, autoconvolve_jacobian
 
-from helpers import identity_operator
+from helpers import autoconvolve_jacobian_reference, identity_operator
 
 
 def test_unknown_name_lists_valid_ones():
@@ -117,3 +117,16 @@ def test_autoconv_jacobian_columns_match_convolution(n, rng):
         for j, e in enumerate(np.eye(n)):
             expected = p.grid.h * (2.0 * np.convolve(u, e)[:n] - u[0] * e - e[0] * u)
             assert np.array_equal(J[:, j], expected), j
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 16, 64, 257])
+def test_autoconv_jacobian_is_the_gather_form_bit_for_bit(n, rng):
+    # the strided Toeplitz copy against the gather through an index array,
+    # on entries of both signs, zeros and +-1e150, the first one included
+    g = Grid(n)
+    u = rng.standard_normal(n) * rng.choice([1.0, 1e150, -1e150, 0.0, -1.0], n)
+    u[0], u[n // 2] = 1e150, 0.0
+    for v in (u, -u, np.abs(u), u[::-1].copy()):
+        strided = autoconvolve_jacobian(g, v)
+        assert strided.flags.c_contiguous and strided.flags.writeable
+        assert strided.tobytes() == autoconvolve_jacobian_reference(g, v).tobytes()

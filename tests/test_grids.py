@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from illposed import Grid, GridMismatchError, NonFiniteError, l2_norm
+from illposed import (Grid, GridMismatchError, NonFiniteError, apply, jacobian, l2_norm,
+                      nonlinear_operator)
+from illposed.grids import check_finite, check_vec
 
-from helpers import inner_product
+from helpers import inner_product, l2_norm_reference
 
 
 def test_grid_validation():
@@ -72,3 +75,40 @@ def test_non_finite_vector_rejected():
         l2_norm(Grid(5), v)
     assert err.value.index == 3
 
+
+BAD = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("where", [0, 3, 6])
+def test_first_non_finite_entry_is_named(bad, where):
+    # every non-finite kind at any position, with a later one of another kind
+    g = Grid(7)
+    v = np.ones(7)
+    v[where] = bad
+    v[where + 1:] = math.nan if bad != bad else math.inf
+    with pytest.raises(NonFiniteError, match=f"data has non-finite entry at index "
+                                             f"{where}$") as err:
+        check_vec(g, v, "data")
+    assert err.value.index == where
+    # an operator's output, and its Jacobian by the C-order index of the matrix
+    op = nonlinear_operator(g, apply_fn=lambda u: v, jacobian_fn=lambda u: np.diag(v))
+    for evaluate, index in ((apply, where), (jacobian, 8 * where)):
+        with pytest.raises(NonFiniteError) as err:
+            evaluate(op, np.ones(7))
+        assert err.value.index == index
+    with pytest.raises(NonFiniteError) as err:
+        check_finite(v.reshape(1, 7), "matrix")
+    assert err.value.index == where
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(v=arrays(np.float64, st.integers(2, 70),
+                elements=st.floats(-1e150, 1e150, allow_subnormal=True)))
+def test_norm_is_the_np_sum_form_bit_for_bit(v):
+    assert l2_norm(Grid(v.size), v) == l2_norm_reference(Grid(v.size), v)
+
+
+def test_norm_is_inf_past_the_float_range():
+    with np.errstate(over="ignore"):
+        assert l2_norm(Grid(6), np.full(6, 1e200)) == math.inf

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from illposed import (Compactum, Grid, InvalidParameterError, Stabilizer,
                       contains, l2_norm, phi_value, project_onto)
 from illposed.stabilizers import penalty_bands
 
-from helpers import penalty_matrix, phi_batch
+from helpers import penalty_matrix, phi_batch, phi_reference
 
 
 def test_weight_validation():
@@ -162,3 +163,25 @@ def test_projection_idempotent(default_stab, rng):
         once = project_onto(K, g, u)
         twice = project_onto(K, g, once)
         assert np.array_equal(once, twice)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(u=arrays(np.float64, st.integers(2, 70),
+                elements=st.floats(-1e150, 1e150, allow_subnormal=True)),
+       alpha0=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+       alpha1=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
+def test_phi_is_the_np_sum_and_np_diff_form_bit_for_bit(u, alpha0, alpha1):
+    assume(alpha0 > 0.0 or alpha1 > 0.0)
+    stab, g = Stabilizer(alpha0, alpha1), Grid(u.size)
+    assert phi_value(stab, g, u) == phi_reference(stab, g, u)
+
+
+def test_phi_is_inf_past_the_float_range():
+    g = Grid(6)
+    with np.errstate(over="ignore"):   # the sums overflow
+        assert phi_value(Stabilizer(1.0, 1.0), g, np.full(6, 1e200)) == math.inf
+        # the value term is finite, near 1e308, and the slope term overflows
+        assert phi_value(Stabilizer(1.0, 1.0), g, 1e154 * (-1.0) ** np.arange(6)) == math.inf
+    # the sums are finite, and the weights multiply them past the range
+    assert phi_value(Stabilizer(1e300, 0.0), g, np.full(6, 1e10)) == math.inf
+    assert phi_value(Stabilizer(1.0, 1e300), g, np.arange(6.0) * 1e10) == math.inf

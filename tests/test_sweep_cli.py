@@ -348,6 +348,7 @@ def test_csv_gate_script_runs_and_compares(tmp_path):
     proc = compare()
     assert proc.returncode == 0, proc.stdout
     assert proc.stdout.count(": byte-identical") == 15
+    assert proc.stdout.endswith("identical\nbyte-identical: 15 of 15\n")
     # each run pins BLAS to one thread; runs on other counts are not compared
     assert proc.stdout.startswith("BLAS threads: 1 against 1\n")
     threads = second / "blas_threads"
@@ -381,6 +382,7 @@ def test_csv_gate_script_runs_and_compares(tmp_path):
     assert proc.returncode == 0, proc.stdout
     assert "== volterra-int-n8: differs" in proc.stdout
     assert "max rel change 3.33e-01" in proc.stdout
+    assert proc.stdout.endswith("\nbyte-identical: 14 of 15\n")
     cells[CSV_COLUMNS.index("cert_18")] = "false"
     csv_path.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
     out_path.write_text(out_path.read_text().replace(
@@ -634,6 +636,52 @@ def test_failed_decomposition_fails_every_linear_cell_by_name(monkeypatch):
         for row in report.rows:
             assert row.solver_error == "N + lam P is singular at every lambda"
         assert report.exit_code == 2
+
+
+def unconverged(matrix):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+# (what is patched, the injected fault, the solver error every cell ends in)
+EIGH_FAULTS = [
+    (np.linalg, "eigh", unconverged,
+     "the pencil has no eigendecomposition: Eigenvalues did not converge"),
+    (np.linalg, "eigh", lambda matrix: (np.full(len(matrix), np.nan), np.eye(len(matrix))),
+     "the pencil has a non-finite eigenvalue"),
+    # a non-finite pencil passes Cholesky silently, and the eigensolver fails on it
+    (tikhonov, "weighted_product", lambda op, x: np.full(x.shape, np.nan),
+     "the pencil has no eigendecomposition: Eigenvalues did not converge"),
+]
+
+
+@pytest.mark.parametrize("owner, name, fault, error", EIGH_FAULTS,
+                         ids=["eigh-raises", "eigh-nan", "nan-pencil"])
+def test_failed_eigendecomposition_fails_every_cell_by_name(owner, name, fault, error,
+                                                            monkeypatch, capsys):
+    monkeypatch.setattr(owner, name, fault)
+    for problem in LINEAR + ("autoconv",):
+        report = run_sweep(SweepConfig(problem=problem, n=16, deltas=(1e-1, 1e-2)))
+        assert [row.solver_error for row in report.rows] == [error] * 4, problem
+        assert report.exit_code == 2
+    assert main(["sweep", "--problem", "volterra-int", "--n", "16"]) == 2
+    out = capsys.readouterr().out
+    assert out.count(f"[SOLVER FAILURE ({error})]") == 8, out
+
+
+def test_penalty_bands_are_formed_once_per_sweep(monkeypatch):
+    # the sweep's one Tikhonov path forms P's bands for the sweep's own check,
+    # and hands them to every linearization and factored path of Gauss-Newton
+    owners = tuple(module for key, module in sys.modules.items()
+                   if key.startswith("illposed.") and hasattr(module, "penalty_bands"))
+    formed = calls(monkeypatch, owners, "penalty_bands")
+    finds = recorded_root_finds(monkeypatch)   # one root find per Gauss-Newton step
+    assert run_sweep(SweepConfig(problem="volterra-int", n=64)).exit_code == 0
+    assert len(formed) == 1
+    del finds[:]
+    report = run_sweep(SweepConfig(problem="autoconv", n=64, deltas=(0.2, 0.02)))
+    assert all(row.solver_error is None for row in report.rows)
+    assert len(finds) - len(report.rows) >= 2   # later Gauss-Newton steps
+    assert len(formed) == 2
 
 
 @pytest.mark.parametrize("name", LINEAR)

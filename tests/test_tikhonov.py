@@ -448,3 +448,19 @@ def test_a_nonlinear_solution_meets_a_once(shared, monkeypatch):
         assert sum(call["op"] is problem.op and np.array_equal(call["u"], sol.u_delta)
                    for call in applied) == 1
         assert sol.image.tobytes() == apply_once(problem.op, sol.u_delta).tobytes()
+
+
+def test_factored_data_forms_its_right_side_at_the_first_point_above_the_floor():
+    # a step that starts below the factored floor falls back without b = J^T W f_d
+    problem = build_problem("autoconv", 16)
+    path = TikhonovPath(problem.op, Stabilizer())
+    factored = FactoredPath(path.linearized(np.ones(16)))
+    data = factored.data(problem.f_exact)
+    with pytest.raises(SolverFailureError, match="at or below the floor"):
+        data.point(factored.t_floor)
+    assert "rhs" not in vars(data)
+    data.point(factored.t_floor + 1.0)
+    rhs = data.rhs
+    assert np.array_equal(rhs, operators.weighted_transpose(factored.op, problem.f_exact))
+    data.point(factored.t_floor + 2.0)
+    assert data.rhs is rhs

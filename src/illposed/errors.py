@@ -39,9 +39,5 @@ class ConfigurationError(IllposedError, ValueError):
     """Invalid problem name, config key, or config value."""
 
 
-class BudgetExceededError(IllposedError):
-    """A brute-force search would exceed its evaluation budget."""
-
-
 class UnsupportedOperatorError(IllposedError):
     """The requested operation is not defined for this operator kind."""

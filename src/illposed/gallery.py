@@ -113,9 +113,9 @@ def build_problem(name: str, n: int, sigma: float = 0.1) -> ProblemInstance:
     if name not in PROBLEM_NAMES:
         raise ConfigurationError(
             f"unknown problem {name!r}; valid names: {', '.join(PROBLEM_NAMES)}")
-    # n = 3 is allowed so the brute-force oracles can cross-check the solvers
-    # at the search dimension cap; production runs go through the batch
-    # driver, which requires n >= 4
+    # n = 3 is allowed so the brute-force oracle of the test suite can
+    # cross-check the solvers at its search dimension cap; production runs go
+    # through the batch driver, which requires n >= 4
     if n < 3:
         raise ConfigurationError(f"gallery problems need n >= 3, got n={n}")
     if not (sigma > 0.0 and np.finfo(float).tiny <= sigma * sigma < math.inf):

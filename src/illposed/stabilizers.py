@@ -60,7 +60,9 @@ def phi_value(stab: Stabilizer, grid: Grid, u: np.ndarray) -> float:
     taken by slicing, the subtraction that ``np.diff`` makes.
     """
     u = check_vec(grid, u)
-    value = stab.alpha0 * float((grid.gram_diagonal * u * u).sum())
+    value = 0.0
+    if stab.alpha0 != 0.0:   # 0 * inf is nan where the sum overflows
+        value = stab.alpha0 * float((grid.gram_diagonal * u * u).sum())
     if stab.alpha1 != 0.0:
         d = (u[1:] - u[:-1]) / grid.h
         value += stab.alpha1 * float((grid.cell_gram_diagonal * d * d).sum())
@@ -101,29 +103,20 @@ def add_bands(matrix: np.ndarray, diagonal: np.ndarray, off: np.ndarray) -> np.n
     return matrix
 
 
-def contains(K: Compactum, grid: Grid, u: np.ndarray) -> bool:
-    """Membership test; the boundary counts as inside (K is closed)."""
-    return _inside(K, phi_value(K.stab, grid, u))
-
-
-def _inside(K: Compactum, phi: float) -> bool:
-    """Whether a point with this phi value lies in K, up to CONTAINS_RTOL."""
-    return phi <= K.rho * (1.0 + CONTAINS_RTOL)
-
-
 def project_onto(K: Compactum, grid: Grid, u: np.ndarray) -> np.ndarray:
     """Radial projection onto K, exact for the metric induced by the stabilizer.
 
     Points inside K are returned unchanged; points outside are scaled by
     ``t = sqrt(rho / phi(u))``, which lands on the boundary with
-    ``phi(result) = rho`` up to rounding.  The inside test is the one of
-    ``contains``, so projecting twice returns the same array.
+    ``phi(result) = rho`` up to rounding.  The inside test counts the
+    boundary as inside (K is closed) up to ``CONTAINS_RTOL``, so projecting
+    twice returns the same array.
     Where phi(u) overflows, phi(u) = s m^2 phi_1(u / m) with m = max |u| and
     phi_1 the stabilizer with its weights divided by the larger one, s.
     """
     u = check_vec(grid, u)
     p = phi_value(K.stab, grid, u)
-    if _inside(K, p):
+    if p <= K.rho * (1.0 + CONTAINS_RTOL):
         return u
     if p == np.inf:
         s, m = max(K.stab.alpha0, K.stab.alpha1), float(np.max(np.abs(u)))

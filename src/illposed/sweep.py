@@ -233,9 +233,10 @@ def solve_one(problem: ProblemInstance, method: str, delta: float,
 
 
 def run_solve(config: SweepConfig) -> SweepReport:
-    """:func:`run_sweep` at the first noise level alone.  Only the benchmark's
-    ``linear-solve-n64`` workload calls it; ``illposed sweep --deltas 1e-2``
-    is the same run from the command line."""
+    """:func:`run_sweep` at the first noise level alone.  Only the benchmark
+    calls it: its ``linear-solve-n64`` workload and the warm-up before every
+    workload, and its tracer traces it.  ``illposed sweep --deltas 1e-2`` is
+    the same run from the command line."""
     return run_sweep(dataclasses.replace(config, deltas=config.deltas[:1]))
 
 

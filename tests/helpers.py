@@ -1,11 +1,13 @@
-"""Shared batched objectives for the brute-force oracle checks, the one
-recorder of the calls of a function and the one of the path root finds a
-solve runs, the check of a gap's slope, the path point at a given lambda,
-and plain references the package does not need: the dense P, a batched phi,
-the identity operator and the grid inner product, and the ``np.sum`` and
-``np.diff`` forms of the L2 norm and phi and the gather form of the
-autoconvolution Jacobian, which the package's forms must equal bit for bit.  ``scripts/gn_probe.py``
-counts solver work through these recorders too."""
+"""Shared batched objectives for the brute-force checks against
+``oracle.py``, the membership test of a compactum that they and the
+acceptance suite use, the one recorder of the calls of a function and the
+one of the path root finds a solve runs, the check of a gap's slope, the
+path point at a given lambda, and plain references the package does not
+need: the dense P, a batched phi, the identity operator and the grid inner
+product, and the ``np.sum`` and ``np.diff`` forms of the L2 norm and phi and
+the gather form of the autoconvolution Jacobian, which the package's forms
+must equal bit for bit.  ``scripts/gn_probe.py`` counts solver work through
+these recorders too."""
 
 import inspect
 import itertools
@@ -15,9 +17,9 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from illposed import as_matrix, diagonal_operator, tikhonov
+from illposed import as_matrix, diagonal_operator, phi_value, tikhonov
 from illposed.grids import check_vec, trapezoid_weights
-from illposed.stabilizers import add_bands, penalty_bands
+from illposed.stabilizers import CONTAINS_RTOL, add_bands, penalty_bands
 from illposed.tikhonov import (EPS, CoarsePoint, DirectPoint, FactoredPoint, PathData,
                                TikhonovPath)
 
@@ -45,6 +47,18 @@ def phi_batch(stab, grid, pts):
     return value
 
 
+def inside(K, phi):
+    """Whether points with these phi values lie in K: the inside test of
+    ``project_onto``, which counts the boundary as inside up to
+    ``CONTAINS_RTOL``."""
+    return phi <= K.rho * (1.0 + CONTAINS_RTOL)
+
+
+def contains(K, grid, u):
+    """Membership test; the boundary counts as inside (K is closed)."""
+    return inside(K, phi_value(K.stab, grid, u))
+
+
 def l2_norm_reference(grid, v):
     """sqrt(h * sum_i w_i v_i^2) by ``np.sum`` and ``np.sqrt``."""
     return float(np.sqrt(np.sum(grid.gram_diagonal * v * v)))
@@ -52,7 +66,9 @@ def l2_norm_reference(grid, v):
 
 def phi_reference(stab, grid, u):
     """phi(u) by ``np.sum``, with the differences by ``np.diff``."""
-    value = stab.alpha0 * float(np.sum(grid.gram_diagonal * u * u))
+    value = 0.0
+    if stab.alpha0 != 0.0:
+        value = stab.alpha0 * float(np.sum(grid.gram_diagonal * u * u))
     if stab.alpha1 != 0.0:
         d = np.diff(u) / grid.h
         value += stab.alpha1 * float(np.sum(grid.h * trapezoid_weights(grid.n - 1) * d * d))
@@ -142,8 +158,7 @@ def constrained_residual_batch(problem, K, f_delta, infeasible_value=1e30):
     grid = problem.grid
 
     def objective(pts):
-        phi = phi_batch(K.stab, grid, pts)
-        feasible = phi <= K.rho * (1.0 + 1e-12)
+        feasible = inside(K, phi_batch(K.stab, grid, pts))
         return np.where(feasible, residuals(pts), infeasible_value)
 
     return objective

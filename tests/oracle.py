@@ -3,7 +3,8 @@
 These are deliberately simple searchers for desk-scale verification of the
 solvers: exhaustive grid evaluation in up to three dimensions, a 1-d
 golden-section refiner, and a cyclic coordinate polisher built on it.  They
-share no code path with the solvers they validate.
+import nothing from ``illposed``, so they share no code path with the
+solvers they validate; every failure is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
-
-from .errors import BudgetExceededError, InvalidParameterError, NonFiniteError
 
 POINT_BUDGET = 10_000_000
 MAX_DIM = 3
@@ -36,13 +35,13 @@ class SearchBox:
         object.__setattr__(self, "lower", tuple(float(x) for x in self.lower))
         object.__setattr__(self, "upper", tuple(float(x) for x in self.upper))
         if len(self.lower) != len(self.upper) or not self.lower:
-            raise InvalidParameterError("lower and upper bounds must have equal nonzero length")
+            raise ValueError("lower and upper bounds must have equal nonzero length")
         if any(lo >= hi for lo, hi in zip(self.lower, self.upper)):
-            raise InvalidParameterError("each lower bound must be below its upper bound")
+            raise ValueError("each lower bound must be below its upper bound")
         if self.resolution < 3:
-            raise InvalidParameterError("resolution must be at least 3 points per axis")
+            raise ValueError("resolution must be at least 3 points per axis")
         if self.resolution ** len(self.lower) > POINT_BUDGET:
-            raise BudgetExceededError(
+            raise ValueError(
                 f"{self.resolution}^{len(self.lower)} grid points exceed "
                 f"the {POINT_BUDGET:.0e} budget"
             )
@@ -71,7 +70,7 @@ def brute_force_minimize(objective: Callable[[np.ndarray], np.ndarray],
     returned minimum must be finite.
     """
     if box.dim > MAX_DIM:
-        raise InvalidParameterError(f"brute force search capped at {MAX_DIM} dimensions")
+        raise ValueError(f"brute force search capped at {MAX_DIM} dimensions")
     axes = box.axes()
     res = box.resolution
     total = res ** box.dim
@@ -87,13 +86,13 @@ def brute_force_minimize(objective: Callable[[np.ndarray], np.ndarray],
         values = np.asarray(objective(pts), dtype=float)
         if np.any(np.isnan(values)):
             bad = pts[int(np.flatnonzero(np.isnan(values))[0])]
-            raise NonFiniteError(f"objective returned NaN at {bad}")
+            raise ValueError(f"objective returned NaN at {bad}")
         j = int(np.argmin(values))
         if values[j] < best_value:
             best_value = float(values[j])
             best_index = start + j
     if not np.isfinite(best_value):
-        raise NonFiniteError("objective has no finite value on the search box")
+        raise ValueError("objective has no finite value on the search box")
     idx = np.unravel_index(best_index, shape)
     point = np.array([axes[k][idx[k]] for k in range(box.dim)])
     return point, best_value
@@ -109,13 +108,13 @@ def refine_1d(g: Callable[[float], float], bracket: Sequence[float],
     """
     a, b = float(bracket[0]), float(bracket[1])
     if not a < b:
-        raise InvalidParameterError(f"invalid bracket [{a}, {b}]")
+        raise ValueError(f"invalid bracket [{a}, {b}]")
     atol = 1e-15 * (b - a) + 1e-300
 
     def _eval(x: float) -> float:
         y = g(x)
         if not np.isfinite(y):
-            raise NonFiniteError(f"objective is non-finite at {x}")
+            raise ValueError(f"objective is non-finite at {x}")
         return y
 
     c = b - _INVPHI * (b - a)

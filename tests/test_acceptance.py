@@ -13,16 +13,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from illposed import (Compactum, SearchBox, Stabilizer, SweepConfig, apply,
-                      brute_force_minimize, build_problem, contains,
-                      inject_noise, jacobian, l2_norm,
-                      minimize_on_compactum, minimize_variational, phi_value,
-                      project_onto, quasi_certificate, refine_coordinatewise,
-                      run_sweep, variational_certificate, weighted_transpose)
+from illposed import (Compactum, Stabilizer, SweepConfig, apply, build_problem,
+                      inject_noise, jacobian, l2_norm, minimize_on_compactum,
+                      minimize_variational, phi_value, project_onto,
+                      quasi_certificate, run_sweep, variational_certificate,
+                      weighted_transpose)
 from illposed.tikhonov import TikhonovPath
 
-from helpers import (constrained_residual_batch, f_objective_batch, inner_product,
-                     lam_point)
+from helpers import (constrained_residual_batch, contains, f_objective_batch,
+                     inner_product, lam_point)
+from oracle import SearchBox, brute_force_minimize, refine_coordinatewise
 
 MATRIX = ("diag-unbounded", "volterra-int", "fredholm-gauss")
 DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)

@@ -1,6 +1,7 @@
 """Module boundaries of the package, read from its source with ``ast``, the
-names of the package that the benchmark reaches into, and the library example
-of the README, run as written."""
+independence of the test suite's oracle from the package, the names of the
+package that the benchmark reaches into, and the library example of the
+README, run as written."""
 
 import ast
 import dataclasses
@@ -13,6 +14,7 @@ import illposed
 
 MODULES = sorted(Path(illposed.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
+ORACLE = ROOT / "tests" / "oracle.py"
 README = ROOT / "README.md"
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 KIND_NAMES = {"LINEAR_DENSE", "LINEAR_DIAGONAL"}
@@ -35,6 +37,22 @@ def test_no_private_name_crosses_modules():
     private = [f"{path.name}: {module}.{name}" for path in MODULES
                for module, name in package_imports(parse(path)) if name.startswith("_")]
     assert not private, f"private names imported across modules: {private}"
+
+
+def test_the_oracle_imports_nothing_from_the_package():
+    """The brute-force oracle is ground truth for the solvers, so it shares no
+    code with them: it imports no ``illposed`` module, absolutely or
+    relatively, and the package does not load it."""
+    reached = []
+    for node in ast.walk(parse(ORACLE)):
+        if isinstance(node, ast.Import):
+            reached += [alias.name for alias in node.names
+                        if alias.name.split(".")[0] == "illposed"]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "illposed"):
+            reached.append("." * node.level + (node.module or ""))
+    assert not reached, f"tests/oracle.py imports from the package: {reached}"
+    assert "illposed.oracle" not in sys.modules
 
 
 def test_only_operators_tells_operator_kinds_apart():

@@ -6,11 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from illposed import (Compactum, Grid, InvalidParameterError, Stabilizer,
-                      contains, l2_norm, phi_value, project_onto)
+from illposed import (Compactum, Grid, InvalidParameterError, Stabilizer, l2_norm,
+                      phi_value, project_onto)
 from illposed.stabilizers import penalty_bands
 
-from helpers import penalty_matrix, phi_batch, phi_reference
+from helpers import contains, penalty_matrix, phi_batch, phi_reference
 
 
 def test_weight_validation():
@@ -185,3 +185,12 @@ def test_phi_is_inf_past_the_float_range():
     # the sums are finite, and the weights multiply them past the range
     assert phi_value(Stabilizer(1e300, 0.0), g, np.full(6, 1e10)) == math.inf
     assert phi_value(Stabilizer(1.0, 1e300), g, np.arange(6.0) * 1e10) == math.inf
+
+
+def test_phi_without_the_value_term_ignores_its_overflow():
+    # with alpha0 = 0 the value term adds nothing, even where its sum is inf
+    g, stab = Grid(6), Stabilizer(0.0, 1.0)
+    with np.errstate(over="ignore"):
+        assert phi_value(stab, g, np.full(6, 1e200)) == 0.0
+        # the slope term overflows too: phi is inf
+        assert phi_value(stab, g, np.linspace(0.0, 1e200, 6)) == math.inf
